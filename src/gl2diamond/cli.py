@@ -117,8 +117,6 @@ def cmd_verify(args) -> int:
         r=_parse_r(args.r, args.f) if args.r else None,
         twist=args.twist,
         suite=args.suite,
-        fmt=args.format,
-        jobs=args.jobs,
         seed=args.seed,
     )
     checks = run_suite(config)
@@ -173,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--r", type=str, default=None, help="comma-separated digit vector")
         sp.add_argument("--twist", type=int, default=0)
         sp.add_argument("--format", choices=["text", "json"], default="text")
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", type=str, default=None)
 

@@ -1,11 +1,14 @@
 """Explicit finite modules: weights, Iwahori extensions, induction, socles.
 
-A module is a dimension plus an evaluator sending a 2x2 matrix over the
-Galois ring to an exact matrix over F_q acting on column coordinates, with
-a tag for the congruence subgroup known to act trivially.  Constructions:
+A module is read through the exact F_q matrices (acting on column
+coordinates) of the generators of each subgroup kind, built once per kind,
+with a tag for the congruence subgroup known to act trivially.  Base
+modules build them from an evaluator on 2x2 matrices over the Galois ring:
 symmetric-power weights of GL2(F_q), one-dimensional Iwahori characters,
 the two-dimensional nonsplit Iwahori extensions, twisting by the
 normalizer, and induction from I to K over the fixed coset representatives.
+Submodules, quotients, duals and direct sums transform the matrices of
+their parts once.
 
 Socles are computed from first principles: any irreducible subobject is
 generated by a pro-p-fixed eigenvector, and a weight embeds through such a
@@ -39,16 +42,24 @@ LEVELS = ("K1", "K2", "I2")
 
 
 class ExplicitModule:
-    """dim + evaluator; generator action matrices are cached per subgroup kind."""
+    """Generator action matrices, cached per subgroup kind.
 
-    def __init__(self, ctx: GroupContext, dim: int, evaluate, group: str, level: str, name: str = ""):
+    Built by ``derive(kind)`` when given (derived modules), else by
+    ``evaluate(g)`` on each generator; an evaluator given with ``derive``
+    is kept for check_module only.
+    """
+
+    def __init__(self, ctx: GroupContext, dim: int, group: str, level: str, name: str = "",
+                 evaluate=None, derive=None):
         if level not in LEVELS:
             raise DomainError(f"unknown level tag {level!r}")
         if group not in ("K", "I"):
             raise DomainError(f"unknown group tag {group!r}")
         self.ctx = ctx
         self.dim = dim
-        self.evaluate = evaluate
+        if evaluate is not None:
+            self.evaluate = evaluate
+        self._derive = derive
         self.group = group
         self.level = level
         self.name = name
@@ -56,7 +67,10 @@ class ExplicitModule:
 
     def gen_mats(self, kind: str) -> list:
         if kind not in self._gen_cache:
-            self._gen_cache[kind] = [self.evaluate(g) for g in self.ctx.gens(kind)]
+            if self._derive is not None:
+                self._gen_cache[kind] = self._derive(kind)
+            else:
+                self._gen_cache[kind] = [self.evaluate(g) for g in self.ctx.gens(kind)]
         return self._gen_cache[kind]
 
     @property
@@ -127,7 +141,7 @@ def weight_module(ctx: GroupContext, sigma: Weight) -> ExplicitModule:
         scalar = gf.pow_int(int(det), sigma.twist)
         return gf.mul_t[scalar, M]
 
-    mod = ExplicitModule(ctx, weight_dim(sigma), evaluate, "K", "K1", name=f"weight {sigma}")
+    mod = ExplicitModule(ctx, weight_dim(sigma), "K", "K1", f"weight {sigma}", evaluate=evaluate)
     mod.cyclic_vector = np.zeros(mod.dim, dtype=np.int64)
     mod.cyclic_vector[0] = 1  # the pro-p fixed line
     return mod
@@ -137,7 +151,7 @@ def character_module(ctx: GroupContext, chi: ICharacter) -> ExplicitModule:
     def evaluate(g):
         return np.array([[ctx.char_value(chi, g)]], dtype=np.int64)
 
-    return ExplicitModule(ctx, 1, evaluate, "I", "K1", name=f"char {chi}")
+    return ExplicitModule(ctx, 1, "I", "K1", f"char {chi}", evaluate=evaluate)
 
 
 def ej_module(ctx: GroupContext, chi: ICharacter, j: int) -> ExplicitModule:
@@ -158,7 +172,7 @@ def ej_module(ctx: GroupContext, chi: ICharacter, j: int) -> ExplicitModule:
         s = gf.pow_int(int(gf.mul_t[b, gf.inv_t[d]]), pj)
         return np.array([[v1, gf.mul_t[v2, s]], [0, v2]], dtype=np.int64)
 
-    return ExplicitModule(ctx, 2, evaluate, "I", "K1", name=f"E_{j}({chi})")
+    return ExplicitModule(ctx, 2, "I", "K1", f"E_{j}({chi})", evaluate=evaluate)
 
 
 def pi_twist(mod: ExplicitModule) -> ExplicitModule:
@@ -166,15 +180,11 @@ def pi_twist(mod: ExplicitModule) -> ExplicitModule:
     if mod.group != "I":
         raise DomainError("only Iwahori modules can be twisted")
     ctx = mod.ctx
-    out = ExplicitModule(
-        ctx,
-        mod.dim,
-        lambda g: mod.evaluate(ctx.gr.swap_conjugate(g)),
-        "I",
-        "I2",
-        name=f"Pi({mod.name})",
-    )
-    return out
+
+    def evaluate(g):
+        return mod.evaluate(ctx.gr.swap_conjugate(g))
+
+    return ExplicitModule(ctx, mod.dim, "I", "I2", f"Pi({mod.name})", evaluate=evaluate)
 
 
 def induce(mod: ExplicitModule) -> ExplicitModule:
@@ -194,44 +204,65 @@ def induce(mod: ExplicitModule) -> ExplicitModule:
             out[ell2 * d : (ell2 + 1) * d, ell * d : (ell + 1) * d] = mod.evaluate(i)
         return out
 
-    return ExplicitModule(ctx, n, evaluate, "K", "K2", name=f"Ind({mod.name})")
+    return ExplicitModule(ctx, n, "K", "K2", f"Ind({mod.name})", evaluate=evaluate)
 
 
-def sub_module(mod: ExplicitModule, sub: Subspace, name: str = "") -> ExplicitModule:
-    """Restriction of the action to an invariant row subspace (not re-checked)."""
+def sub_module(mod: ExplicitModule, sub: Subspace, name: str = "", group: str | None = None) -> ExplicitModule:
+    """Restriction of the action to an invariant row subspace, optionally to
+    a smaller ``group``; a generator image outside it raises ValueError."""
     gf = mod.gf
     B = sub.basis
 
-    def evaluate(g):
-        imgs = gf.matmul(B, mod.evaluate(g).T)
-        return sub.express(imgs).T
+    def derive(kind):
+        return [sub.express(gf.matmul(B, M.T)).T for M in mod.gen_mats(kind)]
 
-    return ExplicitModule(mod.ctx, sub.dim, evaluate, mod.group, mod.level, name or f"sub({mod.name})")
+    return ExplicitModule(mod.ctx, sub.dim, group or mod.group, mod.level,
+                          name or f"sub({mod.name})", derive=derive)
 
 
 def quotient_module(mod: ExplicitModule, sub: Subspace, name: str = "") -> ExplicitModule:
     gf = mod.gf
     comp = sub.complement_coords()
-    dimq = len(comp)
-    lift = np.zeros((dimq, mod.dim), dtype=np.int64)
-    for k, c in enumerate(comp):
-        lift[k, c] = 1
+    # P sends v to the complement coordinates of its residue modulo sub
+    P = np.zeros((len(comp), mod.dim), dtype=np.int64)
+    P[:, comp] = gf.eye(len(comp))
+    P[:, sub.pivots] = gf.neg_t[sub.basis[:, comp]].T
 
-    def evaluate(g):
-        imgs = gf.matmul(lift, mod.evaluate(g).T)
-        reduced = np.stack([sub.reduce(v) for v in imgs]) if dimq else imgs
-        return reduced[:, comp].T if dimq else np.zeros((0, 0), dtype=np.int64)
+    def derive(kind):
+        return [gf.matmul(P, M[:, comp]) for M in mod.gen_mats(kind)]
 
-    return ExplicitModule(mod.ctx, dimq, evaluate, mod.group, mod.level, name or f"quot({mod.name})")
+    return ExplicitModule(mod.ctx, len(comp), mod.group, mod.level, name or f"quot({mod.name})", derive=derive)
 
 
 def dual_module(mod: ExplicitModule) -> ExplicitModule:
+    """Contragredient (inverse transpose); keeps an evaluator for check_module
+    when the module has one."""
     ctx = mod.ctx
+    evaluate = None
+    if hasattr(mod, "evaluate"):
+        def evaluate(g):
+            return mod.evaluate(ctx.gr.mat_inv(g)).T
 
-    def evaluate(g):
-        return mod.evaluate(ctx.gr.mat_inv(g)).T
+    def derive(kind):
+        return [_inv_matrix(mod.gf, M).T for M in mod.gen_mats(kind)]
 
-    return ExplicitModule(ctx, mod.dim, evaluate, mod.group, mod.level, name=f"dual({mod.name})")
+    return ExplicitModule(ctx, mod.dim, mod.group, mod.level, f"dual({mod.name})",
+                          evaluate=evaluate, derive=derive)
+
+
+def direct_sum(A: ExplicitModule, B: ExplicitModule) -> ExplicitModule:
+    """Block-diagonal action over the smaller group; the level is the common
+    one, or K2 (trivial on every module here) when they differ."""
+    if A.ctx is not B.ctx:
+        raise DomainError("modules live over different contexts")
+    zero = np.zeros((A.dim, B.dim), dtype=np.int64)
+
+    def derive(kind):
+        return [np.block([[MA, zero], [zero.T, MB]]) for MA, MB in zip(A.gen_mats(kind), B.gen_mats(kind))]
+
+    group = "I" if "I" in (A.group, B.group) else "K"
+    level = A.level if A.level == B.level else "K2"
+    return ExplicitModule(A.ctx, A.dim + B.dim, group, level, f"{A.name} + {B.name}", derive=derive)
 
 
 def invariants(mod: ExplicitModule, kind: str = "I1") -> np.ndarray:
@@ -252,10 +283,8 @@ def h_eigen_split(mod: ExplicitModule, rows) -> list:
         return []
     sub = Subspace(gf, rows)
     B = sub.basis
-    mats = []
-    for g in ctx.gens("H"):
-        imgs = gf.matmul(B, mod.evaluate(g).T)
-        mats.append(sub.express(imgs))  # row-convention action on coordinates
+    # row-convention action on coordinates
+    mats = [sub.express(gf.matmul(B, M.T)) for M in mod.gen_mats("H")]
     k = sub.dim
     out = []
     for e1 in range(gf.q - 1):
@@ -285,8 +314,8 @@ def eigen_char_of_vector(mod: ExplicitModule, vec) -> ICharacter:
     gf = mod.gf
     vec = np.asarray(vec, dtype=np.int64)
     exps = []
-    for g in mod.ctx.gens("H"):
-        img = gf.matvec(mod.evaluate(g), vec)
+    for M in mod.gen_mats("H"):
+        img = gf.matvec(M, vec)
         nz = np.nonzero(vec)[0][0]
         if not vec[nz]:
             raise ValueError("zero vector")
@@ -299,41 +328,38 @@ def eigen_char_of_vector(mod: ExplicitModule, vec) -> ICharacter:
 
 @lru_cache(maxsize=None)
 def _weight_words(params: Params, sigma: Weight):
-    """Group words g_i with {g_i v0} a basis of sigma, plus structure constants."""
+    """Spanning tree of translates of the fixed vector v0, plus structure constants.
+
+    Translate 0 is v0; translate i >= 1 is K-generator k applied to
+    translate ``parent``, where tree[i - 1] = (parent, k).  The translates
+    form a basis of sigma, and struct[h] holds the coefficients c with
+    h . (translate i) = sum_j c[i][j] (translate j).
+    """
     ctx = get_context(params)
     gf = ctx.gf
     W = weight_module(ctx, sigma)
-    gens = ctx.gens("K")
     gmats = W.gen_mats("K")
     v0 = W.cyclic_vector
     sub = Subspace(gf, v0.reshape(1, -1))
-    words = [ctx.gr.mat_eye()]
+    tree = []
     vecs = [v0]
     frontier = [0]
     while frontier:
         nxt = []
         for idx in frontier:
-            for g, gm in zip(gens, gmats):
+            for k, gm in enumerate(gmats):
                 cand = gf.matvec(gm, vecs[idx])
                 if sub.insert(cand):
-                    words.append(ctx.gr.mat_mul(g, words[idx]))
+                    tree.append((idx, k))
                     vecs.append(cand)
                     nxt.append(len(vecs) - 1)
         frontier = nxt
     if len(vecs) != W.dim:
         raise AssertionError(f"weight {sigma} not cyclic from its fixed vector")
-    basis = Subspace(gf, np.stack(vecs))
-    # structure constants: h . (g_i v0) = sum_j c[h][i][j] (g_j v0)
     V = np.stack(vecs)
-    coords = Subspace(gf, ambient=W.dim)
-    for v in vecs:
-        coords.insert(v)
-    struct = []
-    for gm in gmats:
-        imgs = gf.matmul(V, gm.T)
-        # express in the *ordered* spanning set: solve against V
-        struct.append(_express_in_rows(gf, V, imgs))
-    return tuple(words), struct
+    V_inv = _inv_matrix(gf, V)
+    struct = [gf.matmul(gf.matmul(V, gm.T), V_inv) for gm in gmats]
+    return tuple(tree), struct
 
 
 def _inv_matrix(gf, A):
@@ -343,14 +369,6 @@ def _inv_matrix(gf, A):
     if sub.dim != n or sub.pivots != list(range(n)):
         raise ValueError("matrix not invertible")
     return sub.basis[:, n:]
-
-
-def _express_in_rows(gf, rows, targets):
-    """Coefficients C with C @ rows = targets, for independent rows."""
-    sub = Subspace(gf, rows)
-    E = sub.express(rows)       # rows = E @ echelon basis
-    D = sub.express(targets)    # targets = D @ echelon basis
-    return gf.matmul(D, _inv_matrix(gf, E))
 
 
 def hom_from_weight(mod: ExplicitModule, sigma: Weight, eig_rows=None):
@@ -373,35 +391,23 @@ def hom_from_weight(mod: ExplicitModule, sigma: Weight, eig_rows=None):
     m = eig_rows.shape[0]
     if m == 0:
         return []
-    words, struct = _weight_words(ctx.params, sigma)
-    gens = ctx.gens("K")
+    tree, struct = _weight_words(ctx.params, sigma)
     gmats = mod.gen_mats("K")
-    dimw = len(words)
-    # translates of each candidate basis vector
+    dimw = len(tree) + 1
+    # translates of each candidate basis vector, along the weight's spanning tree
     trans = np.zeros((m, dimw, mod.dim), dtype=np.int64)
-    for t in range(m):
-        for i, wmat in enumerate(words):
-            trans[t, i] = gf.matvec(mod.evaluate(wmat), eig_rows[t])
+    trans[:, 0] = eig_rows
+    for i, (parent, k) in enumerate(tree, 1):
+        trans[:, i] = gf.matmul(trans[:, parent], gmats[k].T)
     constraints = []
     for gm, c_h in zip(gmats, struct):
         for i in range(dimw):
             # act(h) trans_i - sum_j c[i][j] trans_j must vanish
-            lhs = np.stack([gf.matvec(gm, trans[t, i]) for t in range(m)])
-            combo = np.zeros((m, mod.dim), dtype=np.int64)
-            for t in range(m):
-                prods = gf.mul_t[c_h[i][:, None], trans[t]]
-                combo[t] = gf.sum_axis(prods, axis=0)
+            lhs = gf.matmul(trans[:, i], gm.T)
+            combo = gf.sum_axis(gf.mul_t[c_h[i][None, :, None], trans], axis=1)
             constraints.append(gf.sub(lhs, combo).T)  # columns indexed by t
-    A = np.vstack(constraints)
-    ker = nullspace(gf, A)
-    out = []
-    for coeffs in ker:
-        img = np.zeros((dimw, mod.dim), dtype=np.int64)
-        for t in range(m):
-            if coeffs[t]:
-                img = gf.add(img, gf.scale(int(coeffs[t]), trans[t]))
-        out.append(img)
-    return out
+    ker = nullspace(gf, np.vstack(constraints))
+    return [gf.sum_axis(gf.mul_t[coeffs[:, None, None], trans], axis=0) for coeffs in ker]
 
 
 def hom_space(A, B: ExplicitModule) -> list:
@@ -422,8 +428,7 @@ def hom_space(A, B: ExplicitModule) -> list:
     if nA * nB > 4096:
         raise DomainError("full intertwiner solve is limited to small modules")
     rows = []
-    for g in A.ctx.gens(kind):
-        MA, MB = A.evaluate(g), B.evaluate(g)
+    for MA, MB in zip(A.gen_mats(kind), B.gen_mats(kind)):
         # X MA - MB X = 0 on the row-major flattening of the nB x nA matrix X
         rows.append(gf.sub(gf_kron(gf, gf.eye(nB), MA.T), gf_kron(gf, MB, gf.eye(nA))))
     ker = nullspace(gf, np.vstack(rows))
@@ -537,10 +542,16 @@ def i_socle_series_chars(mod: ExplicitModule) -> list:
 
 
 def check_module(mod: ExplicitModule, rng, samples: int = 20) -> None:
-    """Multiplicativity on random pairs and triviality on the declared level."""
+    """Multiplicativity on random pairs, triviality on the declared level, and
+    agreement of the generator matrices with the evaluator."""
     ctx = mod.ctx
     gr = ctx.gr
     kind = mod.group
+    sub_kinds = ("I", "I1", "U+", "U-", "H") if kind == "I" else ("K", "I", "I1", "U+", "U-", "H")
+    for sub_kind in sub_kinds:
+        want = [mod.evaluate(g) for g in ctx.gens(sub_kind)]
+        if not all((M == E).all() for M, E in zip(mod.gen_mats(sub_kind), want, strict=True)):
+            raise AssertionError(f"{mod} generator matrices for {sub_kind} disagree with its evaluator")
     for _ in range(samples):
         g = ctx.random_element(kind, rng)
         h = ctx.random_element(kind, rng)

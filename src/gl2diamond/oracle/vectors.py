@@ -36,6 +36,7 @@ from .modules import (
     ExplicitModule,
     character_module,
     cosocle_weights,
+    direct_sum,
     ej_module,
     eigen_char_of_vector,
     h_eigen_split,
@@ -180,7 +181,7 @@ def verify_witt(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     def wrap(k):
         return k if k <= q - 1 else k - (q - 1)
 
-    hmats = [W.evaluate(g) for g in ctx.gens("H")]
+    hmats = W.gen_mats("H")
     hvals_chars = []
     for k in range(q):
         F_k, f_k = bundle.F_vec(k), bundle.f_vec(k)
@@ -271,8 +272,7 @@ def ej_chain_module(ctx: GroupContext, chi: ICharacter, j: int, s: int):
     k = ctx.params.p ** j * s
     seed = coset_sum_vector(ctx, 1, np.array([1]), k)
     sub = spin(gf, base.gen_mats("I"), seed)
-    mod = sub_module(base, sub, name=f"chain({chi},{j},{s})")
-    mod.group = "I"
+    mod = sub_module(base, sub, name=f"chain({chi},{j},{s})", group="I")
     return mod, sub, base
 
 
@@ -317,14 +317,7 @@ def e_two_char_module(ctx: GroupContext, chi: ICharacter, chi2: ICharacter, j: i
     B = ej_module(ctx, chi2, j)
     gf = ctx.gf
     dA, dB = A.dim, B.dim
-
-    def dsum_eval(g):
-        out = np.zeros((dA + dB, dA + dB), dtype=np.int64)
-        out[:dA, :dA] = A.evaluate(g)
-        out[dA:, dA:] = B.evaluate(g)
-        return out
-
-    D = ExplicitModule(ctx, dA + dB, dsum_eval, "I", "K1", name="sum")
+    D = direct_sum(A, B)
     radA, cA = _cosocle_functional_kernel(A)
     radB, cB = _cosocle_functional_kernel(B)
     # kernel of (x, y) -> phiA(x) - phiB(y)
@@ -338,9 +331,7 @@ def e_two_char_module(ctx: GroupContext, chi: ICharacter, chi2: ICharacter, j: i
     diag[dA + cB] = 1
     rows.append(diag)
     sub = Subspace(gf, np.stack(rows))
-    mod = sub_module(D, sub, name=f"glued({chi},{chi2},{j},{s_plus_1})")
-    mod.group = "I"
-    return mod
+    return sub_module(D, sub, name=f"glued({chi},{chi2},{j},{s_plus_1})", group="I")
 
 
 def verify_e_two_char(ctx: GroupContext, chi: ICharacter, chi2: ICharacter, j: int, s_plus_1: int) -> CheckReport:

@@ -3,14 +3,13 @@
 Each suite re-derives one family of statements and returns a list of check
 dictionaries {anchor, instance, expected, got, status}; a sweep passes when
 every check passes.  Instances are enumerated deterministically from the
-run configuration, and parallel runs aggregate in sorted instance order, so
+run configuration and checks are reported in sorted instance order, so
 identical configurations produce identical reports.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +58,6 @@ class RunConfig:
     r: tuple | None = None
     twist: int = 0
     suite: str = "jh"
-    fmt: str = "text"
-    jobs: int = 1
     seed: int = 0
 
     @property
@@ -340,10 +337,7 @@ def suite_special(config: RunConfig) -> list:
     if config.r is not None:
         rhos = [GaloisParams(params, red, config.r, config.twist)]
     for rho in rhos:
-        try:
-            sp = find_special_sigma(rho)
-        except DomainError as exc:
-            raise
+        sp = find_special_sigma(rho)
         inst = str(rho)
         checks.append(_check("special.exists", inst, True, "", str(sp.weight)))
         for j in range(1, params.f):
@@ -416,31 +410,3 @@ def run_suite(config: RunConfig) -> list:
         raise DomainError(f"unknown suite {config.suite!r}; choose from {sorted(_SUITE_FUNCS)}")
     checks = _SUITE_FUNCS[config.suite](config)
     return sorted(checks, key=lambda c: (c["instance"], c["anchor"]))
-
-
-def _run_one(args):
-    suite, kwargs = args
-    cfg = RunConfig(**kwargs)
-    cfg.suite = suite
-    return run_suite(cfg)
-
-
-def run_suites(config: RunConfig, suites) -> list:
-    """Run several suites, optionally across processes, deterministically."""
-    jobs = max(1, config.jobs)
-    payload = []
-    for s in suites:
-        kw = dict(
-            p=config.p, f=config.f, case=config.case, r=config.r,
-            twist=config.twist, suite=s, fmt=config.fmt, jobs=1, seed=config.seed,
-        )
-        payload.append((s, kw))
-    if jobs == 1 or len(payload) == 1:
-        results = [_run_one(item) for item in payload]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, payload))
-    out = []
-    for chunk in results:
-        out.extend(chunk)
-    return out

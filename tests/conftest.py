@@ -1,24 +1,6 @@
-import itertools
-
 import pytest
 
-from gl2diamond.core import DomainError, Params
-from gl2diamond.diamond import GaloisParams, is_generic
-
-
-def generic_rhos(p, f, case="all-generic", twist=0):
-    params = Params(p, f)
-    cases = {"all-generic": (True, False), "reducible": (True,), "irreducible": (False,)}[case]
-    out = []
-    for red in cases:
-        for r in itertools.product(range(p), repeat=f):
-            try:
-                rho = GaloisParams(params, red, r, twist)
-            except DomainError:
-                continue
-            if is_generic(rho):
-                out.append(rho)
-    return out
+from gl2diamond.core import Params
 
 
 @pytest.fixture(scope="session")

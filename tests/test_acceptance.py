@@ -12,8 +12,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import generic_rhos
-
 from gl2diamond.core import (
     Params,
     Weight,
@@ -54,6 +52,7 @@ from gl2diamond.oracle.vectors import (
     verify_w_omega,
     verify_witt,
 )
+from gl2diamond.verify import generic_parameters
 
 
 def report(num, ok, detail, t0):
@@ -111,7 +110,7 @@ def test_criterion_03_diamond_counts():
     ok = True
     for p in (5, 7):
         for f in (1, 2, 3):
-            for rho in generic_rhos(p, f):
+            for rho in generic_parameters(Params(p, f)):
                 ok = ok and len(diamond_set(rho)) == 2 ** f
                 ok = ok and d0_is_multiplicity_free(rho)
                 count += 1
@@ -182,7 +181,7 @@ def test_criterion_07_combination_statements():
     ncouples = nclauses = 0
     for p in (5, 7):
         for f in (2, 3):
-            for rho in generic_rhos(p, f):
+            for rho in generic_parameters(Params(p, f)):
                 for dw in diamond_set(rho):
                     for j in range(f):
                         rep = verify_combination(rho, dw, j)

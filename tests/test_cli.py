@@ -85,3 +85,9 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(target.read_text())
     assert len(payload["weights"]) == 2
+
+
+def test_jobs_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "counts", "--p", "5", "--f", "1", "--jobs", "2"])
+    assert exc.value.code == 2

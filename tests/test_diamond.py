@@ -2,8 +2,6 @@ import itertools
 
 import pytest
 
-from conftest import generic_rhos
-
 from gl2diamond.core import DomainError, Params, Weight, chi_of_weight, sigma_s
 from gl2diamond.couples import CoupleType, couple_type
 from gl2diamond.diamond import (
@@ -25,6 +23,7 @@ from gl2diamond.diamond import (
     xi_and_J,
 )
 from gl2diamond.tuples import P1MX, P2MX, P3MX, Sym, XP1, delta_irr, delta_red
+from gl2diamond.verify import generic_parameters
 
 
 def test_is_generic():
@@ -66,7 +65,7 @@ def test_table_weights(par72):
 
 def test_counts_and_multiplicity():
     for p, f in [(5, 1), (5, 2), (5, 3), (7, 2)]:
-        for rho in generic_rhos(p, f):
+        for rho in generic_parameters(Params(p, f)):
             dws = diamond_set(rho)
             assert len(dws) == 2 ** f
             assert d0_is_multiplicity_free(rho)
@@ -110,7 +109,7 @@ def test_delta_four_cycle(par72):
 
 def test_delta_ground_truth_everywhere():
     for p, f in [(5, 1), (5, 2), (7, 2), (5, 3)]:
-        for rho in generic_rhos(p, f):
+        for rho in generic_parameters(Params(p, f)):
             for dw in diamond_set(rho):
                 for fac in lifting_factors(rho, dw):
                     res = delta_data(rho, dw, fac)
@@ -121,7 +120,7 @@ def test_delta_ground_truth_everywhere():
 
 def test_delta_on_socle_is_subset_shift():
     for p, f in [(5, 2), (5, 3)]:
-        for rho in generic_rhos(p, f):
+        for rho in generic_parameters(Params(p, f)):
             shift = delta_red if rho.reducible else delta_irr
             for dw in diamond_set(rho):
                 socle = [fac for fac in d0_factors(rho, dw) if fac.is_socle][0]
@@ -179,7 +178,7 @@ def test_S_plus_minus_containments():
     from gl2diamond.diamond import S_plus_minus
 
     for p, f in [(5, 2), (5, 3)]:
-        for rho in generic_rhos(p, f):
+        for rho in generic_parameters(Params(p, f)):
             for dw in diamond_set(rho):
                 for fac in lifting_factors(rho, dw):
                     s_minus, s_plus = S_plus_minus(rho, dw, fac)

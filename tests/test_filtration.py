@@ -2,8 +2,6 @@ import itertools
 
 import pytest
 
-from conftest import generic_rhos
-
 from gl2diamond.core import (
     DomainError,
     Params,
@@ -29,6 +27,7 @@ from gl2diamond.filtration import (
     w_contents_two_char,
 )
 from gl2diamond.principal import jh_of_induced
+from gl2diamond.verify import generic_parameters
 
 
 def test_couple_templates(par72):
@@ -173,7 +172,7 @@ def test_f2_tables_and_v1(par72):
 
 def test_f2_sweep():
     for p in (5, 7):
-        for rho in generic_rhos(p, 2, case="irreducible"):
+        for rho in generic_parameters(Params(p, 2), "irreducible"):
             tab = f2_tables(rho)
             assert tab.matches_d0, (str(rho), tab.detail)
 

@@ -17,6 +17,7 @@ from gl2diamond.oracle.modules import (
     character_module,
     check_module,
     cosocle_weights,
+    direct_sum,
     dual_module,
     ej_module,
     eigen_char_of_vector,
@@ -27,7 +28,9 @@ from gl2diamond.oracle.modules import (
     invariants,
     jh_multiset,
     pi_twist,
+    quotient_module,
     restricted_loewy,
+    socle_components,
     socle_weights,
     sub_module,
     weight_module,
@@ -176,17 +179,7 @@ def test_direct_sum_hom_additive(ctx51):
     ctx = ctx51
     sigma = Weight(ctx.params, (2,), 0)
     W = weight_module(ctx, sigma)
-
-    def dsum(g):
-        m = W.evaluate(g)
-        out = np.zeros((2 * W.dim, 2 * W.dim), dtype=np.int64)
-        out[: W.dim, : W.dim] = m
-        out[W.dim :, W.dim :] = m
-        return out
-
-    from gl2diamond.oracle.modules import ExplicitModule
-
-    DS = ExplicitModule(ctx, 2 * W.dim, dsum, "K", "K1")
+    DS = direct_sum(W, W)
     assert len(hom_from_weight(DS, sigma)) == 2
     assert socle_weights(DS) == Counter({sigma: 2})
 
@@ -235,3 +228,28 @@ def test_twisted_induction_socle(ctx52):
     mod = induce(pi_twist(character_module(ctx, chi)))
     assert socle_weights(mod) == Counter([sigma])
     assert cosocle_weights(mod) == Counter([sigma_s(sigma)])
+
+
+def test_derived_matrices_intertwine(ctx51):
+    # the inclusion of a submodule, the projection onto a quotient and the
+    # block inclusions of a direct sum are equivariant; the dual of a
+    # submodule, which has no evaluator, acts by the inverse transpose
+    ctx = ctx51
+    gf = ctx.gf
+    mod = induce(character_module(ctx, chi_of_weight(Weight(ctx.params, (2,), 0))))
+    sub = Subspace(gf, socle_components(mod)[0][1])
+    assert 0 < sub.dim < mod.dim
+    S, Q = sub_module(mod, sub), quotient_module(mod, sub)
+    D, SD = direct_sum(S, Q), dual_module(S)
+    assert not hasattr(S, "evaluate") and not hasattr(SD, "evaluate")
+    B = sub.basis
+    P = np.stack([sub.reduce(v)[sub.complement_coords()] for v in gf.eye(mod.dim)]).T
+    k = S.dim
+    for kind in ("K", "I", "H"):
+        mats = zip(mod.gen_mats(kind), S.gen_mats(kind), Q.gen_mats(kind), D.gen_mats(kind), SD.gen_mats(kind))
+        for M, MS, MQ, MD, MSD in mats:
+            assert (gf.matmul(B, M.T) == gf.matmul(MS.T, B)).all()
+            assert (gf.matmul(P, M) == gf.matmul(MQ, P)).all()
+            assert (MD[:k, :k] == MS).all() and (MD[k:, k:] == MQ).all()
+            assert not MD[:k, k:].any() and not MD[k:, :k].any()
+            assert (gf.matmul(MSD.T, MS) == gf.eye(k)).all()

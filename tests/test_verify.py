@@ -1,7 +1,7 @@
 import pytest
 
 from gl2diamond.core import DomainError, Params, Weight, chi_of_weight
-from gl2diamond.verify import RunConfig, generic_parameters, run_suite, run_suites, sweep_characters
+from gl2diamond.verify import RunConfig, generic_parameters, run_suite, sweep_characters
 
 
 def all_pass(checks):
@@ -62,10 +62,3 @@ def test_report_schema_and_determinism():
     assert a == b
     required = {"anchor", "instance", "expected", "got", "status"}
     assert all(required == set(c) for c in a)
-
-
-def test_parallel_matches_serial():
-    base = dict(p=5, f=1, case="irreducible")
-    serial = run_suites(RunConfig(jobs=1, **base), ["counts", "dimension"])
-    parallel = run_suites(RunConfig(jobs=2, **base), ["counts", "dimension"])
-    assert serial == parallel
