@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     common(sp)
-    sp.add_argument("--suite", choices=sorted(set(SUITES) | {"counts", "dimension"}), default="jh")
+    sp.add_argument("--suite", choices=sorted(SUITES), default="jh")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("filtration", help="render an explicit filtration display")

@@ -5,7 +5,8 @@ coefficients (constant term first).  All arithmetic goes through lookup
 tables, so numpy gathers give exact vectorized operations; sums of products
 are accumulated digitwise mod p.  The defining polynomial is the monic
 irreducible of degree f whose encoded coefficient vector is smallest, which
-makes every run reproducible.
+makes every run reproducible.  All echelon work (subspaces, membership,
+nullspaces, inverses, spins) runs on one whole-matrix elimination, ``rref``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+from ..core import DomainError
+
+# the multiplication table is built from q^2 (2f - 1) int64 digit products;
+# fields whose table would pass this many bytes are refused
+TABLE_BYTES_LIMIT = 2 * 1024 ** 3
+# rows of A per gather in GF.matmul, which holds rows * k * n * f digits
+MATMUL_CHUNK = 96
 
 
 def _trim(a):
@@ -123,6 +132,12 @@ class GF:
     def __init__(self, p: int, f: int):
         self.p, self.f = p, f
         self.q = q = p ** f
+        need = 8 * q * q * (2 * f - 1)
+        if need > TABLE_BYTES_LIMIT:
+            raise DomainError(
+                f"F_q tables for q = {p}^{f} = {q} need {need / 1024 ** 3:.1f} GiB, "
+                f"over the {TABLE_BYTES_LIMIT / 1024 ** 3:.0f} GiB limit"
+            )
         self.poly = _defining_poly(p, f)
 
         self.pows = p ** np.arange(f, dtype=np.int64)
@@ -223,7 +238,7 @@ class GF:
         s = self.dig[arr].sum(axis=axis) % self.p
         return s @ self.pows
 
-    def matmul(self, A, B, chunk: int = 96):
+    def matmul(self, A, B):
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
         m, k = A.shape
@@ -233,8 +248,8 @@ class GF:
         if 0 in (m, k, n):
             return np.zeros((m, n), dtype=np.int64)
         out = np.empty((m, n), dtype=np.int64)
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
+        for lo in range(0, m, MATMUL_CHUNK):
+            hi = min(lo + MATMUL_CHUNK, m)
             P = self.mul_t[A[lo:hi, :, None], B[None, :, :]]
             out[lo:hi] = self.sum_axis(P, axis=1)
         return out
@@ -254,84 +269,86 @@ def get_gf(p: int, f: int) -> GF:
     return GF(p, f)
 
 
-class Subspace:
-    """Row space kept in reduced echelon form, supporting cheap membership."""
+def rref(gf: GF, A):
+    """Reduced row echelon form of A and its pivot columns.
 
-    def __init__(self, gf: GF, rows=None, ambient: int | None = None):
-        self.gf = gf
-        if rows is not None:
-            rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-            self.n = rows.shape[1]
-        elif ambient is not None:
-            self.n = ambient
-        else:
+    Gauss-Jordan over the whole matrix, one pivot column at a time: the
+    first nonzero entry at or below the current row is swapped up and scaled
+    to 1, then one gather clears its column in every other row.  Returns the
+    nonzero rows of the form (a new array) and the list of pivot columns.
+    """
+    R = np.array(A, dtype=np.int64, ndmin=2)
+    m, n = R.shape
+    pivots: list = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        nz = np.flatnonzero(R[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        R[r, c:] = gf.mul_t[gf.inv_t[R[r, c]], R[r, c:]]
+        col = R[:, c].copy()
+        col[r] = 0
+        hot = np.flatnonzero(col)
+        if hot.size:
+            R[hot, c:] = gf.sub(R[hot, c:], gf.mul_t[col[hot, None], R[r, None, c:]])
+        pivots.append(c)
+    return R[: len(pivots)], pivots
+
+
+class Subspace:
+    """Row space kept as its reduced echelon basis: the rows and pivots of ``rref``.
+
+    ``rows`` may be one vector, a block of rows, or a stack of blocks; pass
+    ``ambient`` when there may be no rows at all.  Because the basis is
+    reduced, the coordinates of a member are its entries at the pivots.
+    """
+
+    def __init__(self, gf: GF, rows=(), ambient: int | None = None):
+        rows = np.asarray(rows, dtype=np.int64)
+        if ambient is None and rows.ndim == 1 and rows.size == 0:
             raise ValueError("need rows or ambient dimension")
-        self.basis = np.zeros((0, self.n), dtype=np.int64)
-        self.pivots: list = []
-        if rows is not None:
-            for row in rows:
-                self.insert(row)
+        self.gf = gf
+        self.n = rows.shape[-1] if ambient is None else ambient
+        self.basis, self.pivots = rref(gf, rows.reshape(-1, self.n))
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def reduce(self, v):
-        """Residue of v modulo the row space."""
-        gf = self.gf
-        v = np.asarray(v, dtype=np.int64).copy()
-        for i, c in enumerate(self.pivots):
-            coeff = v[c]
-            if coeff:
-                v = gf.sub(v, gf.scale(coeff, self.basis[i]))
-        return v
+    def reduce(self, rows):
+        """Residue of a vector, or of each row of a block, modulo the row space."""
+        rows = np.asarray(rows, dtype=np.int64)
+        flat = rows.reshape(-1, self.n)
+        res = self.gf.sub(flat, self.gf.matmul(flat[:, self.pivots], self.basis))
+        return res.reshape(rows.shape)
 
-    def contains(self, v) -> bool:
-        return not self.reduce(v).any()
+    def contains(self, rows) -> bool:
+        """Whether a vector, or every row of a block, lies in the row space."""
+        return not self.reduce(rows).any()
 
-    def contains_all(self, rows) -> bool:
-        return all(self.contains(r) for r in np.atleast_2d(rows))
-
-    def insert(self, v) -> bool:
-        """Add a vector; returns True when the dimension grew."""
-        gf = self.gf
-        v = self.reduce(v)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        v = gf.scale(int(gf.inv_t[v[c]]), v)
-        if self.dim:
-            coeffs = self.basis[:, c].copy()
-            hot = np.nonzero(coeffs)[0]
-            if hot.size:
-                upd = gf.mul_t[coeffs[hot][:, None], v[None, :]]
-                self.basis[hot] = gf.sub(self.basis[hot], upd)
-        pos = int(np.searchsorted(np.asarray(self.pivots, dtype=np.int64), c))
-        self.basis = np.insert(self.basis, pos, v, axis=0)
-        self.pivots.insert(pos, c)
-        return True
-
-    def coordinates(self, v):
-        """Coefficients of v in the echelon basis; raises if v is outside."""
-        if not self.contains(v):
-            raise ValueError("vector outside subspace")
-        if not self.dim:
-            return np.zeros(0, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        return v[np.asarray(self.pivots, dtype=np.int64)]
+    def insert(self, rows) -> list:
+        """Add a block of rows; returns the indices, in order, of the rows
+        that enlarged the span (the greedy choice of sequential insertion)."""
+        res = self.reduce(rows).reshape(-1, self.n)
+        # a residue is independent of the earlier residues exactly when its
+        # column is a pivot column of the transposed residue block
+        _, grew = rref(self.gf, res.T)
+        if grew:
+            self.basis, self.pivots = rref(self.gf, np.vstack([self.basis, res[grew]]))
+        return grew
 
     def express(self, rows):
+        """Coordinates of each row in the echelon basis; raises ValueError
+        when a row lies outside the subspace."""
         rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-        if rows.shape[0] == 0:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        return np.stack([self.coordinates(r) for r in rows])
-
-    def copy(self) -> "Subspace":
-        out = Subspace(self.gf, ambient=self.n)
-        out.basis = self.basis.copy()
-        out.pivots = list(self.pivots)
-        return out
+        if not self.contains(rows):
+            raise ValueError("vector outside subspace")
+        return rows[:, self.pivots]
 
     def complement_coords(self) -> list:
         taken = set(self.pivots)
@@ -339,31 +356,41 @@ class Subspace:
 
 
 def nullspace(gf: GF, A) -> np.ndarray:
-    """Basis (rows) of the right kernel of A."""
+    """Basis (rows) of the right kernel of A, one row per free column."""
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
-    _, n = A.shape
-    sub = Subspace(gf, A)
-    R, pivots = sub.basis, list(sub.pivots)
-    free = [c for c in range(n) if c not in pivots]
+    n = A.shape[1]
+    R, pivots = rref(gf, A)
+    taken = set(pivots)
+    free = [c for c in range(n) if c not in taken]
     out = np.zeros((len(free), n), dtype=np.int64)
-    for k, c in enumerate(free):
-        out[k, c] = 1
-        for i, pc in enumerate(pivots):
-            out[k, pc] = gf.neg_t[R[i, c]]
+    out[:, free] = gf.eye(len(free))
+    out[:, pivots] = gf.neg_t[R[:, free]].T
     return out
+
+
+def inverse(gf: GF, A) -> np.ndarray:
+    """Inverse of a square matrix, read off rref([A | I]); ValueError if singular."""
+    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
+    n = A.shape[0]
+    if A.shape[1] != n:
+        raise ValueError(f"matrix of shape {A.shape} is not square")
+    R, pivots = rref(gf, np.hstack([A, gf.eye(n)]))
+    if pivots != list(range(n)):
+        raise ValueError("matrix not invertible")
+    return R[:, n:]
 
 
 def spin(gf: GF, mats, seeds) -> Subspace:
     """Closure of the span of the seed rows under left action by the matrices."""
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=np.int64))
+    mats = [np.asarray(M, dtype=np.int64) for M in mats]
     sub = Subspace(gf, seeds)
-    frontier = list(sub.basis.copy())
-    while frontier:
-        vecs = np.stack(frontier)
-        frontier = []
+    frontier = sub.basis
+    while frontier.shape[0]:
+        # one block per generator, so reducing the images costs no more
+        # memory than computing them
+        grown = []
         for M in mats:
-            images = gf.matmul(vecs, np.asarray(M, dtype=np.int64).T)
-            for img in images:
-                if sub.insert(img):
-                    frontier.append(img)
+            images = gf.matmul(frontier, M.T)
+            grown.append(images[sub.insert(images)])
+        frontier = np.vstack(grown)
     return sub

@@ -35,7 +35,7 @@ from ..core import (
     weight_dual,
     weights_of_char,
 )
-from .gf import Subspace, nullspace
+from .gf import Subspace, inverse, nullspace
 from .groups import GroupContext, get_context
 
 LEVELS = ("K1", "K2", "I2")
@@ -244,7 +244,7 @@ def dual_module(mod: ExplicitModule) -> ExplicitModule:
             return mod.evaluate(ctx.gr.mat_inv(g)).T
 
     def derive(kind):
-        return [_inv_matrix(mod.gf, M).T for M in mod.gen_mats(kind)]
+        return [inverse(mod.gf, M).T for M in mod.gen_mats(kind)]
 
     return ExplicitModule(ctx, mod.dim, mod.group, mod.level, f"dual({mod.name})",
                           evaluate=evaluate, derive=derive)
@@ -339,36 +339,22 @@ def _weight_words(params: Params, sigma: Weight):
     gf = ctx.gf
     W = weight_module(ctx, sigma)
     gmats = W.gen_mats("K")
-    v0 = W.cyclic_vector
-    sub = Subspace(gf, v0.reshape(1, -1))
+    V = W.cyclic_vector.reshape(1, -1)
+    sub = Subspace(gf, V)
     tree = []
-    vecs = [v0]
     frontier = [0]
     while frontier:
-        nxt = []
-        for idx in frontier:
-            for k, gm in enumerate(gmats):
-                cand = gf.matvec(gm, vecs[idx])
-                if sub.insert(cand):
-                    tree.append((idx, k))
-                    vecs.append(cand)
-                    nxt.append(len(vecs) - 1)
-        frontier = nxt
-    if len(vecs) != W.dim:
+        # candidates of one BFS level in (parent, k) order
+        cands = np.stack([gf.matmul(V[frontier], gm.T) for gm in gmats], axis=1).reshape(-1, W.dim)
+        grew = sub.insert(cands)
+        tree += [(frontier[i // len(gmats)], i % len(gmats)) for i in grew]
+        frontier = list(range(len(V), len(V) + len(grew)))
+        V = np.vstack([V, cands[grew]])
+    if len(V) != W.dim:
         raise AssertionError(f"weight {sigma} not cyclic from its fixed vector")
-    V = np.stack(vecs)
-    V_inv = _inv_matrix(gf, V)
+    V_inv = inverse(gf, V)
     struct = [gf.matmul(gf.matmul(V, gm.T), V_inv) for gm in gmats]
     return tuple(tree), struct
-
-
-def _inv_matrix(gf, A):
-    n = A.shape[0]
-    aug = np.hstack([A, gf.eye(n)])
-    sub = Subspace(gf, aug)
-    if sub.dim != n or sub.pivots != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return sub.basis[:, n:]
 
 
 def hom_from_weight(mod: ExplicitModule, sigma: Weight, eig_rows=None):
@@ -450,13 +436,11 @@ def socle_components(mod: ExplicitModule) -> list:
 
 def socle_data(mod: ExplicitModule):
     """(weight multiset of the socle, subspace spanned by it)."""
-    soc = Subspace(mod.gf, ambient=mod.dim)
-    found = Counter()
+    found, rows = Counter(), []
     for w, img in socle_components(mod):
-        for v in img:
-            soc.insert(v)
         found[w] += 1
-    return found, soc
+        rows.extend(img)
+    return found, Subspace(mod.gf, rows, ambient=mod.dim)
 
 
 def socle_series(mod: ExplicitModule) -> list:
@@ -503,13 +487,9 @@ def radical_subspace(mod: ExplicitModule, kind: str, rows=None) -> Subspace:
     if rows is None:
         rows = gf.eye(mod.dim)
     rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    out = Subspace(gf, ambient=mod.dim)
     eye = gf.eye(mod.dim)
-    for M in mod.gen_mats(kind):
-        diff = gf.sub(M, eye)
-        for v in gf.matmul(rows, diff.T):
-            out.insert(v)
-    return out
+    images = [gf.matmul(rows, gf.sub(M, eye).T) for M in mod.gen_mats(kind)]
+    return Subspace(gf, images, ambient=mod.dim)
 
 
 def restricted_loewy(mod: ExplicitModule, kind: str) -> int:

@@ -237,11 +237,8 @@ def verify_uplus(ctx: GroupContext, chi: ICharacter, j: int, k: int) -> CheckRep
         if all(d <= digits[i] for i, d in enumerate(dig)):
             expected.append(kp)
     rep.add("span dimension", span_f.dim == len(expected), len(expected), span_f.dim)
-    rep.add("stated basis inside", all(span_f.contains(bundle.f_vec(kp)) for kp in expected))
-    stable = all(
-        all(span_f.contains(gf.matvec(M, row)) for row in span_f.basis)
-        for M in bundle.W.gen_mats("I")
-    )
+    rep.add("stated basis inside", span_f.contains([bundle.f_vec(kp) for kp in expected]))
+    stable = all(span_f.contains(gf.matmul(span_f.basis, M.T)) for M in bundle.W.gen_mats("I"))
     rep.add("Iwahori stable", stable)
 
     span_F = spin(gf, bundle.W.gen_mats("U+"), bundle.F_vec(k))
@@ -253,7 +250,7 @@ def verify_uplus(ctx: GroupContext, chi: ICharacter, j: int, k: int) -> CheckRep
             want.append(kp)
     rep.add(
         "F-span membership",
-        all(span_F.contains(bundle.f_vec(kp)) for kp in want),
+        span_F.contains([bundle.f_vec(kp) for kp in want]),
         f"{len(want)} vectors",
     )
     return rep
@@ -375,18 +372,13 @@ def verify_S1_condition(mod: ExplicitModule, v) -> bool:
     comp = rad.complement_coords()
     cosoc = quotient_module(mod, rad)
     vbar = rad.reduce(np.asarray(v, dtype=np.int64))[comp]
-    ker_rows = list(rad.basis)
+    ker_rows = [rad.basis]
     for ch, rows in h_eigen_split(cosoc, gf.eye(cosoc.dim)):
-        if ch != chi_v:
-            keep = rows
-        else:
-            picker = Subspace(gf, vbar.reshape(1, -1))
-            keep = [r for r in rows if picker.insert(r)]
-        for row in keep:
-            lift = np.zeros(mod.dim, dtype=np.int64)
-            lift[comp] = row
-            ker_rows.append(lift)
-    ker = Subspace(gf, np.stack(ker_rows)) if ker_rows else Subspace(gf, ambient=mod.dim)
+        keep = rows if ch != chi_v else rows[Subspace(gf, vbar).insert(rows)]
+        lift = np.zeros((keep.shape[0], mod.dim), dtype=np.int64)
+        lift[:, comp] = keep
+        ker_rows.append(lift)
+    ker = Subspace(gf, np.vstack(ker_rows))
     if ker.dim != mod.dim - 1 or ker.contains(v):
         raise AssertionError("cosocle coordinate kernel has the wrong size")
     r_plus_ker = restricted_loewy(sub_module(mod, ker), "U+") if ker.dim else 0
@@ -469,9 +461,8 @@ def verify_w_omega(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
         rep.add(f"cosocle W_({omega.weight})", cos == Counter([omega.weight]),
                 str(omega.weight), dict(cos))
         # image modulo the lower layer is the unique sub with cosocle omega
-        img_rows = [bundle.lower.reduce(v) for v in wspan.basis]
         comp = bundle.lower.complement_coords()
-        img = Subspace(gf, np.stack([r[comp] for r in img_rows]))
+        img = Subspace(gf, bundle.lower.reduce(wspan.basis)[:, comp])
         got = jh_multiset(sub_module(quotient, img))
         want = Counter(fac.weight for fac in U_contents(omega, conjugate_char(bundle.psi)))
         rep.add(f"upper image of W_({omega.weight})", got == want, dict(want), dict(got))
@@ -492,11 +483,8 @@ def quotient_by_non_diamond_socle(mod: ExplicitModule, allowed) -> ExplicitModul
     allowed = set(allowed)
     cur = mod
     while True:
-        bad = Subspace(cur.gf, ambient=cur.dim)
-        for w, img in socle_components(cur):
-            if w not in allowed:
-                for v in img:
-                    bad.insert(v)
+        rows = [v for w, img in socle_components(cur) if w not in allowed for v in img]
+        bad = Subspace(cur.gf, rows, ambient=cur.dim)
         if bad.dim == 0:
             return cur
         cur = quotient_module(cur, bad)

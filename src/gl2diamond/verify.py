@@ -36,20 +36,6 @@ from .diamond import (
 from .filtration import f2_tables, v1_s1_filtrations
 from .principal import jh_of_induced
 
-SUITES = (
-    "jh",
-    "witt",
-    "uplus",
-    "calculH",
-    "indej",
-    "womega",
-    "combination",
-    "f2",
-    "special",
-    "s1s2",
-)
-
-
 @dataclass
 class RunConfig:
     p: int = 5
@@ -389,7 +375,8 @@ def suite_s1s2(config: RunConfig) -> list:
     return checks
 
 
-_SUITE_FUNCS = {
+# the one suite registry: run_suite and the CLI's --suite choices read it
+SUITES = {
     "jh": suite_jh,
     "witt": suite_witt,
     "uplus": suite_uplus,
@@ -406,7 +393,7 @@ _SUITE_FUNCS = {
 
 
 def run_suite(config: RunConfig) -> list:
-    if config.suite not in _SUITE_FUNCS:
-        raise DomainError(f"unknown suite {config.suite!r}; choose from {sorted(_SUITE_FUNCS)}")
-    checks = _SUITE_FUNCS[config.suite](config)
+    if config.suite not in SUITES:
+        raise DomainError(f"unknown suite {config.suite!r}; choose from {sorted(SUITES)}")
+    checks = SUITES[config.suite](config)
     return sorted(checks, key=lambda c: (c["instance"], c["anchor"]))

@@ -91,3 +91,9 @@ def test_jobs_flag_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "counts", "--p", "5", "--f", "1", "--jobs", "2"])
     assert exc.value.code == 2
+
+
+def test_verify_refuses_oversized_field(capsys):
+    # the field tables at q = 31^3 would need tens of GB; refused before allocation
+    assert main(["verify", "--suite", "jh", "--p", "31", "--f", "3"]) == 2
+    assert "29791" in capsys.readouterr().err

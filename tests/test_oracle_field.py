@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gl2diamond.oracle.gf import GF, Subspace, get_gf, nullspace, spin
+from gl2diamond.core import DomainError
+from gl2diamond.oracle.gf import GF, Subspace, get_gf, inverse, nullspace, rref, spin
 from gl2diamond.oracle.gr import get_gr
 
 
@@ -58,7 +61,7 @@ def test_subspace_membership_and_coordinates():
     sub = Subspace(F, rows)
     combo = F.add(F.scale(7, rows[0]), F.scale(3, rows[2]))
     assert sub.contains(combo)
-    coeffs = sub.coordinates(combo)
+    coeffs = sub.express(combo)[0]
     back = np.zeros(8, dtype=np.int64)
     for c, b in zip(coeffs, sub.basis):
         back = F.add(back, F.scale(int(c), b))
@@ -66,7 +69,7 @@ def test_subspace_membership_and_coordinates():
     outside = rng.integers(0, F.q, 8)
     if not sub.contains(outside):
         with pytest.raises(ValueError):
-            sub.coordinates(outside)
+            sub.express(outside)
 
 
 def test_spin_closure():
@@ -112,3 +115,133 @@ def test_defining_polynomial_is_deterministic():
     b = GF(5, 2)
     assert a.poly == b.poly
     assert a.gen == b.gen
+
+
+def test_oversized_field_tables_are_refused():
+    # q = 31^3: the multiplication table alone would need about 33 GiB
+    with pytest.raises(DomainError, match="29791"):
+        get_gf(31, 3)
+
+
+class _RowEchelon:
+    """Reference: the row-at-a-time echelon form, one insertion per vector."""
+
+    def __init__(self, gf, n):
+        self.gf = gf
+        self.basis = np.zeros((0, n), dtype=np.int64)
+        self.pivots = []
+
+    def reduce(self, v):
+        gf = self.gf
+        v = np.asarray(v, dtype=np.int64).copy()
+        for i, c in enumerate(self.pivots):
+            coeff = v[c]
+            if coeff:
+                v = gf.sub(v, gf.scale(coeff, self.basis[i]))
+        return v
+
+    def insert(self, v) -> bool:
+        gf = self.gf
+        v = self.reduce(v)
+        nz = np.nonzero(v)[0]
+        if nz.size == 0:
+            return False
+        c = int(nz[0])
+        v = gf.scale(int(gf.inv_t[v[c]]), v)
+        if self.basis.shape[0]:
+            coeffs = self.basis[:, c].copy()
+            hot = np.nonzero(coeffs)[0]
+            if hot.size:
+                upd = gf.mul_t[coeffs[hot][:, None], v[None, :]]
+                self.basis[hot] = gf.sub(self.basis[hot], upd)
+        pos = int(np.searchsorted(np.asarray(self.pivots, dtype=np.int64), c))
+        self.basis = np.insert(self.basis, pos, v, axis=0)
+        self.pivots.insert(pos, c)
+        return True
+
+
+FIELDS = [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (3, 3)]
+
+
+@st.composite
+def field_matrices(draw, square=False):
+    """(gf, A): random, rank-deficient (m x r)(r x n), or zero, possibly with 0 rows."""
+    gf = get_gf(*draw(st.sampled_from(FIELDS)))
+    n = draw(st.integers(1, 7))
+    m = n if square else draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "low rank", "zero"]))
+    if kind == "random":
+        A = rng.integers(0, gf.q, (m, n))
+    elif kind == "low rank":
+        r = draw(st.integers(0, n))
+        A = gf.matmul(rng.integers(0, gf.q, (m, r)), rng.integers(0, gf.q, (r, n)))
+    else:
+        A = np.zeros((m, n), dtype=np.int64)
+    return gf, A.astype(np.int64)
+
+
+def _reference(gf, rows, n, start=()):
+    ref = _RowEchelon(gf, n)
+    for row in start:
+        ref.insert(row)
+    grew = [i for i, row in enumerate(rows) if ref.insert(row)]
+    return ref, grew
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_matrices(), st.integers(0, 2 ** 32 - 1))
+def test_rref_and_insert_match_row_at_a_time_reference(gf_A, seed):
+    gf, A = gf_A
+    n = A.shape[1]
+    ref, _ = _reference(gf, A, n)
+    R, pivots = rref(gf, A)
+    assert (R == ref.basis).all() and R.shape == ref.basis.shape
+    assert pivots == ref.pivots
+    sub = Subspace(gf, A)
+    assert (sub.basis == ref.basis).all() and sub.pivots == ref.pivots
+    # greedy insertion of a block into a nonempty subspace, rows repeated
+    start = np.random.default_rng(seed).integers(0, gf.q, (2, n))
+    block = np.vstack([A, A[:1], start[:1]])
+    ref, grew = _reference(gf, block, n, start=start)
+    sub = Subspace(gf, start)
+    assert sub.insert(block) == grew
+    assert (sub.basis == ref.basis).all() and sub.pivots == ref.pivots
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_matrices())
+def test_nullspace_is_annihilated_with_rank_plus_nullity(gf_A):
+    gf, A = gf_A
+    ns = nullspace(gf, A)
+    assert not gf.matmul(A, ns.T).any()
+    assert len(rref(gf, A)[1]) + ns.shape[0] == A.shape[1]
+    assert len(rref(gf, ns)[1]) == ns.shape[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_matrices(square=True))
+def test_inverse_or_singular(gf_A):
+    gf, A = gf_A
+    n = A.shape[0]
+    if len(rref(gf, A)[1]) < n:
+        with pytest.raises(ValueError):
+            inverse(gf, A)
+    else:
+        assert (gf.matmul(inverse(gf, A), A) == gf.eye(n)).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_matrices(), st.integers(0, 2 ** 32 - 1))
+def test_express_round_trips_and_refuses_outside(gf_A, seed):
+    gf, A = gf_A
+    n = A.shape[1]
+    sub = Subspace(gf, A, ambient=n)
+    rng = np.random.default_rng(seed)
+    members = gf.matmul(rng.integers(0, gf.q, (3, sub.dim)), sub.basis)
+    assert (gf.matmul(sub.express(members), sub.basis) == members).all()
+    if sub.dim < n:
+        outside = np.zeros(n, dtype=np.int64)
+        outside[sub.complement_coords()[0]] = 1
+        with pytest.raises(ValueError):
+            sub.express(np.vstack([members, outside]))
