@@ -27,7 +27,10 @@ def _parse_r(text: str, f: int) -> tuple:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != f:
         raise DomainError(f"expected {f} components in --r, got {len(parts)}")
-    return tuple(int(x) for x in parts)
+    try:
+        return tuple(int(x) for x in parts)
+    except ValueError as exc:
+        raise DomainError(f"--r takes integer components ({exc})") from None
 
 
 def _rho_from_args(args) -> GaloisParams:

@@ -3,11 +3,12 @@
 The maximal compact K is GL2 of the ring; everything in scope is trivial on
 the second congruence subgroup, so K is used through matrices mod p^2.  The
 Iwahori subgroup I consists of the matrices that are upper triangular mod p.
-Generator lists are elementary matrices over a Teichmueller lift of a
-residue-field basis together with p times that lift, plus diagonal units;
-for a local ring these generate the corresponding subgroups mod p^2.  The
-q+1 cosets of I in K are represented by ([lambda], 1; 1, 0) for lambda in
-F_q together with the identity, in that order.
+K's generators are one tuple of elementary matrices over a Teichmueller
+lift of a residue-field basis and p times that lift, plus diagonal units,
+with I's generators first; every subgroup kind is a tuple of positions in
+it.  For a local ring these generate the corresponding subgroups mod p^2.
+The q+1 cosets of I in K are represented by ([lambda], 1; 1, 0) for lambda
+in F_q together with the identity, in that order.
 """
 
 from __future__ import annotations
@@ -59,58 +60,42 @@ class GroupContext:
         return self.gr.mat_scalar_p()
 
     @lru_cache(maxsize=None)
-    def uplus_gens(self) -> tuple:
-        p = self.params.p
-        basis = self._basis_teich()
-        out = [self._elem("upper", t) for t in basis]
-        out += [self._elem("upper", (p * t) % self.gr.p2) for t in basis]
-        return tuple(out)
-
-    @lru_cache(maxsize=None)
-    def uminus_gens(self) -> tuple:
-        p = self.params.p
-        return tuple(self._elem("lower", (p * t) % self.gr.p2) for t in self._basis_teich())
-
-    @lru_cache(maxsize=None)
-    def h_gens(self) -> tuple:
-        g = self.gr.teichmuller(self.gf.gen)
-        return (self._diag(g, self.gr.one()), self._diag(self.gr.one(), g))
-
-    @lru_cache(maxsize=None)
-    def _diag_unipotent_gens(self) -> tuple:
-        p = self.params.p
-        out = []
-        for t in self._basis_teich():
-            u = (self.gr.one() + p * t) % self.gr.p2
-            out.append(self._diag(u, self.gr.one()))
-            out.append(self._diag(self.gr.one(), u))
-        return tuple(out)
-
-    @lru_cache(maxsize=None)
-    def i_gens(self) -> tuple:
-        return self.uplus_gens() + self.uminus_gens() + self.h_gens() + self._diag_unipotent_gens()
-
-    @lru_cache(maxsize=None)
-    def i1_gens(self) -> tuple:
-        return self.uplus_gens() + self.uminus_gens() + self._diag_unipotent_gens()
-
-    @lru_cache(maxsize=None)
     def k_gens(self) -> tuple:
-        p = self.params.p
+        """K's generators, I's first: the upper elementary matrices of the
+        lifts and of p times them (U+), the lower ones of p times the lifts
+        (U-), the two diagonal Teichmueller generators (H), the diagonal
+        1 + p*lift units, and last the unit lower elementary matrices."""
+        gr = self.gr
+        one = gr.one()
         basis = self._basis_teich()
-        lowers = [self._elem("lower", t) for t in basis]
-        lowers += [self._elem("lower", (p * t) % self.gr.p2) for t in basis]
-        return self.uplus_gens() + tuple(lowers) + self.h_gens() + self._diag_unipotent_gens()
+        plift = [(self.params.p * t) % gr.p2 for t in basis]
+        g = gr.teichmuller(self.gf.gen)
+        out = [self._elem("upper", t) for t in basis + plift]
+        out += [self._elem("lower", t) for t in plift]
+        out += [self._diag(g, one), self._diag(one, g)]
+        for t in plift:
+            u = (one + t) % gr.p2
+            out += [self._diag(u, one), self._diag(one, u)]
+        out += [self._elem("lower", t) for t in basis]
+        return tuple(out)
+
+    @lru_cache(maxsize=None)
+    def kind_positions(self) -> dict:
+        """Positions in k_gens() of the generators of each subgroup kind."""
+        f = self.params.f
+        i = tuple(range(5 * f + 2))
+        return {
+            "K": tuple(range(6 * f + 2)),
+            "I": i,
+            "I1": i[: 3 * f] + i[3 * f + 2 :],
+            "U+": i[: 2 * f],
+            "U-": i[2 * f : 3 * f],
+            "H": i[3 * f : 3 * f + 2],
+        }
 
     def gens(self, kind: str) -> tuple:
-        return {
-            "K": self.k_gens,
-            "I": self.i_gens,
-            "I1": self.i1_gens,
-            "U+": self.uplus_gens,
-            "U-": self.uminus_gens,
-            "H": self.h_gens,
-        }[kind]()
+        k = self.k_gens()
+        return tuple(k[i] for i in self.kind_positions()[kind])
 
     # -- cosets of I in K --
 

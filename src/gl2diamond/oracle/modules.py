@@ -1,9 +1,9 @@
 """Explicit finite modules: weights, Iwahori extensions, induction, socles.
 
 A module is read through the exact F_q matrices (acting on column
-coordinates) of the generators of each subgroup kind, built once per kind,
-with a tag for the congruence subgroup known to act trivially.  Base
-modules build them from an evaluator on 2x2 matrices over the Galois ring:
+coordinates) of its group's generators, built once per module, with a tag
+for the congruence subgroup known to act trivially.  Base modules build
+them from an evaluator on 2x2 matrices over the Galois ring:
 symmetric-power weights of GL2(F_q), one-dimensional Iwahori characters,
 the two-dimensional nonsplit Iwahori extensions, twisting by the
 normalizer, and induction from I to K over the fixed coset representatives.
@@ -42,11 +42,13 @@ LEVELS = ("K1", "K2", "I2")
 
 
 class ExplicitModule:
-    """Generator action matrices, cached per subgroup kind.
+    """One list of matrices: the images of the generators of its group
+    (``ctx.gens(group)``), built once, on first use.
 
-    Built by ``derive(kind)`` when given (derived modules), else by
+    Built by ``derive()`` when given (derived modules), else by
     ``evaluate(g)`` on each generator; an evaluator given with ``derive``
-    is kept for check_module only.
+    is kept for check_module only.  ``gen_mats(kind)`` selects the
+    positions of a subgroup kind, which serve I- and K-modules alike.
     """
 
     def __init__(self, ctx: GroupContext, dim: int, group: str, level: str, name: str = "",
@@ -63,15 +65,18 @@ class ExplicitModule:
         self.group = group
         self.level = level
         self.name = name
-        self._gen_cache: dict = {}
+        self._mats = None
 
     def gen_mats(self, kind: str) -> list:
-        if kind not in self._gen_cache:
+        positions = self.ctx.kind_positions()
+        if kind not in positions or not set(positions[kind]) <= set(positions[self.group]):
+            raise DomainError(f"{kind!r} is not a subgroup kind of {self.group}")
+        if self._mats is None:
             if self._derive is not None:
-                self._gen_cache[kind] = self._derive(kind)
+                self._mats = self._derive()
             else:
-                self._gen_cache[kind] = [self.evaluate(g) for g in self.ctx.gens(kind)]
-        return self._gen_cache[kind]
+                self._mats = [self.evaluate(g) for g in self.ctx.gens(self.group)]
+        return [self._mats[i] for i in positions[kind]]
 
     @property
     def gf(self):
@@ -212,12 +217,12 @@ def sub_module(mod: ExplicitModule, sub: Subspace, name: str = "", group: str | 
     a smaller ``group``; a generator image outside it raises ValueError."""
     gf = mod.gf
     B = sub.basis
+    group = group or mod.group
 
-    def derive(kind):
-        return [sub.express(gf.matmul(B, M.T)).T for M in mod.gen_mats(kind)]
+    def derive():
+        return [sub.express(gf.matmul(B, M.T)).T for M in mod.gen_mats(group)]
 
-    return ExplicitModule(mod.ctx, sub.dim, group or mod.group, mod.level,
-                          name or f"sub({mod.name})", derive=derive)
+    return ExplicitModule(mod.ctx, sub.dim, group, mod.level, name or f"sub({mod.name})", derive=derive)
 
 
 def quotient_module(mod: ExplicitModule, sub: Subspace, name: str = "") -> ExplicitModule:
@@ -228,8 +233,8 @@ def quotient_module(mod: ExplicitModule, sub: Subspace, name: str = "") -> Expli
     P[:, comp] = gf.eye(len(comp))
     P[:, sub.pivots] = gf.neg_t[sub.basis[:, comp]].T
 
-    def derive(kind):
-        return [gf.matmul(P, M[:, comp]) for M in mod.gen_mats(kind)]
+    def derive():
+        return [gf.matmul(P, M[:, comp]) for M in mod.gen_mats(mod.group)]
 
     return ExplicitModule(mod.ctx, len(comp), mod.group, mod.level, name or f"quot({mod.name})", derive=derive)
 
@@ -243,8 +248,8 @@ def dual_module(mod: ExplicitModule) -> ExplicitModule:
         def evaluate(g):
             return mod.evaluate(ctx.gr.mat_inv(g)).T
 
-    def derive(kind):
-        return [inverse(mod.gf, M).T for M in mod.gen_mats(kind)]
+    def derive():
+        return [inverse(mod.gf, M).T for M in mod.gen_mats(mod.group)]
 
     return ExplicitModule(ctx, mod.dim, mod.group, mod.level, f"dual({mod.name})",
                           evaluate=evaluate, derive=derive)
@@ -256,11 +261,11 @@ def direct_sum(A: ExplicitModule, B: ExplicitModule) -> ExplicitModule:
     if A.ctx is not B.ctx:
         raise DomainError("modules live over different contexts")
     zero = np.zeros((A.dim, B.dim), dtype=np.int64)
-
-    def derive(kind):
-        return [np.block([[MA, zero], [zero.T, MB]]) for MA, MB in zip(A.gen_mats(kind), B.gen_mats(kind))]
-
     group = "I" if "I" in (A.group, B.group) else "K"
+
+    def derive():
+        return [np.block([[MA, zero], [zero.T, MB]]) for MA, MB in zip(A.gen_mats(group), B.gen_mats(group))]
+
     level = A.level if A.level == B.level else "K2"
     return ExplicitModule(A.ctx, A.dim + B.dim, group, level, f"{A.name} + {B.name}", derive=derive)
 
@@ -527,11 +532,9 @@ def check_module(mod: ExplicitModule, rng, samples: int = 20) -> None:
     ctx = mod.ctx
     gr = ctx.gr
     kind = mod.group
-    sub_kinds = ("I", "I1", "U+", "U-", "H") if kind == "I" else ("K", "I", "I1", "U+", "U-", "H")
-    for sub_kind in sub_kinds:
-        want = [mod.evaluate(g) for g in ctx.gens(sub_kind)]
-        if not all((M == E).all() for M, E in zip(mod.gen_mats(sub_kind), want, strict=True)):
-            raise AssertionError(f"{mod} generator matrices for {sub_kind} disagree with its evaluator")
+    want = [mod.evaluate(g) for g in ctx.gens(kind)]
+    if not all((M == E).all() for M, E in zip(mod.gen_mats(kind), want, strict=True)):
+        raise AssertionError(f"{mod} generator matrices disagree with its evaluator")
     for _ in range(samples):
         g = ctx.random_element(kind, rng)
         h = ctx.random_element(kind, rng)

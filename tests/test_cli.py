@@ -48,6 +48,13 @@ def test_missing_r_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cmd", [["diamond"], ["verify", "--suite", "jh"]])
+def test_non_integer_r_exit_code(cmd, capsys):
+    code = main([*cmd, "--p", "5", "--f", "2", "--r", "2,x"])
+    assert code == 2
+    assert "--r" in capsys.readouterr().err
+
+
 def test_verify_counts_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "counts", "--p", "5", "--f", "1")
     assert code == 0

@@ -3,6 +3,7 @@ import pytest
 from collections import Counter
 
 from gl2diamond.core import (
+    DomainError,
     Params,
     Weight,
     chi_of_weight,
@@ -84,6 +85,35 @@ def test_generators_generate(ctx52):
     seed = np.zeros(mod.dim, dtype=np.int64)
     seed[0] = 1
     assert spin(ctx.gf, mod.gen_mats("K"), seed).dim == mod.dim
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 2), (3, 3)])
+def test_kind_positions(p, f):
+    ctx = get_context(Params(p, f))
+    gr = ctx.gr
+    pos = ctx.kind_positions()
+    assert pos["I"] == pos["K"][: len(pos["I"])]
+    assert len(set(pos["K"])) == len(pos["K"]) == len(ctx.k_gens())
+
+    def red(x):
+        return gr.reduce_p(x)
+
+    for g in ctx.gens("I"):
+        assert gr.mat_in_I(g)
+    for g in ctx.gens("I1"):
+        assert gr.mat_in_I(g) and red(g[0, 0]) == red(g[1, 1]) == 1
+    for g in ctx.gens("U+"):
+        assert (g[0, 0] == gr.one()).all() and (g[1, 1] == gr.one()).all() and not g[1, 0].any()
+    for g in ctx.gens("U-"):
+        assert (g[0, 0] == gr.one()).all() and (g[1, 1] == gr.one()).all() and not g[0, 1].any()
+        assert red(g[1, 0]) == 0
+    for g in ctx.gens("H"):
+        assert not g[0, 1].any() and not g[1, 0].any()
+    # an Iwahori module has no matrices for K
+    chi = chi_of_weight(Weight(ctx.params, (0,) * f, 0))
+    for mod in (character_module(ctx, chi), pi_twist(character_module(ctx, chi))):
+        with pytest.raises(DomainError):
+            mod.gen_mats("K")
 
 
 def test_pi_normalizes_iwahori(ctx52):
@@ -233,7 +263,8 @@ def test_twisted_induction_socle(ctx52):
 def test_derived_matrices_intertwine(ctx51):
     # the inclusion of a submodule, the projection onto a quotient and the
     # block inclusions of a direct sum are equivariant; the dual of a
-    # submodule, which has no evaluator, acts by the inverse transpose
+    # submodule, which has no evaluator, acts by the inverse transpose; an
+    # Iwahori-stable subspace restricted to I is included equivariantly
     ctx = ctx51
     gf = ctx.gf
     mod = induce(character_module(ctx, chi_of_weight(Weight(ctx.params, (2,), 0))))
@@ -245,7 +276,7 @@ def test_derived_matrices_intertwine(ctx51):
     B = sub.basis
     P = np.stack([sub.reduce(v)[sub.complement_coords()] for v in gf.eye(mod.dim)]).T
     k = S.dim
-    for kind in ("K", "I", "H"):
+    for kind in ctx.kind_positions():
         mats = zip(mod.gen_mats(kind), S.gen_mats(kind), Q.gen_mats(kind), D.gen_mats(kind), SD.gen_mats(kind))
         for M, MS, MQ, MD, MSD in mats:
             assert (gf.matmul(B, M.T) == gf.matmul(MS.T, B)).all()
@@ -253,3 +284,14 @@ def test_derived_matrices_intertwine(ctx51):
             assert (MD[:k, :k] == MS).all() and (MD[k:, k:] == MQ).all()
             assert not MD[:k, k:].any() and not MD[k:, :k].any()
             assert (gf.matmul(MSD.T, MS) == gf.eye(k)).all()
+    seed = np.zeros(mod.dim, dtype=np.int64)
+    seed[0] = 1
+    span = spin(gf, mod.gen_mats("I"), seed)
+    assert 0 < span.dim < mod.dim
+    R = sub_module(mod, span, group="I")
+    C = span.basis
+    for kind in set(ctx.kind_positions()) - {"K"}:
+        for M, MR in zip(mod.gen_mats(kind), R.gen_mats(kind), strict=True):
+            assert (gf.matmul(C, M.T) == gf.matmul(MR.T, C)).all()
+    with pytest.raises(DomainError):
+        R.gen_mats("K")
