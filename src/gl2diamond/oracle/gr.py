@@ -3,9 +3,11 @@
 Elements are coefficient vectors of length f with entries mod p^2, for the
 monic lift of the same defining polynomial as the residue field; reduction
 mod p recovers the F_q encoding of gf.py.  The Teichmueller section is one
-q-th power of any lift.  Matrices are arrays of shape (2, 2, f); the only
-inverses ever needed are of matrices invertible mod p, obtained from the
-adjugate and a Newton step for the determinant.
+q-th power of any lift.  Matrices are arrays of shape (2, 2, f).  Products,
+powers, determinants and residues broadcast over leading axes, so a stack
+of elements (..., f) or of matrices (..., 2, 2, f) is one numpy call.  The
+only inverses ever needed are of matrices invertible mod p, obtained from
+the adjugate and a Newton step for the determinant.
 """
 
 from __future__ import annotations
@@ -24,23 +26,20 @@ class GR:
         self.p2 = gf.p ** 2
         self.q = gf.q
 
-        # reduction rows of x^(f+k) mod the lifted monic polynomial, mod p^2
+        # _prod[i*f + j] holds x^(i+j) reduced mod the lifted monic polynomial
         f, p2 = self.f, self.p2
         top = [(-c) % p2 for c in gf.poly]
-        red = []
-        row = list(top)
-        for _ in range(max(f - 1, 0)):
-            red.append(list(row))
+        xpow = []
+        row = [1] + [0] * (f - 1)
+        for _ in range(2 * f - 1):
+            xpow.append(row)
             carry = row[f - 1]
             row = [0] + row[: f - 1]
             row = [(row[j] + carry * top[j]) % p2 for j in range(f)]
-        self._red = np.array(red, dtype=np.int64).reshape(max(f - 1, 0), f)
+        self._prod = np.array([xpow[i + j] for i in range(f) for j in range(f)], dtype=np.int64)
 
         # Teichmueller representatives for every residue-field element
-        teich = np.zeros((self.q, f), dtype=np.int64)
-        for e in range(self.q):
-            teich[e] = self.pow(gf.dig[e].astype(np.int64), self.q)
-        self.teich = teich
+        self.teich = self.pow(gf.dig, self.q)
 
     # -- element arithmetic; elements are int64 arrays (..., f) mod p^2 --
 
@@ -64,21 +63,17 @@ class GR:
         return (a - b) % self.p2
 
     def mul(self, a, b):
-        f = self.f
-        a = np.asarray(a)
-        b = np.asarray(b)
-        conv = np.zeros(2 * f - 1, dtype=np.int64)
-        for i in range(f):
-            conv[i : i + f] += a[i] * b % self.p2
-            conv %= self.p2
-        out = conv[:f].copy()
-        for k in range(f, 2 * f - 1):
-            out = (out + conv[k] * self._red[k - f]) % self.p2
-        return out
+        """Products over broadcast leading axes: the outer product of the
+        coefficients, reduced mod p^2 (so the int64 contraction cannot
+        overflow), contracted with the reduced powers x^(i+j)."""
+        a, b = np.asarray(a), np.asarray(b)
+        outer = (a[..., :, None] * b[..., None, :]) % self.p2
+        return (outer.reshape(outer.shape[:-2] + (self.f * self.f,)) @ self._prod) % self.p2
 
     def pow(self, a, e: int):
-        result = self.one()
         base = np.asarray(a) % self.p2
+        result = np.zeros_like(base)
+        result[..., 0] = 1
         while e:
             if e & 1:
                 result = self.mul(result, base)
@@ -86,9 +81,11 @@ class GR:
             e >>= 1
         return result
 
-    def reduce_p(self, a) -> int:
-        """Image in the residue field, in the gf.py integer encoding."""
-        return int((np.asarray(a) % self.p) @ self.gf.pows)
+    def reduce_p(self, a):
+        """Image in the residue field, in the gf.py integer encoding: an int
+        for one element, an array over the leading axes of a stack."""
+        r = (np.asarray(a) % self.p) @ self.gf.pows
+        return int(r) if np.ndim(r) == 0 else r
 
     def divide_p(self, a):
         """a/p for a in p*R, as the canonical lift with coefficients below p."""
@@ -122,14 +119,13 @@ class GR:
         return self.mat(self.one(), self.zero(), self.zero(), self.one())
 
     def mat_mul(self, A, B):
-        out = np.zeros((2, 2, self.f), dtype=np.int64)
-        for i in range(2):
-            for j in range(2):
-                out[i, j] = self.add(self.mul(A[i, 0], B[0, j]), self.mul(A[i, 1], B[1, j]))
-        return out
+        A, B = np.asarray(A), np.asarray(B)
+        # terms[..., i, k, j] = A[..., i, k] * B[..., k, j]
+        terms = self.mul(A[..., :, :, None, :], B[..., None, :, :, :])
+        return terms.sum(axis=-3) % self.p2
 
     def mat_det(self, A):
-        return self.sub(self.mul(A[0, 0], A[1, 1]), self.mul(A[0, 1], A[1, 0]))
+        return self.sub(self.mul(A[..., 0, 0, :], A[..., 1, 1, :]), self.mul(A[..., 0, 1, :], A[..., 1, 0, :]))
 
     def mat_inv(self, A):
         dinv = self.unit_inverse(self.mat_det(A))
@@ -149,11 +145,11 @@ class GR:
         pb = (self.p * A[0, 1]) % self.p2
         return self.mat(A[1, 1], c, pb, A[0, 0])
 
-    def mat_is_unit(self, A) -> bool:
+    def mat_is_unit(self, A):
         return self.reduce_p(self.mat_det(A)) != 0
 
-    def mat_in_I(self, A) -> bool:
-        return self.mat_is_unit(A) and not (A[1, 0] % self.p).any()
+    def mat_in_I(self, A):
+        return self.mat_is_unit(A) & ~(np.asarray(A)[..., 1, 0, :] % self.p).any(axis=-1)
 
     def mat_key(self, A) -> bytes:
         return np.ascontiguousarray(A % self.p2).tobytes()

@@ -111,18 +111,23 @@ class GroupContext:
         return tuple(reps)
 
     def coset_decompose(self, g) -> tuple:
-        """g = rep * i with i in I; returns (rep index, i)."""
-        gr = self.gr
-        if not gr.mat_is_unit(g):
+        """g = rep * i with i in I, for one matrix or a stack of them; returns
+        (rep index, i): an int and a matrix, or arrays over the stack."""
+        gf, gr = self.gf, self.gr
+        g = np.asarray(g) % gr.p2
+        if not np.all(gr.mat_is_unit(g)):
             raise ValueError("matrix is not invertible mod p")
-        c_red = gr.reduce_p(g[1, 0])
-        if c_red == 0:
-            return self.gf.q, g.copy()
-        lam = int(self.gf.mul_t[gr.reduce_p(g[0, 0]), self.gf.inv_t[c_red]])
-        t = gr.teichmuller(lam)
-        # ([lam],1;1,0)^-1 = (0,1;1,-[lam])
-        i = gr.mat_mul(gr.mat(gr.zero(), gr.one(), gr.one(), (-t) % gr.p2), g)
-        return lam, i
+        c_red = gr.reduce_p(g[..., 1, 0, :])
+        lam = gf.mul_t[gr.reduce_p(g[..., 0, 0, :]), gf.inv_t[c_red]]
+        # ([lam],1;1,0)^-1 g = (0,1;1,-[lam]) g: the second row, then the first minus [lam] times it
+        t = gr.teich[lam][..., None, :]
+        moved = np.stack([g[..., 1, :, :], gr.sub(g[..., 0, :, :], gr.mul(t, g[..., 1, :, :]))], axis=-3)
+        ident = np.asarray(c_red == 0)
+        targets = np.where(ident, gf.q, lam)
+        parts = np.where(ident[..., None, None, None], g, moved)
+        if g.ndim == 3:
+            return int(targets), parts
+        return targets, parts
 
     # -- characters of I through the diagonal reduction --
 

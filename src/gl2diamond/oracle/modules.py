@@ -196,16 +196,19 @@ def induce(mod: ExplicitModule) -> ExplicitModule:
     """Induction from I to K over the fixed coset representatives."""
     if mod.group != "I":
         raise DomainError("induction starts from an Iwahori module")
+    if not hasattr(mod, "evaluate"):
+        raise DomainError(f"induction needs an evaluator; {mod} has none")
     ctx = mod.ctx
     q = ctx.gf.q
     d = mod.dim
     n = (q + 1) * d
-    reps = ctx.coset_reps()
+    reps = np.stack(ctx.coset_reps())
 
     def evaluate(g):
+        # g . rep_ell = rep_targets[ell] . parts[ell], for all q+1 cosets at once
+        targets, parts = ctx.coset_decompose(ctx.gr.mat_mul(g, reps))
         out = np.zeros((n, n), dtype=np.int64)
-        for ell, rep in enumerate(reps):
-            ell2, i = ctx.coset_decompose(ctx.gr.mat_mul(g, rep))
+        for ell, (ell2, i) in enumerate(zip(targets, parts)):
             out[ell2 * d : (ell2 + 1) * d, ell * d : (ell + 1) * d] = mod.evaluate(i)
         return out
 
@@ -465,9 +468,11 @@ def socle_series(mod: ExplicitModule) -> list:
     return layers
 
 
-def jh_multiset(mod: ExplicitModule) -> Counter:
+def jh_multiset(mod: ExplicitModule, layers: list | None = None) -> Counter:
+    """Jordan-Hoelder multiset: the sum of the module's socle layers (its
+    socle_series unless given), checked against the module's dimension."""
     total = Counter()
-    for layer in socle_series(mod):
+    for layer in socle_series(mod) if layers is None else layers:
         total.update(layer)
     dims = sum(weight_dim(w) * k for w, k in total.items())
     if dims != mod.dim:

@@ -122,20 +122,25 @@ def suite_jh(config: RunConfig, limit: int | None = 24) -> list:
     from collections import Counter
 
     from .oracle.groups import get_context
-    from .oracle.modules import character_module, induce, jh_multiset, socle_weights
+    from .oracle.modules import character_module, induce, jh_multiset, socle_series
 
     from .principal import socle_of_induced
 
     params = config.params
     ctx = get_context(params)
+    if config.r is not None:
+        chars = [chi_of_weight(Weight(params, config.r, config.twist))]
+    else:
+        chars = sweep_characters(params, limit=limit)
     checks = []
-    for chi in sweep_characters(params, limit=limit):
+    for chi in chars:
         inst = f"p={params.p},f={params.f},chi=({chi.a},{chi.b})"
         mod = induce(character_module(ctx, conjugate_char(chi)))
-        got = jh_multiset(mod)
+        layers = socle_series(mod)
+        got = jh_multiset(mod, layers)
         want = Counter(jh_of_induced(conjugate_char(chi)).weights())
         checks.append(_check("jh.multiset", inst, got == want, dict(want), dict(got)))
-        soc = socle_weights(mod)
+        soc = layers[0]
         want_soc = Counter(socle_of_induced(conjugate_char(chi)))
         checks.append(_check("jh.socle", inst, soc == want_soc, dict(want_soc), dict(soc)))
     return checks

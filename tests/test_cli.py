@@ -55,6 +55,22 @@ def test_non_integer_r_exit_code(cmd, capsys):
     assert "--r" in capsys.readouterr().err
 
 
+def test_verify_jh_reads_r_and_twist(capsys):
+    from gl2diamond.core import Params, Weight, chi_of_weight
+
+    def instances(*extra):
+        code, out = run_cli(capsys, "verify", "--suite", "jh", "--p", "5", "--f", "1", "--format", "json", *extra)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        return {c["instance"] for c in payload["checks"]}
+
+    assert len(instances()) > 2
+    for twist in (0, 1):
+        chi = chi_of_weight(Weight(Params(5, 1), (2,), twist))
+        assert instances("--r", "2", "--twist", str(twist)) == {f"p=5,f=1,chi=({chi.a},{chi.b})"}
+
+
 def test_verify_counts_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "counts", "--p", "5", "--f", "1")
     assert code == 0

@@ -110,6 +110,56 @@ def test_galois_ring(p, f):
         assert (R.mat_mul(Pi, R.swap_conjugate(A)) == R.mat_mul(A, Pi)).all()
 
 
+def _convolution_mul(R, a, b):
+    """Reference: the scalar product as one convolution row per coefficient,
+    then one reduction row per power x^(f+k) of the lifted polynomial."""
+    f, p2 = R.f, R.p2
+    top = [(-c) % p2 for c in R.gf.poly]
+    red, row = [], list(top)
+    for _ in range(f - 1):
+        red.append(list(row))
+        carry = row[f - 1]
+        row = [0] + row[: f - 1]
+        row = [(row[j] + carry * top[j]) % p2 for j in range(f)]
+    conv = np.zeros(2 * f - 1, dtype=np.int64)
+    for i in range(f):
+        conv[i : i + f] += a[i] * b % p2
+        conv %= p2
+    out = conv[:f].copy()
+    for k in range(f, 2 * f - 1):
+        out = (out + conv[k] * np.array(red[k - f], dtype=np.int64)) % p2
+    return out
+
+
+GR_CASES = [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("p,f", GR_CASES)
+def test_broadcast_mul_matches_convolution_reference(p, f):
+    R = get_gr(p, f)
+    rng = np.random.default_rng(10 * p + f)
+    a = rng.integers(0, R.p2, (4, 6, f))
+    a[0, 0] = R.p2 - 1  # the largest coefficients
+    b = rng.integers(0, R.p2, (6, f))
+    b[0] = R.p2 - 1
+    prod = R.mul(a, b)
+    assert prod.shape == (4, 6, f)
+    for i, j in np.ndindex(4, 6):
+        assert (prod[i, j] == _convolution_mul(R, a[i, j], b[j])).all()
+    # a stack of matrix products is the product of each pair
+    A = rng.integers(0, R.p2, (5, 2, 2, f))
+    B = rng.integers(0, R.p2, (5, 2, 2, f))
+    C = R.mat_mul(A, B)
+    for k in range(5):
+        for i, j in np.ndindex(2, 2):
+            want = (_convolution_mul(R, A[k, i, 0], B[k, 0, j]) + _convolution_mul(R, A[k, i, 1], B[k, 1, j])) % R.p2
+            assert (C[k, i, j] == want).all()
+    # determinants and residues of the stack are those of each matrix
+    dets = R.mat_det(A)
+    assert all((dets[k] == R.mat_det(A[k])).all() for k in range(5))
+    assert list(R.reduce_p(dets)) == [R.reduce_p(d) for d in dets]
+
+
 def test_defining_polynomial_is_deterministic():
     a = get_gf(5, 2)
     b = GF(5, 2)

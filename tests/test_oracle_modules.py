@@ -69,6 +69,54 @@ def test_coset_decompose_round_trip(ctx52):
         ctx.coset_decompose(gr.mat_from_ints(1, 0, 0, 0))
 
 
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3)])
+def test_stacked_coset_decompose(p, f):
+    # every K-generator times every coset representative, decomposed as one stack
+    ctx = get_context(Params(p, f))
+    gr = ctx.gr
+    reps = np.stack(ctx.coset_reps())
+    gens = np.stack(ctx.k_gens())
+    prods = gr.mat_mul(gens[:, None], reps[None])
+    targets, parts = ctx.coset_decompose(prods)
+    assert targets.shape == (len(gens), ctx.gf.q + 1) and parts.shape == prods.shape
+    assert (gr.mat_mul(reps[targets], parts) == prods).all()
+    assert gr.mat_in_I(parts).all()
+    for k, ell in np.ndindex(targets.shape):
+        g = gr.mat_mul(gens[k], reps[ell])
+        idx, i = ctx.coset_decompose(g)
+        assert isinstance(idx, int) and idx == targets[k, ell]
+        assert (i == parts[k, ell]).all() and gr.mat_in_I(i)
+        assert (gr.mat_mul(reps[idx], i) == g).all()
+    # each generator permutes the cosets
+    assert (np.sort(targets, axis=1) == np.arange(ctx.gf.q + 1)).all()
+    # one singular matrix in a stack refuses the whole stack
+    bad = prods.copy()
+    bad[0, 0] = gr.mat_from_ints(1, 0, 0, 0)
+    with pytest.raises(ValueError):
+        ctx.coset_decompose(bad)
+
+
+def test_induced_matrices_agree_with_evaluator_at_q27():
+    ctx = get_context(Params(3, 3))
+    chi = chi_of_weight(Weight(ctx.params, (1, 1, 1), 0))
+    mod = induce(ej_module(ctx, chi, 1))
+    check_module(mod, np.random.default_rng(4), samples=6)
+
+
+def test_induce_needs_an_evaluator(ctx51):
+    # derived modules carry only generator matrices, so they cannot be induced
+    ctx = ctx51
+    gf = ctx.gf
+    E = ej_module(ctx, chi_of_weight(Weight(ctx.params, (2,), 0)), 0)
+    line = Subspace(gf, invariants(E, "I1"))
+    S = sub_module(E, line)
+    for mod in (S, quotient_module(E, line), direct_sum(E, E), dual_module(S)):
+        assert mod.group == "I" and not hasattr(mod, "evaluate")
+        with pytest.raises(DomainError, match="evaluator"):
+            induce(mod)
+    assert induce(dual_module(E)).dim == 2 * (gf.q + 1)
+
+
 def test_evaluator_multiplicativity_100_samples(ctx52):
     rng = np.random.default_rng(11)
     ctx = ctx52
