@@ -1,12 +1,13 @@
 """Exact arithmetic and dense linear algebra over F_q = F_p[x]/(m(x)).
 
 Field elements are integers in [0, q) whose base-p digits are the polynomial
-coefficients (constant term first).  All arithmetic goes through lookup
-tables, so numpy gathers give exact vectorized operations; sums of products
-are accumulated digitwise mod p.  The defining polynomial is the monic
-irreducible of degree f whose encoded coefficient vector is smallest, which
-makes every run reproducible.  All echelon work (subspaces, membership,
-nullspaces, inverses, spins) runs on one whole-matrix elimination, ``rref``.
+coefficients (constant term first).  Arithmetic goes through lookup tables,
+so numpy gathers give exact vectorized operations; matrix products are
+float64 BLAS products of digit planes, exact while f k (p-1)^2 < 2^53 (k the
+inner dimension).  The defining polynomial is the monic irreducible of degree
+f with the smallest encoded coefficient vector, so every run is reproducible.
+Echelon work (subspaces, nullspaces, inverses, spins) runs on the tables in
+one whole-matrix elimination, ``rref``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from ..core import DomainError
 # the multiplication table is built from q^2 (2f - 1) int64 digit products;
 # fields whose table would pass this many bytes are refused
 TABLE_BYTES_LIMIT = 2 * 1024 ** 3
-# rows of A per gather in GF.matmul, which holds rows * k * n * f digits
-MATMUL_CHUNK = 96
 
 
 def _trim(a):
@@ -144,6 +143,7 @@ class GF:
         self.dig = np.zeros((q, f), dtype=np.int64)
         for i in range(f):
             self.dig[:, i] = (np.arange(q) // p ** i) % p
+        self.planes = self.dig.T.astype(np.float64)
 
         d = self.dig
         self.add_t = self.encode((d[:, None, :] + d[None, :, :]) % p)
@@ -234,25 +234,30 @@ class GF:
     def mul(self, a, b):
         return self.mul_t[a, b]
 
-    def sum_axis(self, arr, axis):
-        s = self.dig[arr].sum(axis=axis) % self.p
-        return s @ self.pows
-
     def matmul(self, A, B):
+        """A @ B: float64 BLAS products of digit planes A_i @ B_j summed in slots
+        i + j, reduced mod p once, slots f..2f-2 folded with ``_red``.  Partial
+        sums are integers in [0, f k (p-1)^2], exact in any order below 2^53."""
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
         m, k = A.shape
         k2, n = B.shape
         if k != k2:
             raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
+        p, f = self.p, self.f
+        if f * k * (p - 1) ** 2 >= 2 ** 53:
+            raise DomainError(f"an F_q product of inner dimension {k} over q = {p}^{f} is inexact in float64")
         if 0 in (m, k, n):
             return np.zeros((m, n), dtype=np.int64)
-        out = np.empty((m, n), dtype=np.int64)
-        for lo in range(0, m, MATMUL_CHUNK):
-            hi = min(lo + MATMUL_CHUNK, m)
-            P = self.mul_t[A[lo:hi, :, None], B[None, :, :]]
-            out[lo:hi] = self.sum_axis(P, axis=1)
-        return out
+        Ap, Bp = self.planes[:, A], self.planes[:, B]
+        conv = np.zeros((2 * f - 1, m, n))
+        for i, j in np.ndindex(f, f):
+            conv[i + j] += Ap[i] @ Bp[j]
+        slots = conv.astype(np.int64) % p
+        low = slots[:f]
+        for s in range(f, 2 * f - 1):
+            low += slots[s] * self._red[s - f][:, None, None]
+        return (self.pows @ (low % p).reshape(f, -1)).reshape(m, n)
 
     def matvec(self, A, v):
         return self.matmul(A, np.asarray(v, dtype=np.int64).reshape(-1, 1)).ravel()

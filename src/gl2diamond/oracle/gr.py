@@ -151,9 +151,6 @@ class GR:
     def mat_in_I(self, A):
         return self.mat_is_unit(A) & ~(np.asarray(A)[..., 1, 0, :] % self.p).any(axis=-1)
 
-    def mat_key(self, A) -> bytes:
-        return np.ascontiguousarray(A % self.p2).tobytes()
-
 
 @lru_cache(maxsize=None)
 def get_gr(p: int, f: int) -> GR:

@@ -56,10 +56,6 @@ class GroupContext:
         return m
 
     @lru_cache(maxsize=None)
-    def pi(self):
-        return self.gr.mat_scalar_p()
-
-    @lru_cache(maxsize=None)
     def k_gens(self) -> tuple:
         """K's generators, I's first: the upper elementary matrices of the
         lifts and of p times them (U+), the lower ones of p times the lifts

@@ -393,15 +393,15 @@ def hom_from_weight(mod: ExplicitModule, sigma: Weight, eig_rows=None):
     trans[:, 0] = eig_rows
     for i, (parent, k) in enumerate(tree, 1):
         trans[:, i] = gf.matmul(trans[:, parent], gmats[k].T)
+    by_slot = trans.transpose(1, 0, 2).reshape(dimw, m * mod.dim)
     constraints = []
     for gm, c_h in zip(gmats, struct):
-        for i in range(dimw):
-            # act(h) trans_i - sum_j c[i][j] trans_j must vanish
-            lhs = gf.matmul(trans[:, i], gm.T)
-            combo = gf.sum_axis(gf.mul_t[c_h[i][None, :, None], trans], axis=1)
-            constraints.append(gf.sub(lhs, combo).T)  # columns indexed by t
+        # act(h) trans_i - sum_j c[i][j] trans_j must vanish, for every i
+        lhs = gf.matmul(trans.reshape(-1, mod.dim), gm.T).reshape(m, dimw * mod.dim)
+        combo = gf.matmul(c_h, by_slot).reshape(dimw, m, mod.dim).transpose(1, 0, 2)
+        constraints.append(gf.sub(lhs, combo.reshape(m, dimw * mod.dim)).T)  # columns indexed by t
     ker = nullspace(gf, np.vstack(constraints))
-    return [gf.sum_axis(gf.mul_t[coeffs[:, None, None], trans], axis=0) for coeffs in ker]
+    return list(gf.matmul(ker, trans.reshape(m, dimw * mod.dim)).reshape(-1, dimw, mod.dim))
 
 
 def hom_space(A, B: ExplicitModule) -> list:

@@ -400,5 +400,7 @@ SUITES = {
 def run_suite(config: RunConfig) -> list:
     if config.suite not in SUITES:
         raise DomainError(f"unknown suite {config.suite!r}; choose from {sorted(SUITES)}")
+    if config.twist and config.r is None and config.suite in ("jh", "indej", "womega", "witt"):
+        raise DomainError(f"suite {config.suite} reads --twist only together with --r")
     checks = SUITES[config.suite](config)
     return sorted(checks, key=lambda c: (c["instance"], c["anchor"]))

@@ -71,6 +71,14 @@ def test_verify_jh_reads_r_and_twist(capsys):
         assert instances("--r", "2", "--twist", str(twist)) == {f"p=5,f=1,chi=({chi.a},{chi.b})"}
 
 
+@pytest.mark.parametrize("suite,f", [("jh", "1"), ("indej", "2")])
+def test_verify_twist_without_r_is_refused(suite, f, capsys):
+    # these suites read --twist only as the twist of the weight --r names
+    assert main(["verify", "--suite", suite, "--p", "5", "--f", f, "--twist", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "--twist" in err and "--r" in err
+
+
 def test_verify_counts_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "counts", "--p", "5", "--f", "1")
     assert code == 0

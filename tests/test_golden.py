@@ -18,6 +18,7 @@ COMMANDS = {
     "verify-jh-p5-f1": ["--suite", "jh", "--p", "5", "--f", "1"],
     "verify-womega-p5-f1": ["--suite", "womega", "--p", "5", "--f", "1"],
     "verify-indej-p5-f2": ["--suite", "indej", "--p", "5", "--f", "2"],
+    "verify-indej-p7-f2": ["--suite", "indej", "--p", "7", "--f", "2"],
     "verify-s1s2-p5-f2-r2-1": ["--suite", "s1s2", "--p", "5", "--f", "2", "--r", "2,1"],
 }
 

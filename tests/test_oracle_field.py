@@ -54,6 +54,54 @@ def test_matmul_and_nullspace():
     assert Subspace(F, A).dim + ns.shape[0] == A.shape[1]
 
 
+def _gather_matmul(gf, A, B):
+    """Reference: every product gathered from the multiplication table, then
+    summed digitwise mod p over the inner index."""
+    m, k = A.shape
+    n = B.shape[1]
+    if 0 in (m, k, n):
+        return np.zeros((m, n), dtype=np.int64)
+    P = gf.mul_t[A[:, :, None], B[None, :, :]]
+    return (gf.dig[P].sum(axis=1) % gf.p) @ gf.pows
+
+
+MATMUL_FIELDS = [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(MATMUL_FIELDS),
+    st.integers(0, 6),
+    st.one_of(st.integers(0, 12), st.integers(13, 500)),
+    st.integers(1, 6),
+    st.sampled_from(["random", "all q-1"]),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_matmul_matches_gather_reference(pf, m, k, n, kind, seed):
+    gf = get_gf(*pf)
+    if kind == "random":
+        rng = np.random.default_rng(seed)
+        A, B = rng.integers(0, gf.q, (m, k)), rng.integers(0, gf.q, (k, n))
+    else:
+        # the largest digits in every entry: the largest sums the kernel sees
+        A, B = np.full((m, k), gf.q - 1), np.full((k, n), gf.q - 1)
+    C = gf.matmul(A, B)
+    assert C.shape == (m, n) and C.dtype == np.int64
+    assert (C == _gather_matmul(gf, A, B)).all()
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (7, 2), (5, 3)])
+def test_matmul_refuses_an_inexact_inner_dimension(p, f):
+    gf = get_gf(p, f)
+    # the first inner dimension with f k (p-1)^2 >= 2^53; zero strides, so
+    # nothing of that length is allocated
+    k = -(-(2 ** 53) // (f * (p - 1) ** 2))
+    A = np.broadcast_to(np.int64(1), (1, k))
+    B = np.broadcast_to(np.int64(1), (k, 1))
+    with pytest.raises(DomainError, match="inexact"):
+        gf.matmul(A, B)
+
+
 def test_subspace_membership_and_coordinates():
     F = get_gf(5, 2)
     rng = np.random.default_rng(2)

@@ -262,6 +262,56 @@ def test_direct_sum_hom_additive(ctx51):
     assert socle_weights(DS) == Counter({sigma: 2})
 
 
+def _hom_from_weight_per_translate(mod, sigma, eig_rows):
+    """Reference: hom_from_weight with two small products per (generator,
+    translate) pair, and each image summed on its own."""
+    from gl2diamond.oracle.gf import nullspace
+    from gl2diamond.oracle.modules import _weight_words
+
+    gf = mod.gf
+
+    def sum_axis(arr, axis):
+        return (gf.dig[arr].sum(axis=axis) % gf.p) @ gf.pows
+
+    m = eig_rows.shape[0]
+    if m == 0:
+        return []
+    tree, struct = _weight_words(mod.ctx.params, sigma)
+    gmats = mod.gen_mats("K")
+    dimw = len(tree) + 1
+    trans = np.zeros((m, dimw, mod.dim), dtype=np.int64)
+    trans[:, 0] = eig_rows
+    for i, (parent, k) in enumerate(tree, 1):
+        trans[:, i] = gf.matmul(trans[:, parent], gmats[k].T)
+    constraints = []
+    for gm, c_h in zip(gmats, struct):
+        for i in range(dimw):
+            lhs = gf.matmul(trans[:, i], gm.T)
+            combo = sum_axis(gf.mul_t[c_h[i][None, :, None], trans], axis=1)
+            constraints.append(gf.sub(lhs, combo).T)
+    ker = nullspace(gf, np.vstack(constraints))
+    return [sum_axis(gf.mul_t[coeffs[:, None, None], trans], axis=0) for coeffs in ker]
+
+
+@pytest.mark.parametrize("p,f,r", [(5, 1, (2,)), (3, 2, (1, 0)), (5, 2, (2, 1))])
+def test_blocked_hom_from_weight_matches_per_translate_loop(p, f, r):
+    from gl2diamond.core import weights_of_char
+
+    ctx = get_context(Params(p, f))
+    mod = induce(character_module(ctx, chi_of_weight(Weight(ctx.params, r, 0))))
+    found = 0
+    # the direct sum gives two eigenvectors per character, so m = 2 as well
+    for M in (mod, direct_sum(mod, mod)):
+        for ch, rows in h_eigen_split(M, invariants(M, "I1")):
+            for sigma in sorted(weights_of_char(ch), key=str):
+                got = hom_from_weight(M, sigma)
+                want = _hom_from_weight_per_translate(M, sigma, rows)
+                assert len(got) == len(want)
+                assert all((g == w).all() for g, w in zip(got, want))
+                found += len(got)
+    assert found  # the socle weights embed
+
+
 def test_general_hom_space(ctx51):
     from gl2diamond.oracle.modules import hom_space
     from gl2diamond.oracle.vectors import ej_chain_module
