@@ -220,9 +220,6 @@ class GF:
         out[nz] = self.exp_t[(self.log_t[a[nz]] * e) % (self.q - 1)]
         return out
 
-    def pow_int(self, a: int, e: int) -> int:
-        return int(self.pow_vec(np.asarray([a]), e)[0])
-
     # -- vectorized operations on arrays of encoded elements --
 
     def add(self, a, b):

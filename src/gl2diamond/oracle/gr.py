@@ -3,11 +3,12 @@
 Elements are coefficient vectors of length f with entries mod p^2, for the
 monic lift of the same defining polynomial as the residue field; reduction
 mod p recovers the F_q encoding of gf.py.  The Teichmueller section is one
-q-th power of any lift.  Matrices are arrays of shape (2, 2, f).  Products,
-powers, determinants and residues broadcast over leading axes, so a stack
-of elements (..., f) or of matrices (..., 2, 2, f) is one numpy call.  The
-only inverses ever needed are of matrices invertible mod p, obtained from
-the adjugate and a Newton step for the determinant.
+q-th power of any lift.  Matrices are arrays of shape (2, 2, f).  Every
+operation broadcasts over leading axes (products, powers, unit inverses,
+matrix assembly, determinants, inverses, conjugation by the normalizer and
+residues), so a stack of elements (..., f) or of matrices (..., 2, 2, f) is
+one numpy call.  The only inverses ever needed are of matrices invertible
+mod p, obtained from the adjugate and a Newton step for the determinant.
 """
 
 from __future__ import annotations
@@ -95,11 +96,12 @@ class GR:
         return (a // self.p) % self.p
 
     def unit_inverse(self, a):
-        """Inverse of a unit (nonzero mod p), by lifting the residue inverse."""
+        """Inverse of a unit (nonzero mod p), or of each element of a stack of
+        units, by lifting the residue inverse."""
         r = self.reduce_p(a)
-        if r == 0:
+        if np.any(r == 0):
             raise ZeroDivisionError("not a unit")
-        y = self.gf.dig[self.gf.inv_t[r]].astype(np.int64)
+        y = self.gf.dig[self.gf.inv_t[r]]
         # one Newton step: y <- y (2 - a y) mod p^2
         t = self.sub(self.from_int(2), self.mul(a, y))
         return self.mul(y, t)
@@ -107,10 +109,13 @@ class GR:
     def teichmuller(self, e: int):
         return self.teich[e].copy()
 
-    # -- 2x2 matrices: arrays of shape (2, 2, f) --
+    # -- 2x2 matrices: arrays of shape (..., 2, 2, f) --
 
     def mat(self, a, b, c, d):
-        return np.stack([np.stack([a, b]), np.stack([c, d])])
+        """The matrix (a, b; c, d), or the stack of them over the broadcast
+        leading axes of the entries."""
+        a, b, c, d = np.broadcast_arrays(a, b, c, d)
+        return np.stack([np.stack([a, b], axis=-2), np.stack([c, d], axis=-2)], axis=-3)
 
     def mat_from_ints(self, a, b, c, d):
         return self.mat(self.from_int(a), self.from_int(b), self.from_int(c), self.from_int(d))
@@ -129,11 +134,8 @@ class GR:
 
     def mat_inv(self, A):
         dinv = self.unit_inverse(self.mat_det(A))
-        adj = self.mat(A[1, 1], (-A[0, 1]) % self.p2, (-A[1, 0]) % self.p2, A[0, 0])
-        return np.stack([
-            np.stack([self.mul(dinv, adj[0, 0]), self.mul(dinv, adj[0, 1])]),
-            np.stack([self.mul(dinv, adj[1, 0]), self.mul(dinv, adj[1, 1])]),
-        ])
+        adj = self.mat(A[..., 1, 1, :], -A[..., 0, 1, :], -A[..., 1, 0, :], A[..., 0, 0, :])
+        return self.mul(dinv[..., None, None, :], adj % self.p2)
 
     def mat_scalar_p(self):
         """The matrix (0, 1; p, 0) normalizing the Iwahori subgroup."""
@@ -141,9 +143,9 @@ class GR:
 
     def swap_conjugate(self, A):
         """(a, b; pc, d) -> (d, c; pb, a), conjugation by (0, 1; p, 0)."""
-        c = self.divide_p(A[1, 0])
-        pb = (self.p * A[0, 1]) % self.p2
-        return self.mat(A[1, 1], c, pb, A[0, 0])
+        c = self.divide_p(A[..., 1, 0, :])
+        pb = (self.p * A[..., 0, 1, :]) % self.p2
+        return self.mat(A[..., 1, 1, :], c, pb, A[..., 0, 0, :])
 
     def mat_is_unit(self, A):
         return self.reduce_p(self.mat_det(A)) != 0

@@ -127,11 +127,14 @@ class GroupContext:
 
     # -- characters of I through the diagonal reduction --
 
-    def char_value(self, chi: ICharacter, g) -> int:
+    def char_value(self, chi: ICharacter, g):
+        """chi at one matrix (an int) or at each matrix of a stack (an array)."""
         gf, gr = self.gf, self.gr
-        a = gr.reduce_p(g[0, 0])
-        d = gr.reduce_p(g[1, 1])
-        return int(gf.mul_t[gf.pow_int(a, chi.a), gf.pow_int(d, chi.b)])
+        g = np.asarray(g)
+        a = gr.reduce_p(g[..., 0, 0, :])
+        d = gr.reduce_p(g[..., 1, 1, :])
+        v = gf.mul_t[gf.pow_vec(a, chi.a), gf.pow_vec(d, chi.b)]
+        return int(v) if g.ndim == 3 else v
 
     def random_k_element(self, rng) -> np.ndarray:
         gr = self.gr

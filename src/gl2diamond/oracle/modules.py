@@ -7,8 +7,11 @@ them from an evaluator on 2x2 matrices over the Galois ring:
 symmetric-power weights of GL2(F_q), one-dimensional Iwahori characters,
 the two-dimensional nonsplit Iwahori extensions, twisting by the
 normalizer, and induction from I to K over the fixed coset representatives.
-Submodules, quotients, duals and direct sums transform the matrices of
-their parts once.
+Every evaluator broadcasts: a stack of matrices (..., 2, 2, f) gives the
+stack of their images (..., d, d), so a module's generator matrices are
+one call and an induced module evaluates all q+1 cosets of a whole stack
+in one call of its base.  Submodules, quotients, duals and direct sums
+transform the matrices of their parts once.
 
 Socles are computed from first principles: any irreducible subobject is
 generated by a pro-p-fixed eigenvector, and a weight embeds through such a
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -45,9 +49,9 @@ class ExplicitModule:
     """One list of matrices: the images of the generators of its group
     (``ctx.gens(group)``), built once, on first use.
 
-    Built by ``derive()`` when given (derived modules), else by
-    ``evaluate(g)`` on each generator; an evaluator given with ``derive``
-    is kept for check_module only.  ``gen_mats(kind)`` selects the
+    Built by ``derive()`` when given (derived modules), else by one
+    ``evaluate`` of the stacked generators; an evaluator given with
+    ``derive`` is kept for check_module only.  ``gen_mats(kind)`` selects the
     positions of a subgroup kind, which serve I- and K-modules alike.
     """
 
@@ -75,7 +79,7 @@ class ExplicitModule:
             if self._derive is not None:
                 self._mats = self._derive()
             else:
-                self._mats = [self.evaluate(g) for g in self.ctx.gens(self.group)]
+                self._mats = self.evaluate(np.stack(self.ctx.gens(self.group)))
         return [self._mats[i] for i in positions[kind]]
 
     @property
@@ -87,45 +91,31 @@ class ExplicitModule:
         return f"<{tag}: dim {self.dim} over {self.group}, {self.level}-trivial>"
 
 
-def _binom_table(p: int, n: int) -> np.ndarray:
-    C = np.zeros((n + 1, n + 1), dtype=np.int64)
-    C[:, 0] = 1
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            C[i, j] = (C[i - 1, j - 1] + C[i - 1, j]) % p
-    return C
-
-
 def gf_kron(gf, A, B):
-    m1, n1 = A.shape
-    m2, n2 = B.shape
-    out = gf.mul_t[A[:, None, :, None], B[None, :, None, :]]
-    return out.reshape(m1 * m2, n1 * n2)
+    """Kronecker product over F_q of two matrices, or of two broadcast stacks."""
+    out = gf.mul_t[A[..., :, None, :, None], B[..., None, :, None, :]]
+    return out.reshape(out.shape[:-4] + (A.shape[-2] * B.shape[-2], A.shape[-1] * B.shape[-1]))
 
 
-def sym_power_matrix(gf, a, b, c, d, r):
-    """Matrix of (a,b;c,d) on Sym^r, basis x^(r-k) y^k with x,y the standard frame."""
-    if r == 0:
-        return np.ones((1, 1), dtype=np.int64)
-    C = _binom_table(gf.p, r)
-    M = np.zeros((r + 1, r + 1), dtype=np.int64)
-    for k in range(r + 1):
-        # (a x + c y)^(r-k) has y-degree-t coefficient C(r-k,t) a^(r-k-t) c^t
-        u = np.zeros(r - k + 1, dtype=np.int64)
-        for t in range(r - k + 1):
-            u[t] = gf.mul_t[C[r - k, t] % gf.p, gf.mul_t[gf.pow_int(a, r - k - t), gf.pow_int(c, t)]]
-        v = np.zeros(k + 1, dtype=np.int64)
-        for t in range(k + 1):
-            v[t] = gf.mul_t[C[k, t] % gf.p, gf.mul_t[gf.pow_int(b, k - t), gf.pow_int(d, t)]]
-        col = np.zeros(r + 1, dtype=np.int64)
-        for t1 in range(r - k + 1):
-            if not u[t1]:
-                continue
-            prods = gf.mul_t[u[t1], v]
-            seg = col[t1 : t1 + k + 1]
-            col[t1 : t1 + k + 1] = gf.add(seg, prods)
-        M[:, k] = col
-    return M
+def _sym_power(gf, a, b, c, d, r):
+    """Matrices of (a,b;c,d) on Sym^r, basis x^(r-k) y^k with x,y the standard
+    frame, for arrays a, b, c, d of one shape: column k is the product of
+    (a x + c y)^(r-k) and (b x + d y)^k, summed over t1 + t2 = t in digits."""
+    n = np.arange(r + 1)
+    binom = np.array([[comb(i, j) % gf.p for j in n] for i in n])
+    k, t = n[:, None], n[None, :]
+
+    def powers(x):
+        return np.stack([gf.pow_vec(x, e) for e in n], axis=-1)
+
+    # u[..., k, t1] = C(r-k,t1) a^(r-k-t1) c^t1 and v[..., k, t2] = C(k,t2) b^(k-t2) d^t2;
+    # exponents past the degree meet a zero binomial and are clipped to 0
+    u = gf.mul_t[binom[r - k, t], gf.mul_t[powers(a)[..., np.maximum(r - k - t, 0)], powers(c)[..., t]]]
+    v = gf.mul_t[binom[k, t], gf.mul_t[powers(b)[..., np.maximum(k - t, 0)], powers(d)[..., t]]]
+    digits = gf.dig[gf.mul_t[u[..., :, :, None], v[..., :, None, :]]]  # (..., k, t1, t2, f)
+    onto = (n[:, None, None] + n[None, :, None] == n[None, None, :]).astype(np.int64)  # t1 + t2 = t
+    sums = np.einsum("...kabf,abt->...tkf", digits, onto)
+    return gf.encode(sums)
 
 
 def weight_module(ctx: GroupContext, sigma: Weight) -> ExplicitModule:
@@ -133,18 +123,14 @@ def weight_module(ctx: GroupContext, sigma: Weight) -> ExplicitModule:
     gf, gr = ctx.gf, ctx.gr
 
     def evaluate(g):
-        a, b = gr.reduce_p(g[0, 0]), gr.reduce_p(g[0, 1])
-        c, d = gr.reduce_p(g[1, 0]), gr.reduce_p(g[1, 1])
+        res = gr.reduce_p(g)
+        a, b, c, d = res[..., 0, 0], res[..., 0, 1], res[..., 1, 0], res[..., 1, 1]
         det = gf.sub(gf.mul_t[a, d], gf.mul_t[b, c])
-        M = np.ones((1, 1), dtype=np.int64)
-        aa, bb, cc, dd = a, b, c, d
-        for i, ri in enumerate(sigma.r):
-            if i:
-                aa, bb = gf.frob_t[aa], gf.frob_t[bb]
-                cc, dd = gf.frob_t[cc], gf.frob_t[dd]
-            M = gf_kron(gf, M, sym_power_matrix(gf, int(aa), int(bb), int(cc), int(dd), ri))
-        scalar = gf.pow_int(int(det), sigma.twist)
-        return gf.mul_t[scalar, M]
+        M = np.ones(a.shape + (1, 1), dtype=np.int64)
+        for ri in sigma.r:
+            M = gf_kron(gf, M, _sym_power(gf, a, b, c, d, ri))
+            a, b, c, d = gf.frob_t[a], gf.frob_t[b], gf.frob_t[c], gf.frob_t[d]
+        return gf.mul_t[gf.pow_vec(det, sigma.twist)[..., None, None], M]
 
     mod = ExplicitModule(ctx, weight_dim(sigma), "K", "K1", f"weight {sigma}", evaluate=evaluate)
     mod.cyclic_vector = np.zeros(mod.dim, dtype=np.int64)
@@ -154,7 +140,7 @@ def weight_module(ctx: GroupContext, sigma: Weight) -> ExplicitModule:
 
 def character_module(ctx: GroupContext, chi: ICharacter) -> ExplicitModule:
     def evaluate(g):
-        return np.array([[ctx.char_value(chi, g)]], dtype=np.int64)
+        return np.asarray(ctx.char_value(chi, g), dtype=np.int64)[..., None, None]
 
     return ExplicitModule(ctx, 1, "I", "K1", f"char {chi}", evaluate=evaluate)
 
@@ -169,13 +155,12 @@ def ej_module(ctx: GroupContext, chi: ICharacter, j: int) -> ExplicitModule:
     pj = par.p ** j
 
     def evaluate(g):
-        a = ctx.gr.reduce_p(g[0, 0])
-        b = ctx.gr.reduce_p(g[0, 1])
-        d = ctx.gr.reduce_p(g[1, 1])
-        v1 = ctx.char_value(chi, g)
-        v2 = ctx.char_value(chi2, g)
-        s = gf.pow_int(int(gf.mul_t[b, gf.inv_t[d]]), pj)
-        return np.array([[v1, gf.mul_t[v2, s]], [0, v2]], dtype=np.int64)
+        res = ctx.gr.reduce_p(g)
+        v1, v2 = ctx.char_value(chi, g), ctx.char_value(chi2, g)
+        s = gf.pow_vec(gf.mul_t[res[..., 0, 1], gf.inv_t[res[..., 1, 1]]], pj)
+        out = np.zeros(res.shape, dtype=np.int64)
+        out[..., 0, 0], out[..., 0, 1], out[..., 1, 1] = v1, gf.mul_t[v2, s], v2
+        return out
 
     return ExplicitModule(ctx, 2, "I", "K1", f"E_{j}({chi})", evaluate=evaluate)
 
@@ -205,12 +190,14 @@ def induce(mod: ExplicitModule) -> ExplicitModule:
     reps = np.stack(ctx.coset_reps())
 
     def evaluate(g):
-        # g . rep_ell = rep_targets[ell] . parts[ell], for all q+1 cosets at once
-        targets, parts = ctx.coset_decompose(ctx.gr.mat_mul(g, reps))
-        out = np.zeros((n, n), dtype=np.int64)
-        for ell, (ell2, i) in enumerate(zip(targets, parts)):
-            out[ell2 * d : (ell2 + 1) * d, ell * d : (ell + 1) * d] = mod.evaluate(i)
-        return out
+        # g . rep_ell = rep_targets[ell] . parts[ell], for every g and all q+1 cosets at once
+        g = np.asarray(g)
+        targets, parts = ctx.coset_decompose(ctx.gr.mat_mul(g[..., None, :, :, :], reps))
+        blocks = mod.evaluate(parts).reshape(-1, q + 1, d, d)
+        # block (targets[ell], ell) of each image is the base image of parts[ell]
+        out = np.zeros((len(blocks), q + 1, d, q + 1, d), dtype=np.int64)
+        out[np.arange(len(blocks))[:, None], targets.reshape(-1, q + 1), :, np.arange(q + 1), :] = blocks
+        return out.reshape(g.shape[:-3] + (n, n))
 
     return ExplicitModule(ctx, n, "K", "K2", f"Ind({mod.name})", evaluate=evaluate)
 
@@ -249,7 +236,7 @@ def dual_module(mod: ExplicitModule) -> ExplicitModule:
     evaluate = None
     if hasattr(mod, "evaluate"):
         def evaluate(g):
-            return mod.evaluate(ctx.gr.mat_inv(g)).T
+            return np.swapaxes(mod.evaluate(ctx.gr.mat_inv(g)), -1, -2)
 
     def derive():
         return [inverse(mod.gf, M).T for M in mod.gen_mats(mod.group)]
@@ -532,22 +519,24 @@ def i_socle_series_chars(mod: ExplicitModule) -> list:
 
 
 def check_module(mod: ExplicitModule, rng, samples: int = 20) -> None:
-    """Multiplicativity on random pairs, triviality on the declared level, and
-    agreement of the generator matrices with the evaluator."""
+    """Agreement of the generator matrices and of one stacked evaluation with
+    single calls, multiplicativity on random pairs, and triviality on the
+    declared level."""
     ctx = mod.ctx
-    gr = ctx.gr
+    gf, gr = ctx.gf, ctx.gr
     kind = mod.group
     want = [mod.evaluate(g) for g in ctx.gens(kind)]
     if not all((M == E).all() for M, E in zip(mod.gen_mats(kind), want, strict=True)):
         raise AssertionError(f"{mod} generator matrices disagree with its evaluator")
-    for _ in range(samples):
-        g = ctx.random_element(kind, rng)
-        h = ctx.random_element(kind, rng)
-        lhs = mod.gf.matmul(mod.evaluate(g), mod.evaluate(h))
-        rhs = mod.evaluate(gr.mat_mul(g, h))
-        if not (lhs == rhs).all():
+    gs = np.stack([ctx.random_element(kind, rng) for _ in range(2 * samples)])
+    single = np.stack([mod.evaluate(g) for g in gs])
+    if not (mod.evaluate(gs) == single).all():
+        raise AssertionError(f"{mod} stacked evaluation disagrees with single calls")
+    products = mod.evaluate(gr.mat_mul(gs[0::2], gs[1::2]))
+    for E, F, P in zip(single[0::2], single[1::2], products):
+        if not (gf.matmul(E, F) == P).all():
             raise AssertionError(f"{mod} evaluator is not multiplicative")
-    eye = mod.gf.eye(mod.dim)
+    eye = gf.eye(mod.dim)
     if not (mod.evaluate(gr.mat_eye()) == eye).all():
         raise AssertionError(f"{mod} does not send identity to identity")
     p, f = ctx.params.p, ctx.params.f

@@ -78,17 +78,10 @@ class CheckReport:
 def coset_sum_vector(ctx: GroupContext, dim_m: int, member, k: int) -> np.ndarray:
     """sum over lambda of lambda^k [g_lambda, member] in induced coordinates."""
     gf = ctx.gf
-    q = gf.q
-    member = np.asarray(member, dtype=np.int64)
-    out = np.zeros((q + 1) * dim_m, dtype=np.int64)
-    for lam in range(q):
-        if lam == 0:
-            coeff = 1 if k == 0 else 0  # 0^0 = 1, 0^(q-1) = 0
-        else:
-            coeff = int(gf.pow_int(lam, k))
-        if coeff:
-            out[lam * dim_m : (lam + 1) * dim_m] = gf.scale(coeff, member)
-    return out
+    coeffs = gf.pow_vec(np.arange(gf.q), k)  # 0^0 = 1, 0^k = 0 for k > 0
+    out = np.zeros((gf.q + 1, dim_m), dtype=np.int64)
+    out[: gf.q] = gf.mul_t[coeffs[:, None], np.asarray(member, dtype=np.int64)[None, :]]
+    return out.ravel()
 
 
 def identity_coset_vector(ctx: GroupContext, dim_m: int, member) -> np.ndarray:
@@ -173,10 +166,11 @@ def verify_witt(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     W = bundle.W
     rep = CheckReport("witt", f"p={par.p},f={par.f},chi=({chi.a},{chi.b}),j={j}")
 
-    m_upper = gr.mat_from_ints(1, par.p, 0, 1)
-    m_lower = gr.mat_from_ints(1, 0, par.p, 1)
-    m_diag = gr.mat_from_ints(1 + par.p, 0, 0, 1)
-    upper, lower_m, diag = W.evaluate(m_upper), W.evaluate(m_lower), W.evaluate(m_diag)
+    upper, lower_m, diag = W.evaluate(np.stack([
+        gr.mat_from_ints(1, par.p, 0, 1),
+        gr.mat_from_ints(1, 0, par.p, 1),
+        gr.mat_from_ints(1 + par.p, 0, 0, 1),
+    ]))
 
     def wrap(k):
         return k if k <= q - 1 else k - (q - 1)

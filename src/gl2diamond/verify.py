@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -53,6 +54,10 @@ class RunConfig:
     @property
     def reducible(self) -> bool:
         return self.case.startswith("red")
+
+    def set_fields(self) -> list:
+        """The optional fields (case, r, twist, seed) that differ from their defaults."""
+        return [name for name in ("case", "r", "twist", "seed") if getattr(self, name) != getattr(RunConfig, name)]
 
 
 def _checks_of_report(rep) -> list:
@@ -380,27 +385,43 @@ def suite_s1s2(config: RunConfig) -> list:
     return checks
 
 
+@dataclass(frozen=True)
+class Suite:
+    run: Callable[[RunConfig], list]
+    # each optional RunConfig field the suite reads, mapped to the field it is
+    # read only together with (None when it is read alone)
+    reads: dict
+
+
 # the one suite registry: run_suite and the CLI's --suite choices read it
 SUITES = {
-    "jh": suite_jh,
-    "witt": suite_witt,
-    "uplus": suite_uplus,
-    "calculH": suite_calculH,
-    "indej": suite_indej,
-    "womega": suite_womega,
-    "combination": suite_combination,
-    "f2": suite_f2,
-    "special": suite_special,
-    "s1s2": suite_s1s2,
-    "counts": suite_counts,
-    "dimension": suite_dimension,
+    "jh": Suite(suite_jh, {"r": None, "twist": "r"}),
+    "witt": Suite(suite_witt, {"r": None, "twist": "r"}),
+    "uplus": Suite(suite_uplus, {"r": None, "twist": None}),
+    "calculH": Suite(suite_calculH, {"r": None, "twist": None, "seed": None}),
+    "indej": Suite(suite_indej, {"r": None, "twist": "r"}),
+    "womega": Suite(suite_womega, {"r": None, "twist": "r"}),
+    "combination": Suite(suite_combination, {"case": None, "r": None, "twist": None}),
+    "f2": Suite(suite_f2, {"twist": None}),
+    "special": Suite(suite_special, {"r": None, "twist": None}),
+    "s1s2": Suite(suite_s1s2, {"case": None, "r": None, "twist": None}),
+    "counts": Suite(suite_counts, {"case": None, "twist": None}),
+    "dimension": Suite(suite_dimension, {}),
 }
 
 
 def run_suite(config: RunConfig) -> list:
+    """Checks of one suite, sorted by instance; a field set away from its
+    default that the suite would ignore raises DomainError."""
     if config.suite not in SUITES:
         raise DomainError(f"unknown suite {config.suite!r}; choose from {sorted(SUITES)}")
-    if config.twist and config.r is None and config.suite in ("jh", "indej", "womega", "witt"):
-        raise DomainError(f"suite {config.suite} reads --twist only together with --r")
-    checks = SUITES[config.suite](config)
+    suite = SUITES[config.suite]
+    given = config.set_fields()
+    for name in given:
+        if name not in suite.reads:
+            raise DomainError(f"suite {config.suite} does not read --{name}")
+        need = suite.reads[name]
+        if need is not None and need not in given:
+            raise DomainError(f"suite {config.suite} reads --{name} only together with --{need}")
+    checks = suite.run(config)
     return sorted(checks, key=lambda c: (c["instance"], c["anchor"]))

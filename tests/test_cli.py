@@ -71,12 +71,31 @@ def test_verify_jh_reads_r_and_twist(capsys):
         assert instances("--r", "2", "--twist", str(twist)) == {f"p=5,f=1,chi=({chi.a},{chi.b})"}
 
 
-@pytest.mark.parametrize("suite,f", [("jh", "1"), ("indej", "2")])
+@pytest.mark.parametrize("suite,f", [("jh", "1"), ("indej", "2"), ("womega", "1"), ("witt", "1")])
 def test_verify_twist_without_r_is_refused(suite, f, capsys):
     # these suites read --twist only as the twist of the weight --r names
     assert main(["verify", "--suite", suite, "--p", "5", "--f", f, "--twist", "3"]) == 2
     err = capsys.readouterr().err
     assert "--twist" in err and "--r" in err
+
+
+IGNORED_FLAGS = (
+    [(suite, "--seed", "1") for suite in (
+        "jh", "witt", "uplus", "indej", "womega", "combination", "f2", "special", "s1s2", "counts", "dimension",
+    )]
+    + [(suite, "--case", "reducible") for suite in (
+        "jh", "indej", "womega", "witt", "uplus", "calculH", "f2", "special", "dimension",
+    )]
+    + [(suite, "--r", "2,1") for suite in ("f2", "counts", "dimension")]
+    + [("dimension", "--twist", "1")]
+)
+
+
+@pytest.mark.parametrize("suite,flag,value", IGNORED_FLAGS)
+def test_verify_refuses_a_flag_the_suite_ignores(suite, flag, value, capsys):
+    assert main(["verify", "--suite", suite, "--p", "5", "--f", "2", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"suite {suite} does not read {flag}" in err
 
 
 def test_verify_counts_suite(capsys):

@@ -343,3 +343,34 @@ def test_express_round_trips_and_refuses_outside(gf_A, seed):
         outside[sub.complement_coords()[0]] = 1
         with pytest.raises(ValueError):
             sub.express(np.vstack([members, outside]))
+
+
+@pytest.mark.parametrize("p,f", GR_CASES)
+def test_matrix_inverse_conjugation_and_assembly_broadcast(p, f):
+    R = get_gr(p, f)
+    rng = np.random.default_rng(20 * p + f)
+    # a (3, 4) stack of Iwahori matrices mod p^2
+    A = rng.integers(0, R.p2, (3, 4, 2, 2, f))
+    A[..., 1, 0, :] = (A[..., 1, 0, :] * p) % R.p2
+    while not R.mat_in_I(A).all():
+        bad = ~R.mat_in_I(A)
+        A[bad] = rng.integers(0, R.p2, (int(bad.sum()), 2, 2, f))
+        A[..., 1, 0, :] = (A[..., 1, 0, :] * p) % R.p2
+    inv, conj = R.mat_inv(A), R.swap_conjugate(A)
+    assert inv.shape == conj.shape == A.shape
+    assert (R.mat_mul(A, inv) == R.mat_eye()).all()
+    assert R.mat_in_I(conj).all()
+    entries = [A[..., i, j, :] for i, j in np.ndindex(2, 2)]
+    assert (R.mat(*entries) == A).all()
+    # a scalar entry broadcasts against stacked ones
+    assert (R.mat(R.one(), *entries[1:])[..., 0, 0, :] == R.one()).all()
+    for k in np.ndindex(3, 4):
+        assert (inv[k] == R.mat_inv(A[k])).all()
+        assert (conj[k] == R.swap_conjugate(A[k])).all()
+        assert (R.mat(*(e[k] for e in entries)) == A[k]).all()
+    # unit inverses of a stack, and a stack holding one non-unit refuses
+    dets = R.mat_det(A)
+    assert (R.mul(dets, R.unit_inverse(dets)) == R.one()).all()
+    dets[1, 2] = (p * dets[1, 2]) % R.p2
+    with pytest.raises(ZeroDivisionError):
+        R.unit_inverse(dets)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from collections import Counter
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gl2diamond.core import (
     DomainError,
     Params,
@@ -393,3 +396,80 @@ def test_derived_matrices_intertwine(ctx51):
             assert (gf.matmul(C, M.T) == gf.matmul(MR.T, C)).all()
     with pytest.raises(DomainError):
         R.gen_mats("K")
+
+
+# -- stacked evaluators ------------------------------------------------------
+
+
+def _sym_power_matrix_reference(gf, a, b, c, d, r):
+    """The scalar Sym^r loop the stacked evaluator replaced: matrix of
+    (a,b;c,d) on the basis x^(r-k) y^k, one entry at a time."""
+    from math import comb
+
+    def pw(x, e):
+        return int(gf.pow_vec(x, e))
+
+    M = np.zeros((r + 1, r + 1), dtype=np.int64)
+    for k in range(r + 1):
+        u = [gf.mul_t[comb(r - k, t) % gf.p, gf.mul_t[pw(a, r - k - t), pw(c, t)]] for t in range(r - k + 1)]
+        v = [gf.mul_t[comb(k, t) % gf.p, gf.mul_t[pw(b, k - t), pw(d, t)]] for t in range(k + 1)]
+        for t1, ut in enumerate(u):
+            for t2, vt in enumerate(v):
+                M[t1 + t2, k] = gf.add(M[t1 + t2, k], gf.mul_t[ut, vt])
+    return M
+
+
+def _weight_matrix_reference(ctx, sigma, g):
+    gf, gr = ctx.gf, ctx.gr
+    a, b, c, d = (gr.reduce_p(g[i, j]) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    det = gf.sub(gf.mul_t[a, d], gf.mul_t[b, c])
+    M = np.ones((1, 1), dtype=np.int64)
+    for ri in sigma.r:
+        S = _sym_power_matrix_reference(gf, a, b, c, d, ri)
+        M = gf.mul_t[M[:, None, :, None], S[None, :, None, :]].reshape(M.shape[0] * S.shape[0], -1)
+        a, b, c, d = (int(gf.frob_t[x]) for x in (a, b, c, d))
+    return gf.mul_t[int(gf.pow_vec(det, sigma.twist)), M]
+
+
+STACK_CASES = [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(STACK_CASES), st.integers(0, 2 ** 32 - 1))
+def test_stacked_evaluators_match_single_calls(pf, seed):
+    p, f = pf
+    ctx = get_context(Params(p, f))
+    rng = np.random.default_rng(seed)
+    sigma = Weight(ctx.params, tuple(int(x) for x in rng.integers(0, p, f)), int(rng.integers(0, ctx.gf.q - 1)))
+    chi = chi_of_weight(sigma)
+    j = int(rng.integers(0, f))
+    W, C, E = weight_module(ctx, sigma), character_module(ctx, chi), ej_module(ctx, chi, j)
+    P = pi_twist(E)
+    mods = [W, C, E, P, induce(C), induce(E), induce(P), dual_module(W), dual_module(E), dual_module(induce(C))]
+    for mod in mods:
+        stack = np.stack([ctx.random_element(mod.group, rng) for _ in range(6)]).reshape(2, 3, 2, 2, f)
+        images = mod.evaluate(stack)
+        assert images.shape == (2, 3, mod.dim, mod.dim), mod
+        for i, k in np.ndindex(2, 3):
+            assert (images[i, k] == mod.evaluate(stack[i, k])).all(), mod
+    # the weight evaluator agrees with the scalar Sym^r loop
+    for g in stack.reshape(-1, 2, 2, f):
+        assert (W.evaluate(g) == _weight_matrix_reference(ctx, sigma, g)).all()
+
+
+def test_check_module_catches_a_stack_that_disagrees(ctx51):
+    # an evaluator that goes wrong only on a stack of the 2 * 4 random
+    # elements (the I generators are 7) is refused
+    ctx = ctx51
+    C = character_module(ctx, chi_of_weight(Weight(ctx.params, (2,), 1)))
+    single = C.evaluate
+
+    def evaluate(g):
+        out = single(g)
+        return ctx.gf.mul_t[2, out] if np.shape(g)[:-3] == (8,) else out
+
+    bad = character_module(ctx, chi_of_weight(Weight(ctx.params, (2,), 1)))
+    bad.evaluate = evaluate
+    check_module(C, np.random.default_rng(2), samples=4)
+    with pytest.raises(AssertionError, match="stacked"):
+        check_module(bad, np.random.default_rng(2), samples=4)
