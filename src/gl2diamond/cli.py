@@ -20,7 +20,7 @@ from .core import DomainError, Params, Weight
 from .diamond import GaloisParams, d0_factors, delta_of_tau, diamond_set
 from .filtration import example1_filtration, v1_s1_filtrations
 from .tuples import S_of_mu
-from .verify import SUITES, RunConfig, run_suite
+from .verify import CASES, SUITES, RunConfig, run_suite
 
 
 def _parse_r(text: str, f: int) -> tuple:
@@ -167,10 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, cases=("reducible", "irreducible")):
         sp.add_argument("--p", type=int, default=5)
         sp.add_argument("--f", type=int, default=2)
-        sp.add_argument("--case", choices=["reducible", "irreducible"], default="irreducible")
+        sp.add_argument("--case", choices=cases, default="irreducible")
         sp.add_argument("--r", type=str, default=None, help="comma-separated digit vector")
         sp.add_argument("--twist", type=int, default=0)
         sp.add_argument("--format", choices=["text", "json"], default="text")
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_d0)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp)
+    common(sp, CASES)
     sp.add_argument("--suite", choices=sorted(SUITES), default="jh")
     sp.set_defaults(func=cmd_verify)
 

@@ -28,17 +28,16 @@ from .tuples import (
     Sym,
     S_of_lambda,
     S_of_mu,
+    compatible_Imu,
     compose_tuples,
     delta_irr,
     delta_red,
     e_of_lambda,
     enumerate_ID,
-    enumerate_Imu,
     enumerate_RD,
     eval_tuple,
     in_weight_range,
     mu_of_lambda,
-    compatible,
 )
 
 Y = Sym(1, 0)
@@ -182,9 +181,7 @@ def d0_factors(rho: GaloisParams, sigma: DiamondWeight) -> tuple:
     par = rho.params
     mu_base = mu_of_lambda(sigma.lam, rho.reducible)
     out = []
-    for mu in enumerate_Imu(par.f):
-        if not compatible(mu, mu_base):
-            continue
+    for mu in compatible_Imu(mu_base):
         comp = compose_tuples(mu, sigma.lam)
         vals = eval_tuple(comp, rho.r, par.p)
         if not in_weight_range(vals, par.p):
@@ -197,6 +194,22 @@ def d0_factors(rho: GaloisParams, sigma: DiamondWeight) -> tuple:
 
 def d0_all(rho: GaloisParams) -> dict:
     return {dw: d0_factors(rho, dw) for dw in diamond_set(rho)}
+
+
+@lru_cache(maxsize=None)
+def _block_index(rho: GaloisParams) -> tuple:
+    """The blocks of rho, indexed once: (lifted, by_weight).
+
+    lifted maps each weight-set element to its block's lifted factors;
+    by_weight maps a factor's weight to its (block, factor) occurrences.
+    """
+    blocks = d0_all(rho)
+    lifted = {dw: tuple(fac for fac in facs if fac.lifts) for dw, facs in blocks.items()}
+    by_weight: dict = {}
+    for dw, facs in blocks.items():
+        for fac in facs:
+            by_weight[fac.weight] = by_weight.get(fac.weight, ()) + ((dw, fac),)
+    return lifted, by_weight
 
 
 def d0_is_multiplicity_free(rho: GaloisParams) -> bool:
@@ -257,12 +270,8 @@ def delta_data(rho: GaloisParams, sigma: DiamondWeight, factor: D0Factor) -> Del
     if not factor.lifts:
         raise DomainError("delta is defined for factors with lifted invariants")
     target_w = sigma_s(factor.weight)
-    hits = [
-        (dw, fac)
-        for dw, facs in d0_all(rho).items()
-        for fac in facs
-        if fac.weight == target_w
-    ]
+    _, by_weight = _block_index(rho)
+    hits = by_weight.get(target_w, ())
     if len(hits) != 1:
         raise AssertionError(
             f"tau^[s] = {target_w} found {len(hits)} times across the blocks of {rho}"
@@ -283,7 +292,11 @@ def xi_and_J(rho: GaloisParams, sigma: DiamondWeight, factor: D0Factor) -> tuple
     that induction and consistent records the agreement of J(xi) with the two
     equivalent descriptions through the mirror factor's mu-tuple.
     """
-    res = delta_data(rho, sigma, factor)
+    return _xi_and_J_of_delta(rho, factor, delta_data(rho, sigma, factor))
+
+
+def _xi_and_J_of_delta(rho: GaloisParams, factor: D0Factor, res: DeltaResult) -> tuple:
+    """xi_and_J for a factor whose delta_data is already at hand."""
     chi_tau = chi_of_weight(factor.weight)
     ind = jh_of_induced(conjugate_char(chi_tau))
     ps = ind.by_weight(res.target.weight)
@@ -297,7 +310,10 @@ def xi_and_J(rho: GaloisParams, sigma: DiamondWeight, factor: D0Factor) -> tuple
 
 
 def lifting_factors(rho: GaloisParams, sigma: DiamondWeight) -> list:
-    return [fac for fac in d0_factors(rho, sigma) if fac.lifts]
+    lifted, _ = _block_index(rho)
+    if sigma not in lifted:
+        raise DomainError(f"{sigma} is not in the weight set of {rho}")
+    return list(lifted[sigma])
 
 
 def plus_one_couples(rho: GaloisParams, sigma: DiamondWeight, j: int) -> list:
@@ -396,8 +412,8 @@ def verify_combination(rho: GaloisParams, sigma: DiamondWeight, j: int) -> Combi
         add("s-theta-off", ok, tag)
         add("s-theta-flip", (jm1 in st1) != (jm1 in st2), tag)
 
-        xi1, J1, c1 = xi_and_J(rho, sigma, tau1)
-        xi2, J2, c2 = xi_and_J(rho, sigma, tau2)
+        xi1, J1, c1 = _xi_and_J_of_delta(rho, tau1, d1)
+        xi2, J2, c2 = _xi_and_J_of_delta(rho, tau2, d2)
         add("xi-consistent", c1 and c2, tag)
         ok = all((i in J1) == (i in J2) for i in range(f) if i != jm2)
         add("J-xi-off", ok, tag)

@@ -15,6 +15,7 @@ particular the factor with the all-identity tuple (J empty) is the socle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .core import (
     DomainError,
@@ -69,8 +70,15 @@ class InducedJH:
         return sum(fac.dim for fac in self.factors)
 
 
+# callers ask for the same few characters in a row (the couples of one block),
+# so a short cache keeps nearly every hit of an unbounded one at a fraction
+# of its memory
+@lru_cache(maxsize=64)
 def jh_of_induced(chi: ICharacter) -> InducedJH:
-    """Irreducible constituents of Ind_I^K chi, indexed at the conjugate normal form."""
+    """Irreducible constituents of Ind_I^K chi, indexed at the conjugate normal form.
+
+    Cached per character: ICharacter is frozen and the result is immutable.
+    """
     par = chi.params
     digits, t = char_normal_form(conjugate_char(chi))
     factors, dropped = [], []

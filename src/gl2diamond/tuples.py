@@ -281,6 +281,12 @@ def compatible(mu: tuple, mu2: tuple) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def compatible_Imu(mu_base: tuple) -> tuple:
+    """The mu-tuples of enumerate_Imu(len(mu_base)) compatible with mu_base, in order."""
+    return tuple(mu for mu in enumerate_Imu(len(mu_base)) if compatible(mu, mu_base))
+
+
 def S_of_mu(mu: tuple) -> frozenset:
     """Indices where the entry moves the variable: y±1 or p-1-y or p-3-y."""
     return frozenset(i for i, s in enumerate(mu) if s not in (Sym(1, 0), P2MX))

@@ -37,11 +37,15 @@ from .diamond import (
 from .filtration import f2_tables, v1_s1_filtrations
 from .principal import jh_of_induced
 
+# "all-generic" sweeps the parameters of both cases, so it names no single parameter
+CASES = ("reducible", "irreducible", "all-generic")
+
+
 @dataclass
 class RunConfig:
     p: int = 5
     f: int = 2
-    case: str = "irreducible"  # or "reducible" / "all-generic"
+    case: str = "irreducible"  # one of CASES
     r: tuple | None = None
     twist: int = 0
     suite: str = "jh"
@@ -274,7 +278,7 @@ def suite_combination(config: RunConfig) -> list:
     if config.r is not None:
         rhos = [GaloisParams(params, config.reducible, config.r, config.twist)]
     else:
-        rhos = generic_parameters(params, config.case if config.case else "all-generic", config.twist)
+        rhos = generic_parameters(params, config.case, config.twist)
     checks = []
     for rho in rhos:
         for dw in diamond_set(rho):
@@ -295,7 +299,7 @@ def suite_counts(config: RunConfig) -> list:
     """Size of the weight set and multiplicity freeness of its blocks."""
     params = config.params
     checks = []
-    for rho in generic_parameters(params, config.case or "all-generic", config.twist):
+    for rho in generic_parameters(params, config.case, config.twist):
         dws = diamond_set(rho)
         checks.append(_check("diamond.count", str(rho), len(dws) == 2 ** params.f, 2 ** params.f, len(dws)))
         checks.append(_check("diamond.mult-free", str(rho), d0_is_multiplicity_free(rho)))
@@ -412,9 +416,12 @@ SUITES = {
 
 def run_suite(config: RunConfig) -> list:
     """Checks of one suite, sorted by instance; a field set away from its
-    default that the suite would ignore raises DomainError."""
+    default that the suite would ignore, or a case the suite cannot take,
+    raises DomainError."""
     if config.suite not in SUITES:
         raise DomainError(f"unknown suite {config.suite!r}; choose from {sorted(SUITES)}")
+    if config.case not in CASES:
+        raise DomainError(f"unknown case {config.case!r}; choose from {list(CASES)}")
     suite = SUITES[config.suite]
     given = config.set_fields()
     for name in given:
@@ -423,5 +430,7 @@ def run_suite(config: RunConfig) -> list:
         need = suite.reads[name]
         if need is not None and need not in given:
             raise DomainError(f"suite {config.suite} reads --{name} only together with --{need}")
+    if config.case == "all-generic" and (config.r is not None or config.suite == "s1s2"):
+        raise DomainError("--case all-generic names no single parameter, so it takes neither --r nor s1s2")
     checks = suite.run(config)
     return sorted(checks, key=lambda c: (c["instance"], c["anchor"]))

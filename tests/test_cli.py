@@ -104,6 +104,43 @@ def test_verify_counts_suite(capsys):
     assert "checks passed" in out
 
 
+@pytest.mark.parametrize("suite", ["counts", "combination"])
+@pytest.mark.parametrize(
+    "case,kinds",
+    [(None, {"irr"}), ("irreducible", {"irr"}), ("reducible", {"red"}), ("all-generic", {"red", "irr"})],
+)
+def test_verify_sweeps_the_parameters_of_each_case(suite, case, kinds, capsys):
+    extra = [] if case is None else ["--case", case]
+    code, out = run_cli(capsys, "verify", "--suite", suite, "--p", "5", "--f", "2", "--format", "json", *extra)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert {c["instance"][len("rho["):][:3] for c in payload["checks"]} == kinds
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--suite", "combination", "--r", "2,1"],
+        ["--suite", "s1s2"],
+        ["--suite", "s1s2", "--r", "2,1"],
+    ],
+)
+def test_verify_all_generic_names_no_single_parameter(args, capsys):
+    assert main(["verify", "--p", "5", "--f", "2", "--case", "all-generic", *args]) == 2
+    assert "all-generic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["diamond", "d0", "filtration"])
+def test_all_generic_is_a_verify_case_only(cmd, capsys):
+    argv = [cmd, "--p", "5", "--f", "2", "--case", "all-generic", "--r", "2,1"]
+    if cmd == "filtration":
+        argv.insert(1, "v1")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_verify_dimension_json(capsys):
     code, out = run_cli(
         capsys, "verify", "--suite", "dimension", "--p", "5", "--f", "2", "--format", "json"

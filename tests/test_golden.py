@@ -1,11 +1,13 @@
-"""`gl2diamond verify --format json` output on fixed oracle configurations,
-compared byte for byte with recorded reports.
+"""`gl2diamond ... --format json` output on fixed configurations, compared
+byte for byte with recorded reports.
 
 A golden file is regenerated with
-    PYTHONPATH=src python -m gl2diamond.cli verify --format json ARGS > tests/golden/NAME.json
-and should change only when a check itself is meant to change.
+    PYTHONPATH=src python -m gl2diamond.cli ARGV > tests/golden/NAME.json
+and should change only when a check itself is meant to change.  The
+combination sweep at p = 5, f = 3 is 1.4 MB, so only its sha256 is kept.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -14,17 +16,31 @@ from gl2diamond.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# name -> the whole argv, subcommand first
 COMMANDS = {
-    "verify-jh-p5-f1": ["--suite", "jh", "--p", "5", "--f", "1"],
-    "verify-womega-p5-f1": ["--suite", "womega", "--p", "5", "--f", "1"],
-    "verify-indej-p5-f2": ["--suite", "indej", "--p", "5", "--f", "2"],
-    "verify-indej-p7-f2": ["--suite", "indej", "--p", "7", "--f", "2"],
-    "verify-s1s2-p5-f2-r2-1": ["--suite", "s1s2", "--p", "5", "--f", "2", "--r", "2,1"],
+    "verify-jh-p5-f1": ["verify", "--suite", "jh", "--p", "5", "--f", "1", "--format", "json"],
+    "verify-womega-p5-f1": ["verify", "--suite", "womega", "--p", "5", "--f", "1", "--format", "json"],
+    "verify-indej-p5-f2": ["verify", "--suite", "indej", "--p", "5", "--f", "2", "--format", "json"],
+    "verify-indej-p7-f2": ["verify", "--suite", "indej", "--p", "7", "--f", "2", "--format", "json"],
+    "verify-s1s2-p5-f2-r2-1": ["verify", "--suite", "s1s2", "--p", "5", "--f", "2", "--r", "2,1", "--format", "json"],
+    "verify-special-p5-f3": ["verify", "--suite", "special", "--p", "5", "--f", "3", "--format", "json"],
+    "verify-f2-p7-f2": ["verify", "--suite", "f2", "--p", "7", "--f", "2", "--format", "json"],
+    "d0-p7-f3-r2-1-3": ["d0", "--p", "7", "--f", "3", "--r", "2,1,3", "--format", "json"],
 }
+
+COMBINATION_P5_F3 = ["verify", "--suite", "combination", "--p", "5", "--f", "3", "--format", "json"]
+COMBINATION_P5_F3_SHA256 = "523c6a3557b19f6b044568f5d0a128d6db342dde93a9759343fe0b12232d702b"
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_verify_json_matches_golden(name, capsys):
-    code = main(["verify", "--format", "json", *COMMANDS[name]])
+    code = main(COMMANDS[name])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_combination_sweep_matches_recorded_sha256(capsys):
+    code = main(COMBINATION_P5_F3)
+    assert code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == COMBINATION_P5_F3_SHA256
