@@ -13,7 +13,8 @@ This module is pure exponent arithmetic: extraction of the Iwahori
 character of a weight, the Weyl-conjugate character (swap of the pair),
 twists by powers of alpha = (1, -1), digit normal forms, and the
 dimension of the space of Iwahori extensions between two characters.
-All values are canonical representatives, so equality is literal.
+All values are canonical representatives, so equality is literal.  It also
+holds the check record that every verification routine fills.
 """
 
 from __future__ import annotations
@@ -25,6 +26,28 @@ from functools import lru_cache
 
 class DomainError(ValueError):
     """A precondition on the mathematical input is violated."""
+
+
+class CheckReport:
+    """The named checks of one instance: rows {name, status, expected, got}."""
+
+    def __init__(self, anchor: str, instance: str):
+        self.anchor = anchor
+        self.instance = instance
+        self.checks = []
+
+    def add(self, name: str, passed, expected="", got=""):
+        self.checks.append(
+            {"name": name, "status": "pass" if passed else "FAIL",
+             "expected": str(expected), "got": str(got)}
+        )
+
+    @property
+    def passed(self) -> bool:
+        return all(c["status"] == "pass" for c in self.checks)
+
+    def failures(self) -> list:
+        return [c for c in self.checks if c["status"] != "pass"]
 
 
 def _is_prime(n: int) -> bool:
@@ -78,10 +101,6 @@ class Weight:
     def __str__(self):
         body = "(" + ",".join(str(ri) for ri in self.r) + ")"
         return body if self.twist == 0 else f"{body}*det^{self.twist}"
-
-    def twist_equal(self, other: "Weight") -> bool:
-        """Isomorphism up to determinant twist: equal digit vectors."""
-        return self.params == other.params and self.r == other.r
 
 
 @dataclass(frozen=True, order=True)

@@ -14,11 +14,11 @@ offending instance.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core import (
+    CheckReport,
     DomainError,
     ICharacter,
     Weight,
@@ -51,28 +51,6 @@ from .modules import (
     socle_components,
     sub_module,
 )
-
-
-@dataclass
-class CheckReport:
-    """Outcome of one verification sweep: named checks with pass/fail."""
-
-    anchor: str
-    instance: str
-    checks: list = field(default_factory=list)
-
-    def add(self, name: str, passed, expected="", got=""):
-        self.checks.append(
-            {"name": name, "status": "pass" if passed else "FAIL",
-             "expected": str(expected), "got": str(got)}
-        )
-
-    @property
-    def passed(self) -> bool:
-        return all(c["status"] == "pass" for c in self.checks)
-
-    def failures(self) -> list:
-        return [c for c in self.checks if c["status"] != "pass"]
 
 
 def coset_sum_vector(ctx: GroupContext, dim_m: int, member, k: int) -> np.ndarray:
@@ -126,30 +104,26 @@ class TwistedExtensionInduction:
 
     def u_generator_lower(self, factor) -> np.ndarray:
         """Canonical generator of the unique sub with cosocle ``factor`` below."""
-        par = self.ctx.params
-        digits, t = char_normal_form(self.chi)
-        k = sum(
-            par.p ** i * (par.p - 1 - factor.lam[i].value(digits[i], par.p))
-            for i in factor.J
-        )
-        vec = self.f_vec(k)
-        if epsilon_generator(self.chi, factor.weight):
-            corr = identity_coset_vector(self.ctx, 2, np.array([minus_one_to(t, self.ctx.gf), 0]))
-            vec = self.ctx.gf.add(vec, corr)
-        return vec
+        return self._generator(self.chi, 0, factor)
 
     def w_generator(self, factor) -> np.ndarray:
         """Canonical generator of W_omega for a factor of the upper layer."""
-        par = self.ctx.params
-        digits, t = char_normal_form(self.psi)
+        return self._generator(self.psi, 1, factor)
+
+    def _generator(self, char: ICharacter, slot: int, factor) -> np.ndarray:
+        # the twisted coset sum of member slot `slot` (0: f_k, 1: F_k) whose
+        # exponent k is read off the factor's tuple at the normal form of char
+        par, gf = self.ctx.params, self.ctx.gf
+        digits, t = char_normal_form(char)
         k = sum(
             par.p ** i * (par.p - 1 - factor.lam[i].value(digits[i], par.p))
             for i in factor.J
         )
-        vec = self.F_vec(k)
-        if epsilon_generator(self.psi, factor.weight):
-            corr = identity_coset_vector(self.ctx, 2, np.array([0, minus_one_to(t, self.ctx.gf)]))
-            vec = self.ctx.gf.add(vec, corr)
+        member = np.zeros(2, dtype=np.int64)
+        member[slot] = 1
+        vec = coset_sum_vector(self.ctx, 2, member, k)
+        if epsilon_generator(char, factor.weight):
+            vec = gf.add(vec, identity_coset_vector(self.ctx, 2, member * minus_one_to(t, gf)))
         return vec
 
     def spin_K(self, seed) -> Subspace:

@@ -1,10 +1,12 @@
 """Named verification suites over parameter sweeps, with uniform reports.
 
-Each suite re-derives one family of statements and returns a list of check
-dictionaries {anchor, instance, expected, got, status}; a sweep passes when
-every check passes.  Instances are enumerated deterministically from the
-run configuration and checks are reported in sorted instance order, so
-identical configurations produce identical reports.
+Each suite re-derives one family of statements and returns one CheckReport
+per instance it checks.  run_suite turns their rows into the check
+dictionaries {anchor, instance, expected, got, status}, the anchor being the
+report's anchor and the row's name joined by a dot; a sweep passes when every
+check passes.  Instances are enumerated deterministically from the run
+configuration and checks are reported in sorted instance order, so identical
+configurations produce identical reports.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    CheckReport,
     DomainError,
     Params,
     Weight,
@@ -40,6 +43,9 @@ from .principal import jh_of_induced
 # "all-generic" sweeps the parameters of both cases, so it names no single parameter
 CASES = ("reducible", "irreducible", "all-generic")
 
+# characters the default jh sweep samples
+JH_CHARACTERS = 24
+
 
 @dataclass
 class RunConfig:
@@ -62,31 +68,6 @@ class RunConfig:
     def set_fields(self) -> list:
         """The optional fields (case, r, twist, seed) that differ from their defaults."""
         return [name for name in ("case", "r", "twist", "seed") if getattr(self, name) != getattr(RunConfig, name)]
-
-
-def _checks_of_report(rep) -> list:
-    out = []
-    for c in rep.checks:
-        out.append(
-            {
-                "anchor": f"{rep.anchor}.{c['name']}",
-                "instance": rep.instance,
-                "expected": c["expected"],
-                "got": c["got"],
-                "status": c["status"],
-            }
-        )
-    return out
-
-
-def _check(anchor, instance, passed, expected="", got="") -> dict:
-    return {
-        "anchor": anchor,
-        "instance": str(instance),
-        "expected": str(expected),
-        "got": str(got),
-        "status": "pass" if passed else "FAIL",
-    }
 
 
 def generic_parameters(params: Params, case: str = "all-generic", twist: int = 0) -> list:
@@ -127,7 +108,19 @@ def sweep_characters(params: Params, limit: int | None = None) -> list:
 # -- suite bodies ------------------------------------------------------------
 
 
-def suite_jh(config: RunConfig, limit: int | None = 24) -> list:
+def _interior_r(params: Params) -> tuple:
+    """The default digit vector of the uplus, calculH, indej, womega and s1s2 suites."""
+    return tuple(min(i + 2, params.p - 2) for i in range(params.f))
+
+
+def _weights(config: RunConfig, defaults: list) -> list:
+    """The weight that --r and --twist name, else the suite's default weights."""
+    if config.r is not None:
+        return [Weight(config.params, config.r, config.twist)]
+    return defaults
+
+
+def suite_jh(config: RunConfig) -> list:
     from collections import Counter
 
     from .oracle.groups import get_context
@@ -140,57 +133,46 @@ def suite_jh(config: RunConfig, limit: int | None = 24) -> list:
     if config.r is not None:
         chars = [chi_of_weight(Weight(params, config.r, config.twist))]
     else:
-        chars = sweep_characters(params, limit=limit)
-    checks = []
+        chars = sweep_characters(params, limit=JH_CHARACTERS)
+    reports = []
     for chi in chars:
-        inst = f"p={params.p},f={params.f},chi=({chi.a},{chi.b})"
+        rep = CheckReport("jh", f"p={params.p},f={params.f},chi=({chi.a},{chi.b})")
         mod = induce(character_module(ctx, conjugate_char(chi)))
         layers = socle_series(mod)
         got = jh_multiset(mod, layers)
         want = Counter(jh_of_induced(conjugate_char(chi)).weights())
-        checks.append(_check("jh.multiset", inst, got == want, dict(want), dict(got)))
+        rep.add("multiset", got == want, dict(want), dict(got))
         soc = layers[0]
         want_soc = Counter(socle_of_induced(conjugate_char(chi)))
-        checks.append(_check("jh.socle", inst, soc == want_soc, dict(want_soc), dict(soc)))
-    return checks
+        rep.add("socle", soc == want_soc, dict(want_soc), dict(soc))
+        reports.append(rep)
+    return reports
 
 
 def suite_dimension(config: RunConfig) -> list:
     """Dimension identity for inductions with interior normal-form digits."""
     params = config.params
-    checks = []
+    reports = []
     for r in itertools.product(range(1, params.p - 1), repeat=params.f):
-        chi = chi_of_weight(Weight(params, r, 0))
-        jh = jh_of_induced(chi)
-        ok = jh.total_dim == params.q + 1 and not jh.dropped
-        checks.append(
-            _check("jh.dimension", f"r={r}", ok, params.q + 1, jh.total_dim)
-        )
-    return checks
-
-
-def _witt_pairs(config: RunConfig) -> list:
-    params = config.params
-    if config.r is not None:
-        weights = [Weight(params, config.r, config.twist)]
-    else:
-        mid = [min(i + 1, params.p - 2) for i in range(params.f)]
-        weights = [
-            Weight(params, tuple(mid), 0),
-            Weight(params, tuple(reversed([params.p - 2 - m for m in mid])), 1),
-        ]
-    return [(chi_of_weight(w), j) for w in weights for j in range(params.f)]
+        jh = jh_of_induced(chi_of_weight(Weight(params, r, 0)))
+        rep = CheckReport("jh", f"r={r}")
+        rep.add("dimension", jh.total_dim == params.q + 1 and not jh.dropped, params.q + 1, jh.total_dim)
+        reports.append(rep)
+    return reports
 
 
 def suite_witt(config: RunConfig) -> list:
     from .oracle.groups import get_context
     from .oracle.vectors import verify_witt
 
-    ctx = get_context(config.params)
-    checks = []
-    for chi, j in _witt_pairs(config):
-        checks.extend(_checks_of_report(verify_witt(ctx, chi, j)))
-    return checks
+    params = config.params
+    ctx = get_context(params)
+    mid = tuple(min(i + 1, params.p - 2) for i in range(params.f))
+    weights = _weights(config, [
+        Weight(params, mid, 0),
+        Weight(params, tuple(params.p - 2 - m for m in reversed(mid)), 1),
+    ])
+    return [verify_witt(ctx, chi_of_weight(w), j) for w in weights for j in range(params.f)]
 
 
 def suite_uplus(config: RunConfig) -> list:
@@ -199,13 +181,9 @@ def suite_uplus(config: RunConfig) -> list:
 
     params = config.params
     ctx = get_context(params)
-    r = config.r if config.r is not None else tuple(min(i + 2, params.p - 2) for i in range(params.f))
-    chi = chi_of_weight(Weight(params, r, config.twist))
-    checks = []
-    for j in range(params.f):
-        for k in range(params.q):
-            checks.extend(_checks_of_report(verify_uplus(ctx, chi, j, k)))
-    return checks
+    [w] = _weights(config, [Weight(params, _interior_r(params), config.twist)])
+    chi = chi_of_weight(w)
+    return [verify_uplus(ctx, chi, j, k) for j in range(params.f) for k in range(params.q)]
 
 
 def suite_calculH(config: RunConfig) -> list:
@@ -214,18 +192,14 @@ def suite_calculH(config: RunConfig) -> list:
 
     params = config.params
     ctx = get_context(params)
-    r = config.r if config.r is not None else tuple(min(i + 2, params.p - 2) for i in range(params.f))
-    chi = chi_of_weight(Weight(params, r, config.twist))
+    [w] = _weights(config, [Weight(params, _interior_r(params), config.twist)])
+    chi = chi_of_weight(w)
     rng = np.random.default_rng(config.seed)
-    checks = []
     combos = [({0: 1}, {}), ({}, {params.q - 1: 1}), ({params.q - 1: 1, 0: 2}, {1: 1})]
     for _ in range(5):
         ks = rng.integers(0, params.q, 3)
         combos.append(({int(ks[0]): 1, int(ks[1]): 2}, {int(ks[2]): 3}))
-    for j in range(params.f):
-        for a_c, b_c in combos:
-            checks.extend(_checks_of_report(verify_calcul_H(ctx, chi, j, a_c, b_c)))
-    return checks
+    return [verify_calcul_H(ctx, chi, j, a_c, b_c) for j in range(params.f) for a_c, b_c in combos]
 
 
 def suite_indej(config: RunConfig) -> list:
@@ -234,22 +208,15 @@ def suite_indej(config: RunConfig) -> list:
 
     params = config.params
     ctx = get_context(params)
-    if config.r is not None:
-        weights = [Weight(params, config.r, config.twist)]
-    else:
-        weights = [
-            Weight(params, tuple(min(i + 2, params.p - 2) for i in range(params.f)), 0),
-            Weight(params, (1,) * params.f, 0),
-        ]
-    checks = []
+    weights = _weights(config, [Weight(params, _interior_r(params), 0), Weight(params, (1,) * params.f, 0)])
+    reports = []
     for w in weights:
         chi = chi_of_weight(w)
         for j in range(params.f):
             digits, _ = char_normal_form(char_times_alpha_power(chi, j, -1))
-            if digits[j] > params.p - 2:
-                continue
-            checks.extend(_checks_of_report(verify_ind_ej(ctx, chi, j)))
-    return checks
+            if digits[j] <= params.p - 2:
+                reports.append(verify_ind_ej(ctx, chi, j))
+    return reports
 
 
 def suite_womega(config: RunConfig) -> list:
@@ -258,19 +225,16 @@ def suite_womega(config: RunConfig) -> list:
 
     params = config.params
     ctx = get_context(params)
-    if config.r is not None:
-        weights = [Weight(params, config.r, config.twist)]
-    elif params.f == 1:
-        weights = [Weight(params, (r0,), 0) for r0 in range(1, params.p)]
+    if params.f == 1:
+        defaults = [Weight(params, (r0,), 0) for r0 in range(1, params.p)]
     else:
-        weights = [Weight(params, tuple(min(i + 2, params.p - 2) for i in range(params.f)), 0)]
-    checks = []
-    for w in weights:
+        defaults = [Weight(params, _interior_r(params), 0)]
+    reports = []
+    for w in _weights(config, defaults):
         chi = chi_of_weight(w)
-        checks.extend(_checks_of_report(verify_u_generators(ctx, chi)))
-        for j in range(params.f):
-            checks.extend(_checks_of_report(verify_w_omega(ctx, chi, j)))
-    return checks
+        reports.append(verify_u_generators(ctx, chi))
+        reports.extend(verify_w_omega(ctx, chi, j) for j in range(params.f))
+    return reports
 
 
 def suite_combination(config: RunConfig) -> list:
@@ -279,75 +243,69 @@ def suite_combination(config: RunConfig) -> list:
         rhos = [GaloisParams(params, config.reducible, config.r, config.twist)]
     else:
         rhos = generic_parameters(params, config.case, config.twist)
-    checks = []
+    reports = []
     for rho in rhos:
         for dw in diamond_set(rho):
             for j in range(params.f):
-                rep = verify_combination(rho, dw, j)
-                inst = f"{rho},S={sorted(dw.S)},j={j}"
-                if not rep.has_couple:
-                    checks.append(_check("combination.no-couple", inst, True, "", "no couple"))
-                    continue
-                for cl in rep.clauses:
-                    checks.append(
-                        _check(f"combination.{cl.name}", inst, cl.passed, "", cl.detail)
-                    )
-    return checks
+                res = verify_combination(rho, dw, j)
+                rep = CheckReport("combination", f"{rho},S={sorted(dw.S)},j={j}")
+                if not res.has_couple:
+                    rep.add("no-couple", True, "", "no couple")
+                for cl in res.clauses:
+                    rep.add(cl.name, cl.passed, "", cl.detail)
+                reports.append(rep)
+    return reports
 
 
 def suite_counts(config: RunConfig) -> list:
     """Size of the weight set and multiplicity freeness of its blocks."""
     params = config.params
-    checks = []
+    reports = []
     for rho in generic_parameters(params, config.case, config.twist):
-        dws = diamond_set(rho)
-        checks.append(_check("diamond.count", str(rho), len(dws) == 2 ** params.f, 2 ** params.f, len(dws)))
-        checks.append(_check("diamond.mult-free", str(rho), d0_is_multiplicity_free(rho)))
-    return checks
+        n = len(diamond_set(rho))
+        rep = CheckReport("diamond", str(rho))
+        rep.add("count", n == 2 ** params.f, 2 ** params.f, n)
+        rep.add("mult-free", d0_is_multiplicity_free(rho))
+        reports.append(rep)
+    return reports
 
 
 def suite_f2(config: RunConfig) -> list:
     params = config.params
     if params.f != 2:
         raise DomainError("the f2 suite needs f = 2")
-    checks = []
+    reports = []
     for rho in generic_parameters(params, "irreducible", config.twist):
+        rep = CheckReport("f2", str(rho))
         tab = f2_tables(rho)
-        checks.append(_check("f2.table", str(rho), tab.matches_d0, "", tab.detail))
+        rep.add("table", tab.matches_d0, "", tab.detail)
         vs = v1_s1_filtrations(rho)
-        checks.append(
-            _check("f2.s1-is-v1-head", str(rho), vs.s1.layers == vs.v1.layers[:-2])
-        )
-        checks.append(
-            _check(
-                "f2.taus-outside",
-                str(rho),
-                vs.taus_outside[0] and not any(vs.taus_outside[1:]),
-            )
-        )
-        checks.append(_check("f2.couples", str(rho), all(ok for _, ok in vs.couple_checks)))
-    return checks
+        rep.add("s1-is-v1-head", vs.s1.layers == vs.v1.layers[:-2])
+        rep.add("taus-outside", vs.taus_outside[0] and not any(vs.taus_outside[1:]))
+        rep.add("couples", all(ok for _, ok in vs.couple_checks))
+        reports.append(rep)
+    return reports
 
 
 def suite_special(config: RunConfig) -> list:
     params = config.params
     red = params.f % 2 == 0
-    checks = []
-    rhos = [r for r in generic_parameters(params, "reducible" if red else "irreducible", config.twist)]
     if config.r is not None:
         rhos = [GaloisParams(params, red, config.r, config.twist)]
+    else:
+        rhos = generic_parameters(params, "reducible" if red else "irreducible", config.twist)
+    reports = []
     for rho in rhos:
         sp = find_special_sigma(rho)
-        inst = str(rho)
-        checks.append(_check("special.exists", inst, True, "", str(sp.weight)))
+        rep = CheckReport("special", str(rho))
+        rep.add("exists", True, "", str(sp.weight))
         for j in range(1, params.f):
             fac = tau_j_factor(rho, sp, j)
             _, J, consistent = xi_and_J(rho, sp, fac)
             want = frozenset(range(params.f)) - {(j - 2) % params.f}
-            checks.append(
-                _check(f"special.J-xi j={j}", inst, J == want and consistent, sorted(want), sorted(J))
-            )
-    return checks
+            rep.add(f"J-xi j={j}", J == want and consistent, sorted(want), sorted(J))
+        reports.append(rep)
+    return reports
 
 
 def suite_s1s2(config: RunConfig) -> list:
@@ -355,19 +313,20 @@ def suite_s1s2(config: RunConfig) -> list:
     from .oracle.modules import h_eigen_split
     from .oracle.vectors import e_two_char_module, verify_S1_condition, verify_e_two_char, verify_ej_chain
 
-    checks = []
     # chain modules and glued modules at the configured parameters
     params = config.params
     ctx = get_context(params)
-    r = config.r if config.r is not None else tuple(min(i + 2, params.p - 2) for i in range(params.f))
-    chi = chi_of_weight(Weight(params, r, config.twist))
-    for j in range(params.f):
-        for s in (1, 2, min(3, params.p - 1)):
-            checks.extend(_checks_of_report(verify_ej_chain(ctx, chi, j, s)))
+    [w] = _weights(config, [Weight(params, _interior_r(params), config.twist)])
+    chi = chi_of_weight(w)
+    reports = [
+        verify_ej_chain(ctx, chi, j, s)
+        for j in range(params.f)
+        for s in (1, 2, min(3, params.p - 1))
+    ]
 
     if params.f >= 2:
         try:
-            rho = GaloisParams(params, config.reducible, r, config.twist)
+            rho = GaloisParams(params, config.reducible, w.r, config.twist)
             ok_gen = is_generic(rho)
         except DomainError:
             ok_gen = False
@@ -377,20 +336,22 @@ def suite_s1s2(config: RunConfig) -> list:
             chi2 = chi_of_weight(s2w)
             chi1s = conjugate_char(chi_of_weight(s1w))
             r0 = rho.r[0]
-            checks.extend(_checks_of_report(verify_e_two_char(ctx, chi2, chi1s, 1, r0)))
+            reports.append(verify_e_two_char(ctx, chi2, chi1s, 1, r0))
             mod = e_two_char_module(ctx, chi2, chi1s, 1, r0)
             chi3 = char_times_alpha_power(chi2, 0, -r0)
             v = None
             for ch, rows in h_eigen_split(mod, np.eye(mod.dim, dtype=np.int64)):
                 if ch == chi3:
                     v = rows[0]
-            ok = v is not None and verify_S1_condition(mod, v)
-            checks.append(_check("s1.generator-condition", str(rho), ok))
-    return checks
+            rep = CheckReport("s1", str(rho))
+            rep.add("generator-condition", v is not None and verify_S1_condition(mod, v))
+            reports.append(rep)
+    return reports
 
 
 @dataclass(frozen=True)
 class Suite:
+    # the CheckReports of the suite's instances at a run configuration
     run: Callable[[RunConfig], list]
     # each optional RunConfig field the suite reads, mapped to the field it is
     # read only together with (None when it is read alone)
@@ -432,5 +393,10 @@ def run_suite(config: RunConfig) -> list:
             raise DomainError(f"suite {config.suite} reads --{name} only together with --{need}")
     if config.case == "all-generic" and (config.r is not None or config.suite == "s1s2"):
         raise DomainError("--case all-generic names no single parameter, so it takes neither --r nor s1s2")
-    checks = suite.run(config)
+    checks = [
+        {"anchor": f"{rep.anchor}.{c['name']}", "instance": rep.instance,
+         "expected": c["expected"], "got": c["got"], "status": c["status"]}
+        for rep in suite.run(config)
+        for c in rep.checks
+    ]
     return sorted(checks, key=lambda c: (c["instance"], c["anchor"]))

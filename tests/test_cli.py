@@ -152,6 +152,35 @@ def test_verify_dimension_json(capsys):
     assert all(required <= set(c) for c in payload["checks"])
 
 
+def test_verify_reports_a_failing_check(monkeypatch, capsys):
+    from types import SimpleNamespace
+
+    from gl2diamond import verify
+    from gl2diamond.core import Params, Weight, chi_of_weight
+
+    broken = chi_of_weight(Weight(Params(5, 2), (1, 1), 0))
+    real = verify.jh_of_induced
+
+    def short_by_one(chi):
+        jh = real(chi)
+        return SimpleNamespace(total_dim=jh.total_dim - (chi == broken), dropped=jh.dropped)
+
+    monkeypatch.setattr(verify, "jh_of_induced", short_by_one)
+    args = ("verify", "--suite", "dimension", "--p", "5", "--f", "2")
+    code, out = run_cli(capsys, *args)
+    assert code == 1
+    assert "suite dimension: 8/9 checks passed" in out
+    assert "  FAIL jh.dimension [r=(1, 1)] expected=26 got=25" in out.splitlines()
+    code, out = run_cli(capsys, *args, "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    failed = [c for c in payload["checks"] if c["status"] == "FAIL"]
+    assert failed == [
+        {"anchor": "jh.dimension", "instance": "r=(1, 1)", "expected": "26", "got": "25", "status": "FAIL"}
+    ]
+
+
 def test_filtration_renderings(capsys):
     code, out = run_cli(capsys, "filtration", "v1", "--p", "7", "--f", "2", "--case", "irreducible", "--r", "2,1")
     assert code == 0

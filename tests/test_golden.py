@@ -25,6 +25,11 @@ COMMANDS = {
     "verify-s1s2-p5-f2-r2-1": ["verify", "--suite", "s1s2", "--p", "5", "--f", "2", "--r", "2,1", "--format", "json"],
     "verify-special-p5-f3": ["verify", "--suite", "special", "--p", "5", "--f", "3", "--format", "json"],
     "verify-f2-p7-f2": ["verify", "--suite", "f2", "--p", "7", "--f", "2", "--format", "json"],
+    "verify-witt-p5-f1": ["verify", "--suite", "witt", "--p", "5", "--f", "1", "--format", "json"],
+    "verify-uplus-p5-f1": ["verify", "--suite", "uplus", "--p", "5", "--f", "1", "--format", "json"],
+    "verify-calculH-p5-f1-seed3": ["verify", "--suite", "calculH", "--p", "5", "--f", "1", "--seed", "3", "--format", "json"],
+    "verify-counts-p5-f2-all-generic": ["verify", "--suite", "counts", "--p", "5", "--f", "2", "--case", "all-generic", "--format", "json"],
+    "verify-dimension-p5-f2": ["verify", "--suite", "dimension", "--p", "5", "--f", "2", "--format", "json"],
     "d0-p7-f3-r2-1-3": ["d0", "--p", "7", "--f", "3", "--r", "2,1,3", "--format", "json"],
 }
 
