@@ -135,6 +135,8 @@ def cmd_verify(args) -> int:
 def cmd_filtration(args) -> int:
     params = Params(args.p, args.f)
     if args.which == "example1":
+        if args.case == "reducible":
+            raise DomainError("example1 takes a weight, not a parameter, so it does not read --case")
         if args.r is None:
             raise DomainError("--r gives the base weight digits for example1")
         sigma = Weight(params, _parse_r(args.r, args.f), args.twist)
@@ -150,6 +152,8 @@ def cmd_filtration(args) -> int:
             "layers": [[str(w) for w in layer] for layer in ex.layers.layers],
         }
     else:
+        if args.j != 0:
+            raise DomainError(f"{args.which} has no slot, so it does not read --j")
         rho = _rho_from_args(args)
         vs = v1_s1_filtrations(rho)
         fl = vs.v1 if args.which == "v1" else vs.s1
@@ -174,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--r", type=str, default=None, help="comma-separated digit vector")
         sp.add_argument("--twist", type=int, default=0)
         sp.add_argument("--format", choices=["text", "json"], default="text")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", type=str, default=None)
 
     sp = sub.add_parser("diamond", help="weight set with subsets and delta orbit")
@@ -188,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a verification suite")
     common(sp, CASES)
     sp.add_argument("--suite", choices=sorted(SUITES), default="jh")
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("filtration", help="render an explicit filtration display")

@@ -269,56 +269,49 @@ def invariants(mod: ExplicitModule, kind: str = "I1") -> np.ndarray:
     return nullspace(gf, stacked)
 
 
+def _projector_sums(gf, A) -> np.ndarray:
+    """The q-1 sums S_e = sum_t g^(-et) A^t of a k x k matrix, stacked (q-1, k, k).
+
+    When A^(q-1) = I, as for a torus generator, -S_e is the projector onto
+    the g^e-eigenspace of A acting on rows (1/(q-1) = -1 in F_q), so S_e has
+    that eigenspace as its image.  The powers are built by doubling and the
+    sums are one product with the table g^(-et).
+    """
+    n, k = gf.q - 1, A.shape[0]
+    powers, step = gf.eye(k)[None], A
+    while len(powers) < n:
+        # [A^0 .. A^(L-1); A^L] A^L = [A^L .. A^(2L-1); A^(2L)]
+        both = gf.matmul(np.concatenate([powers, step[None]]).reshape(-1, k), step).reshape(-1, k, k)
+        powers, step = np.concatenate([powers, both[:-1]]), both[-1]
+    t = np.arange(n)
+    return gf.matmul(gf.exp_t[-np.outer(t, t) % n], powers[:n].reshape(n, k * k)).reshape(n, k, k)
+
+
 def h_eigen_split(mod: ExplicitModule, rows) -> list:
-    """Split an H-stable subspace into joint eigenspaces; returns (char, rows)."""
-    ctx = mod.ctx
+    """Split an H-stable subspace into joint eigenspaces; returns (char, rows)
+    in exponent order.  A row set that is not H-stable raises ValueError, one
+    that is not H-semisimple with eigenvalues in F_q AssertionError."""
     gf = mod.gf
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    if rows.shape[0] == 0:
+    n = gf.q - 1
+    sub = Subspace(gf, np.atleast_2d(np.asarray(rows, dtype=np.int64)))
+    if sub.dim == 0:
         return []
-    sub = Subspace(gf, rows)
-    B = sub.basis
+    B, k = sub.basis, sub.dim
     # row-convention action on coordinates
-    mats = [sub.express(gf.matmul(B, M.T)) for M in mod.gen_mats("H")]
-    k = sub.dim
+    A = np.hstack([sub.express(gf.matmul(B, M.T)) for M in mod.gen_mats("H")])
+    S1, S2 = _projector_sums(gf, A[:, :k]), _projector_sums(gf, A[:, k:])
     out = []
-    for e1 in range(gf.q - 1):
-        val1 = int(gf.exp_t[e1])
-        A1 = gf.sub(mats[0], gf.scale(val1, gf.eye(k)))
-        ker1 = nullspace(gf, A1.T)
-        if ker1.shape[0] == 0:
-            continue
-        inner = Subspace(gf, ker1)
-        C = inner.basis
-        m2 = inner.express(gf.matmul(C, mats[1]))
-        for e2 in range(gf.q - 1):
-            val2 = int(gf.exp_t[e2])
-            A2 = gf.sub(m2, gf.scale(val2, gf.eye(inner.dim)))
-            ker2 = nullspace(gf, A2.T)
-            if ker2.shape[0] == 0:
-                continue
-            vecs = gf.matmul(gf.matmul(ker2, C), B)
-            out.append((ICharacter(ctx.params, e1, e2), vecs))
-    total = sum(v.shape[0] for _, v in out)
-    if total != k:
+    for e1 in np.flatnonzero(S1.reshape(n, -1).any(axis=1)):
+        # the two projectors commute, so S1[e1] S2[e2] has the joint eigenspace as its image
+        joint = gf.matmul(S1[e1], np.hstack(S2)).reshape(k, n, k).transpose(1, 0, 2)
+        for e2 in np.flatnonzero(joint.reshape(n, -1).any(axis=1)):
+            V = Subspace(gf, joint[e2]).basis
+            if not (gf.matmul(V, A) == np.hstack([gf.scale(gf.exp_t[e], V) for e in (e1, e2)])).all():
+                raise AssertionError("subspace is not H-semisimple with eigenvalues in F_q")
+            out.append((ICharacter(mod.ctx.params, int(e1), int(e2)), gf.matmul(V, B)))
+    if sum(v.shape[0] for _, v in out) != k:
         raise AssertionError("subspace is not H-semisimple with eigenvalues in F_q")
     return out
-
-
-def eigen_char_of_vector(mod: ExplicitModule, vec) -> ICharacter:
-    gf = mod.gf
-    vec = np.asarray(vec, dtype=np.int64)
-    exps = []
-    for M in mod.gen_mats("H"):
-        img = gf.matvec(M, vec)
-        nz = np.nonzero(vec)[0][0]
-        if not vec[nz]:
-            raise ValueError("zero vector")
-        lam = gf.mul_t[img[nz], gf.inv_t[vec[nz]]]
-        if not (img == gf.scale(int(lam), vec)).all():
-            raise ValueError("vector is not an eigenvector of the torus")
-        exps.append(int(gf.log_t[lam]))
-    return ICharacter(mod.ctx.params, exps[0], exps[1])
 
 
 @lru_cache(maxsize=None)
@@ -362,12 +355,9 @@ def hom_from_weight(mod: ExplicitModule, sigma: Weight, eig_rows=None):
     ctx = mod.ctx
     gf = mod.gf
     if eig_rows is None:
-        inv = invariants(mod, "I1")
-        chi = chi_of_weight(sigma)
-        eig_rows = np.zeros((0, mod.dim), dtype=np.int64)
-        for ch, rows in h_eigen_split(mod, inv):
-            if ch == chi:
-                eig_rows = rows
+        eig_rows = dict(h_eigen_split(mod, invariants(mod, "I1"))).get(chi_of_weight(sigma))
+        if eig_rows is None:
+            return []
     eig_rows = np.atleast_2d(np.asarray(eig_rows, dtype=np.int64))
     m = eig_rows.shape[0]
     if m == 0:

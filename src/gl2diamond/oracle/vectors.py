@@ -38,7 +38,6 @@ from .modules import (
     cosocle_weights,
     direct_sum,
     ej_module,
-    eigen_char_of_vector,
     h_eigen_split,
     i_socle_series_chars,
     induce,
@@ -330,7 +329,7 @@ def verify_S1_condition(mod: ExplicitModule, v) -> bool:
     rad = radical_subspace(mod, "I1")
     if rad.contains(v):
         raise DomainError("vector lies in the radical")
-    chi_v = eigen_char_of_vector(mod, v)
+    [(chi_v, _)] = h_eigen_split(mod, v)
     span_v = spin(gf, mod.gen_mats("I"), v)
     r_plus_v = restricted_loewy(sub_module(mod, span_v), "U+")
     r_minus = restricted_loewy(mod, "U-")
@@ -386,7 +385,7 @@ def verify_ind_ej(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     rep.add("span dimension", span0.dim == weight_dim(target), weight_dim(target), span0.dim)
     sm = sub_module(mod, span0)
     inv = invariants(sm, "I1")
-    ok = inv.shape[0] == 1 and eigen_char_of_vector(sm, inv[0]) == chi_of_weight(target)
+    ok = inv.shape[0] == 1 and h_eigen_split(sm, inv)[0][0] == chi_of_weight(target)
     rep.add("span is the predicted weight", ok, str(target))
     spanq = spin(gf, mod.gen_mats("K"), Rq)
     rep.add("top sum generates everything", spanq.dim == mod.dim, mod.dim, spanq.dim)

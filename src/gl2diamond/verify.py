@@ -324,13 +324,13 @@ def suite_s1s2(config: RunConfig) -> list:
         for s in (1, 2, min(3, params.p - 1))
     ]
 
-    if params.f >= 2:
+    if params.f == 2:
         try:
-            rho = GaloisParams(params, config.reducible, w.r, config.twist)
+            rho = GaloisParams(params, False, w.r, config.twist)
             ok_gen = is_generic(rho)
         except DomainError:
             ok_gen = False
-        if ok_gen and params.f == 2 and not rho.reducible:
+        if ok_gen:
             tab = f2_tables(rho)
             s1w, s2w = tab.sigmas[0], tab.sigmas[1]
             chi2 = chi_of_weight(s2w)
@@ -339,12 +339,9 @@ def suite_s1s2(config: RunConfig) -> list:
             reports.append(verify_e_two_char(ctx, chi2, chi1s, 1, r0))
             mod = e_two_char_module(ctx, chi2, chi1s, 1, r0)
             chi3 = char_times_alpha_power(chi2, 0, -r0)
-            v = None
-            for ch, rows in h_eigen_split(mod, np.eye(mod.dim, dtype=np.int64)):
-                if ch == chi3:
-                    v = rows[0]
+            rows = dict(h_eigen_split(mod, np.eye(mod.dim, dtype=np.int64))).get(chi3)
             rep = CheckReport("s1", str(rho))
-            rep.add("generator-condition", v is not None and verify_S1_condition(mod, v))
+            rep.add("generator-condition", rows is not None and verify_S1_condition(mod, rows[0]))
             reports.append(rep)
     return reports
 
@@ -369,7 +366,7 @@ SUITES = {
     "combination": Suite(suite_combination, {"case": None, "r": None, "twist": None}),
     "f2": Suite(suite_f2, {"twist": None}),
     "special": Suite(suite_special, {"r": None, "twist": None}),
-    "s1s2": Suite(suite_s1s2, {"case": None, "r": None, "twist": None}),
+    "s1s2": Suite(suite_s1s2, {"r": None, "twist": None}),
     "counts": Suite(suite_counts, {"case": None, "twist": None}),
     "dimension": Suite(suite_dimension, {}),
 }
@@ -391,8 +388,8 @@ def run_suite(config: RunConfig) -> list:
         need = suite.reads[name]
         if need is not None and need not in given:
             raise DomainError(f"suite {config.suite} reads --{name} only together with --{need}")
-    if config.case == "all-generic" and (config.r is not None or config.suite == "s1s2"):
-        raise DomainError("--case all-generic names no single parameter, so it takes neither --r nor s1s2")
+    if config.case == "all-generic" and config.r is not None:
+        raise DomainError("--case all-generic names no single parameter, so it takes no --r")
     checks = [
         {"anchor": f"{rep.anchor}.{c['name']}", "instance": rep.instance,
          "expected": c["expected"], "got": c["got"], "status": c["status"]}

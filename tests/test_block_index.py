@@ -4,7 +4,8 @@
 parameter, `d0_factors` walks a cached list of compatible mu-tuples and
 `jh_of_induced` is cached per character.  Each is compared here with the
 direct computation it replaced, over random generic parameters with f <= 5
-and a few at f = 6.
+and a few at f = 6.  Every clause of the couple comparisons is checked over
+random generic parameters with 2 <= f <= 4.
 """
 
 import pytest
@@ -23,6 +24,7 @@ from gl2diamond.diamond import (
     diamond_set,
     is_generic,
     lifting_factors,
+    verify_combination,
 )
 from gl2diamond.principal import jh_of_induced
 from gl2diamond.tuples import (
@@ -38,9 +40,9 @@ from gl2diamond.tuples import (
 
 
 @st.composite
-def generic_parameters(draw, max_f=5):
+def generic_parameters(draw, min_f=1, max_f=5):
     p = draw(st.sampled_from([5, 7, 11, 13]))
-    f = draw(st.integers(1, max_f))
+    f = draw(st.integers(min_f, max_f))
     reducible = draw(st.booleans())
     rest = [draw(st.integers(0, p - 3)) for _ in range(f - 1)]
     # (p-2,) is excluded, so an irreducible r_0 = p-2 needs f > 1
@@ -97,6 +99,15 @@ def check_index(rho, stride=1):
 @given(generic_parameters())
 def test_block_index_matches_brute_force(rho):
     check_index(rho)
+
+
+@settings(max_examples=30, deadline=None)
+@given(generic_parameters(min_f=2, max_f=4))
+def test_every_couple_clause_passes(rho):
+    for sigma in diamond_set(rho):
+        for j in range(rho.params.f):
+            failed = [cl for cl in verify_combination(rho, sigma, j).clauses if not cl.passed]
+            assert not failed, (str(sigma.weight), j, failed)
 
 
 @pytest.mark.parametrize(

@@ -84,8 +84,9 @@ IGNORED_FLAGS = (
         "jh", "witt", "uplus", "indej", "womega", "combination", "f2", "special", "s1s2", "counts", "dimension",
     )]
     + [(suite, "--case", "reducible") for suite in (
-        "jh", "indej", "womega", "witt", "uplus", "calculH", "f2", "special", "dimension",
+        "jh", "indej", "womega", "witt", "uplus", "calculH", "f2", "special", "s1s2", "dimension",
     )]
+    + [("s1s2", "--case", "all-generic")]
     + [(suite, "--r", "2,1") for suite in ("f2", "counts", "dimension")]
     + [("dimension", "--twist", "1")]
 )
@@ -96,6 +97,28 @@ def test_verify_refuses_a_flag_the_suite_ignores(suite, flag, value, capsys):
     assert main(["verify", "--suite", suite, "--p", "5", "--f", "2", flag, value]) == 2
     err = capsys.readouterr().err
     assert f"suite {suite} does not read {flag}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["diamond", "--p", "5", "--f", "2", "--r", "2,1", "--seed", "7"],
+    ["d0", "--p", "5", "--f", "2", "--r", "2,1", "--seed", "7"],
+    ["filtration", "example1", "--p", "7", "--f", "3", "--r", "2,2,2", "--seed", "3"],
+])
+def test_seed_is_a_verify_flag_only(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["filtration", "v1", "--p", "7", "--f", "2", "--r", "2,1", "--j", "1"], "--j"),
+    (["filtration", "s1", "--p", "7", "--f", "2", "--r", "2,1", "--j", "1"], "--j"),
+    (["filtration", "example1", "--p", "7", "--f", "3", "--r", "2,2,2", "--case", "reducible"], "--case"),
+])
+def test_filtration_refuses_a_flag_it_ignores(argv, flag, capsys):
+    assert main(argv) == 2
+    assert f"does not read {flag}" in capsys.readouterr().err
 
 
 def test_verify_counts_suite(capsys):
@@ -122,8 +145,6 @@ def test_verify_sweeps_the_parameters_of_each_case(suite, case, kinds, capsys):
     "args",
     [
         ["--suite", "combination", "--r", "2,1"],
-        ["--suite", "s1s2"],
-        ["--suite", "s1s2", "--r", "2,1"],
     ],
 )
 def test_verify_all_generic_names_no_single_parameter(args, capsys):

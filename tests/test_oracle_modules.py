@@ -24,7 +24,6 @@ from gl2diamond.oracle.modules import (
     direct_sum,
     dual_module,
     ej_module,
-    eigen_char_of_vector,
     h_eigen_split,
     hom_from_weight,
     i_socle_series_chars,
@@ -195,7 +194,8 @@ def test_weight_invariants_char(ctx52):
         W = weight_module(ctx, sigma)
         inv = invariants(W, "I1")
         assert inv.shape[0] == 1
-        assert eigen_char_of_vector(W, inv[0]) == chi_of_weight(sigma)
+        [(chi, _)] = h_eigen_split(W, inv[0])
+        assert chi == chi_of_weight(sigma)
 
 
 def test_ej_module_structure(ctx52):
@@ -348,7 +348,7 @@ def test_pi_twist_involution_and_character(ctx52):
         assert (EE.evaluate(g) == E.evaluate(g)).all()
     # the twist of a character is its conjugate
     C = pi_twist(character_module(ctx, chi))
-    assert eigen_char_of_vector(C, np.array([1])) == conjugate_char(chi)
+    assert [chi for chi, _ in h_eigen_split(C, np.array([1]))] == [conjugate_char(chi)]
 
 
 def test_twisted_induction_socle(ctx52):
@@ -473,3 +473,88 @@ def test_check_module_catches_a_stack_that_disagrees(ctx51):
     check_module(C, np.random.default_rng(2), samples=4)
     with pytest.raises(AssertionError, match="stacked"):
         check_module(bad, np.random.default_rng(2), samples=4)
+
+
+# -- torus eigenspaces ---------------------------------------------------------
+
+
+def _h_eigen_split_by_nullspaces(mod, rows):
+    """The per-eigenvalue scan the projector split replaced: one nullspace of
+    A1 - g^e1 for every e1, then of A2 - g^e2 inside each eigenspace found."""
+    from gl2diamond.core import ICharacter
+    from gl2diamond.oracle.gf import nullspace
+
+    gf = mod.gf
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    if rows.shape[0] == 0:
+        return []
+    sub = Subspace(gf, rows)
+    B = sub.basis
+    mats = [sub.express(gf.matmul(B, M.T)) for M in mod.gen_mats("H")]
+    out = []
+    for e1 in range(gf.q - 1):
+        ker1 = nullspace(gf, gf.sub(mats[0], gf.scale(int(gf.exp_t[e1]), gf.eye(sub.dim))).T)
+        if ker1.shape[0] == 0:
+            continue
+        inner = Subspace(gf, ker1)
+        C = inner.basis
+        m2 = inner.express(gf.matmul(C, mats[1]))
+        for e2 in range(gf.q - 1):
+            ker2 = nullspace(gf, gf.sub(m2, gf.scale(int(gf.exp_t[e2]), gf.eye(inner.dim))).T)
+            if ker2.shape[0]:
+                out.append((ICharacter(mod.ctx.params, e1, e2), gf.matmul(gf.matmul(ker2, C), B)))
+    if sum(v.shape[0] for _, v in out) != sub.dim:
+        raise AssertionError("subspace is not H-semisimple with eigenvalues in F_q")
+    return out
+
+
+def _split_inputs(ctx, chi, j, s):
+    """(module, rows): the I1-invariants of two inductions and of their
+    quotients by the socle, and the whole space of the Iwahori modules."""
+    from gl2diamond.core import char_times_alpha_power
+    from gl2diamond.oracle.modules import socle_data
+    from gl2diamond.oracle.vectors import e_two_char_module, ej_chain_module
+
+    out = []
+    for mod in (induce(character_module(ctx, chi)), induce(ej_module(ctx, chi, j))):
+        out.append((mod, invariants(mod, "I1")))
+        top = quotient_module(mod, socle_data(mod)[1])
+        if top.dim:
+            out.append((top, invariants(top, "I1")))
+    whole = [ej_module(ctx, chi, j), ej_chain_module(ctx, chi, j, s)[0]]
+    if ctx.params.f == 2:
+        # chi2 * alpha_j^(-1) = chi * alpha_(j-1)^(-(s+1)), the gluing condition
+        chi2 = char_times_alpha_power(char_times_alpha_power(chi, (j - 1) % 2, -(s + 1)), j, 1)
+        whole.append(e_two_char_module(ctx, chi, chi2, j, s + 1))
+    return out + [(mod, ctx.gf.eye(mod.dim)) for mod in whole]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3)]), st.integers(0, 2 ** 32 - 1))
+def test_h_eigen_split_matches_nullspace_scan(pf, seed):
+    p, f = pf
+    ctx = get_context(Params(p, f))
+    rng = np.random.default_rng(seed)
+    chi = chi_of_weight(Weight(ctx.params, tuple(int(x) for x in rng.integers(0, p, f)), int(rng.integers(0, ctx.gf.q - 1))))
+    j, s = int(rng.integers(0, f)), int(rng.integers(0, p - 1))
+    for mod, rows in _split_inputs(ctx, chi, j, s):
+        got, want = h_eigen_split(mod, rows), _h_eigen_split_by_nullspaces(mod, rows)
+        assert [ch for ch, _ in got] == [ch for ch, _ in want], mod
+        for (_, g), (_, w) in zip(got, want):
+            assert (Subspace(ctx.gf, g).basis == Subspace(ctx.gf, w).basis).all(), mod
+
+
+def test_h_eigen_split_of_a_non_eigenvector_raises(ctx52):
+    E = ej_module(ctx52, chi_of_weight(Weight(ctx52.params, (2, 1), 0)), 0)
+    assert len(h_eigen_split(E, np.array([1, 0]))) == 1
+    with pytest.raises(ValueError):
+        h_eigen_split(E, np.array([1, 1]))
+
+
+def test_h_eigen_split_of_a_unipotent_torus_raises(ctx52):
+    from gl2diamond.oracle.modules import ExplicitModule
+
+    unipotent = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    mod = ExplicitModule(ctx52, 2, "I", "K1", "unipotent", derive=lambda: [unipotent] * len(ctx52.gens("I")))
+    with pytest.raises(AssertionError, match="H-semisimple"):
+        h_eigen_split(mod, np.eye(2, dtype=np.int64))
