@@ -384,7 +384,9 @@ def run_suite(config: RunConfig) -> list:
     given = config.set_fields()
     for name in given:
         if name not in suite.reads:
-            raise DomainError(f"suite {config.suite} does not read --{name}")
+            value = getattr(config, name)
+            shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
+            raise DomainError(f"suite {config.suite} does not read --{name} (given {shown})")
         need = suite.reads[name]
         if need is not None and need not in given:
             raise DomainError(f"suite {config.suite} reads --{name} only together with --{need}")

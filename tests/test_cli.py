@@ -145,6 +145,8 @@ def test_verify_sweeps_the_parameters_of_each_case(suite, case, kinds, capsys):
     "args",
     [
         ["--suite", "combination", "--r", "2,1"],
+        ["--suite", "s1s2"],
+        ["--suite", "s1s2", "--r", "2,1"],
     ],
 )
 def test_verify_all_generic_names_no_single_parameter(args, capsys):
