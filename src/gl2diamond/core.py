@@ -181,11 +181,16 @@ def weights_of_char(chi: ICharacter) -> set:
     return out
 
 
+def require_slot(params: Params, j: int) -> None:
+    """Refuse a slot index j outside [0, f-1]."""
+    if not 0 <= j <= params.f - 1:
+        raise DomainError(f"j={j} out of range [0, f-1] = [0, {params.f - 1}]")
+
+
 def char_times_alpha_power(chi: ICharacter, j: int, k: int) -> ICharacter:
     """chi * alpha^(k p^j); cyclic in j."""
     par = chi.params
-    if not 0 <= j <= par.f - 1:
-        raise DomainError(f"j={j} out of range [0, f-1]")
+    require_slot(par, j)
     step = k * par.p ** j
     return ICharacter(par, chi.a + step, chi.b - step)
 

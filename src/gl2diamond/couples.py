@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DomainError, Weight
+from .core import DomainError, Weight, require_slot
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ def plus_one_partner(sigma: Weight, j: int) -> Weight:
     par = sigma.params
     if par.f < 2:
         raise DomainError("couples need f >= 2")
+    require_slot(par, j)
     jm1 = (j - 1) % par.f
     r = list(sigma.r)
     if r[jm1] > par.p - 2 or r[j] > par.p - 2:
@@ -44,6 +45,7 @@ def minus_one_partner(sigma: Weight, j: int) -> Weight:
     par = sigma.params
     if par.f < 2:
         raise DomainError("couples need f >= 2")
+    require_slot(par, j)
     jm1 = (j - 1) % par.f
     r = list(sigma.r)
     if r[jm1] > par.p - 2 or r[j] < 1:

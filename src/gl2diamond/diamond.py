@@ -26,7 +26,6 @@ from .tuples import (
     P2MX,
     P3MX,
     Sym,
-    S_of_lambda,
     S_of_mu,
     compatible_Imu,
     compose_tuples,
@@ -150,7 +149,7 @@ def diamond_set(rho: GaloisParams) -> tuple:
         if not in_weight_range(vals, par.p):
             raise AssertionError(f"generic parameter dropped a tuple: {lam} at {rho.r}")
         tw = e_of_lambda(lam, rho.r, par.p) + rho.twist
-        out.append(DiamondWeight(Weight(par, vals, tw), lam, S_of_lambda(lam, rho.reducible)))
+        out.append(DiamondWeight(Weight(par, vals, tw), lam, S_of_mu(lam)))
     if len({dw.S for dw in out}) != len(out):
         raise AssertionError("subset identification failed to separate the weight set")
     out.sort(key=lambda dw: sum(1 << i for i in dw.S))

@@ -26,6 +26,7 @@ from .core import (
     char_times_alpha_power,
     chi_of_weight,
     conjugate_char,
+    require_slot,
     sigma_s,
     weight_dim,
 )
@@ -181,6 +182,7 @@ def example1_filtration(sigma: Weight, j: int) -> Example1Filtration:
     f = par.f
     if f < 2:
         raise DomainError("the display needs f >= 2")
+    require_slot(par, j)
     jm1, jm2 = (j - 1) % f, (j - 2) % f
     r_pivot = sigma.r[jm1]
     if sigma.r[jm2] == par.p - 1:

@@ -117,6 +117,21 @@ def _is_irreducible(coeffs, f, p):
     return True
 
 
+def reduced_powers(poly, modulus: int, count: int) -> list:
+    """x^0 .. x^(count-1) modulo the monic x^f + sum poly_i x^i, as rows of f
+    coefficients mod ``modulus`` (p for F_q, p^2 for the Galois ring)."""
+    f = len(poly)
+    top = [(-c) % modulus for c in poly]
+    rows = []
+    row = [1] + [0] * (f - 1)
+    for _ in range(count):
+        rows.append(row)
+        carry = row[f - 1]
+        row = [0] + row[: f - 1]
+        row = [(row[j] + carry * top[j]) % modulus for j in range(f)]
+    return rows
+
+
 def _defining_poly(p, f):
     for e in range(p ** f):
         coeffs = [(e // p ** i) % p for i in range(f)]
@@ -150,15 +165,7 @@ class GF:
         self.neg_t = self.encode((-d) % p)
 
         # reduction of x^(f+k), k = 0..f-2, in the monomial basis
-        top = [(-c) % p for c in self.poly]
-        red = []
-        row = list(top)
-        for _ in range(max(f - 1, 0)):
-            red.append(list(row))
-            carry = row[f - 1]
-            row = [0] + row[: f - 1]
-            row = [(row[j] + carry * top[j]) % p for j in range(f)]
-        self._red = np.array(red, dtype=np.int64).reshape(max(f - 1, 0), f)
+        self._red = np.array(reduced_powers(self.poly, p, 2 * f - 1)[f:], dtype=np.int64).reshape(f - 1, f)
 
         conv = np.zeros((q, q, 2 * f - 1), dtype=np.int64)
         for i in range(f):
@@ -258,9 +265,6 @@ class GF:
 
     def matvec(self, A, v):
         return self.matmul(A, np.asarray(v, dtype=np.int64).reshape(-1, 1)).ravel()
-
-    def scale(self, c, arr):
-        return self.mul_t[c, arr]
 
     def eye(self, n):
         return np.eye(n, dtype=np.int64)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import GF, get_gf
+from .gf import GF, get_gf, reduced_powers
 
 
 class GR:
@@ -28,15 +28,8 @@ class GR:
         self.q = gf.q
 
         # _prod[i*f + j] holds x^(i+j) reduced mod the lifted monic polynomial
-        f, p2 = self.f, self.p2
-        top = [(-c) % p2 for c in gf.poly]
-        xpow = []
-        row = [1] + [0] * (f - 1)
-        for _ in range(2 * f - 1):
-            xpow.append(row)
-            carry = row[f - 1]
-            row = [0] + row[: f - 1]
-            row = [(row[j] + carry * top[j]) % p2 for j in range(f)]
+        f = self.f
+        xpow = reduced_powers(gf.poly, self.p2, 2 * f - 1)
         self._prod = np.array([xpow[i + j] for i in range(f) for j in range(f)], dtype=np.int64)
 
         # Teichmueller representatives for every residue-field element

@@ -306,7 +306,7 @@ def h_eigen_split(mod: ExplicitModule, rows) -> list:
         joint = gf.matmul(S1[e1], np.hstack(S2)).reshape(k, n, k).transpose(1, 0, 2)
         for e2 in np.flatnonzero(joint.reshape(n, -1).any(axis=1)):
             V = Subspace(gf, joint[e2]).basis
-            if not (gf.matmul(V, A) == np.hstack([gf.scale(gf.exp_t[e], V) for e in (e1, e2)])).all():
+            if not (gf.matmul(V, A) == np.hstack([gf.mul(gf.exp_t[e], V) for e in (e1, e2)])).all():
                 raise AssertionError("subspace is not H-semisimple with eigenvalues in F_q")
             out.append((ICharacter(mod.ctx.params, int(e1), int(e2)), gf.matmul(V, B)))
     if sum(v.shape[0] for _, v in out) != k:

@@ -162,7 +162,7 @@ def verify_witt(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
         chf = char_times_alpha_power(chi, 0, -k)
         for vec, ch, tag in ((F_k, chF, "F"), (f_k, chf, "f")):
             good = all(
-                (gf.matvec(hm, vec) == gf.scale(ctx.char_value(ch, g), vec)).all()
+                (gf.matvec(hm, vec) == gf.mul(ctx.char_value(ch, g), vec)).all()
                 for hm, g in zip(hmats, ctx.gens("H"))
             )
             rep.add(f"eigenchar-{tag} k={k}", good)
@@ -176,9 +176,9 @@ def verify_calcul_H(ctx: GroupContext, chi: ICharacter, j: int, a_coeffs: dict, 
     rep = CheckReport("calcul-H", f"chi=({chi.a},{chi.b}),j={j},a={a_coeffs},b={b_coeffs}")
     vec = np.zeros(bundle.W.dim, dtype=np.int64)
     for k, c in a_coeffs.items():
-        vec = gf.add(vec, gf.scale(c % gf.p, bundle.F_vec(k)))
+        vec = gf.add(vec, gf.mul(c % gf.p, bundle.F_vec(k)))
     for k, c in b_coeffs.items():
-        vec = gf.add(vec, gf.scale(c % gf.p, bundle.f_vec(k)))
+        vec = gf.add(vec, gf.mul(c % gf.p, bundle.f_vec(k)))
     span = spin(gf, bundle.W.gen_mats("I"), vec)
     for k, c in a_coeffs.items():
         if c % gf.p:
@@ -375,7 +375,7 @@ def verify_ind_ej(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     gen0 = R0
     if psi == conjugate_char(chi):
         corr = identity_coset_vector(ctx, 2, np.array([1, 0]))
-        gen0 = gf.add(R0, gf.scale(int(gf.neg_t[minus_one_to(t, gf)]), corr))
+        gen0 = gf.add(R0, gf.mul(int(gf.neg_t[minus_one_to(t, gf)]), corr))
     span0 = spin(gf, mod.gen_mats("K"), gen0)
     target = Weight(
         par,

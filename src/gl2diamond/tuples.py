@@ -4,15 +4,20 @@ Four families of f-tuples of affine symbols show up everywhere:
 
 * P   : indexes the factors of a principal series induced from the Iwahori;
 * RD  : indexes the weight set of a reducible split generic parameter;
-* ID  : same for an irreducible parameter (index 0 has its own alphabet);
+* ID  : same for an irreducible parameter;
 * IMU : the "mu" family indexing the factors of one block of the maximal
         multiplicity-free representation attached to the weight set.
 
 A symbol is an expression  x + c  or  (p + c) - x  with a small constant c,
 encoded p-independently as Sym(sign, c).  Tuples are stored symbolically and
 evaluated later at a digit vector, so one enumeration serves all parameters.
-Each family carries cyclic adjacency rules; enumeration order is
-lexicographic in the per-family alphabet and is part of the interface.
+
+A family is its per-slot alphabets (P_ALPHABET^f, RD_ALPHABET^f,
+P_ALPHABET x RD_ALPHABET^(f-1), MU_ALPHABET^f) under one cyclic successor
+rule: the symbol after one with positive x-coefficient lies in STAY = (x,
+p-2-x), the symbol after a negative one lies outside it.  Slot f-1 is
+followed by slot 0, so at f = 1 a symbol follows itself.  Enumeration order
+is lexicographic in the per-slot alphabets and is part of the interface.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ class Sym:
 X = Sym(1, 0)
 XM1 = Sym(1, -1)
 XP1 = Sym(1, 1)
-XP2 = Sym(1, 2)
 P1MX = Sym(-1, -1)
 P2MX = Sym(-1, -2)
 P3MX = Sym(-1, -3)
@@ -57,134 +61,83 @@ P3MX = Sym(-1, -3)
 # Alphabets, in enumeration order.
 P_ALPHABET = (X, XM1, P2MX, P1MX)
 RD_ALPHABET = (X, XP1, P2MX, P3MX)
-ID0_ALPHABET = (X, XM1, P2MX, P1MX)
-MU_ALPHABET = (Sym(1, 0), Sym(1, -1), Sym(1, 1), P2MX, P3MX, P1MX)
+MU_ALPHABET = (X, XM1, XP1, P2MX, P3MX, P1MX)
 
-# For f = 1 the families are given by explicit short lists.
-P_F1 = (X, P1MX)
-RD_F1 = (X, P3MX)
-ID_F1 = (X, P1MX)
-MU_F1 = (Sym(1, 0), P1MX, P3MX)
+# The symbols that keep the variable's role; the successor rule and the
+# subset of a tuple are both read off membership here.
+STAY = (X, P2MX)
 
-
-def _pos(sym: Sym) -> bool:
-    return sym.sign > 0
-
-
-def _adjacent_P(a: Sym, b: Sym) -> bool:
-    # a at index i, b at index i+1 (cyclically)
-    return b in ((X, P2MX) if _pos(a) else (P1MX, XM1))
+# family -> (alphabet of slot 0, alphabet of every other slot)
+FAMILIES = {
+    "P": (P_ALPHABET, P_ALPHABET),
+    "RD": (RD_ALPHABET, RD_ALPHABET),
+    "ID": (P_ALPHABET, RD_ALPHABET),
+    "IMU": (MU_ALPHABET, MU_ALPHABET),
+}
 
 
-def _adjacent_RD(a: Sym, b: Sym) -> bool:
-    return b in ((X, P2MX) if _pos(a) else (P3MX, XP1))
+def follows(a: Sym, b: Sym) -> bool:
+    """The successor rule of every family: b may sit in the slot after a."""
+    return (b in STAY) == (a.sign > 0)
 
 
-def _adjacent_ID(a: Sym, b: Sym, i: int, f: int) -> bool:
-    # a at index i constrains b at index i+1; index 0 uses the shifted alphabet
-    if i == f - 1:  # constrains index 0
-        return b in ((X, P2MX) if _pos(a) else (P1MX, XM1))
-    return b in ((X, P2MX) if _pos(a) else (P3MX, XP1))
+def family_alphabets(family: str, f: int) -> tuple:
+    """The per-slot alphabets of a family's f-tuples."""
+    if f < 1:
+        raise DomainError("f must be >= 1")
+    first, rest = FAMILIES[family]
+    return (first,) + (rest,) * (f - 1)
 
 
-def _adjacent_MU(a: Sym, b: Sym) -> bool:
-    if _pos(a):
-        return b in (Sym(1, 0), P2MX)
-    return b in (Sym(1, -1), Sym(1, 1), P3MX, P1MX)
-
-
-def is_valid_P(tpl: tuple) -> bool:
+def is_valid(tpl: tuple, alphabets) -> bool:
+    """Whether tpl draws each slot from its alphabet and obeys the cyclic rule."""
     f = len(tpl)
-    if f == 1:
-        return tpl[0] in P_F1
-    return all(s in P_ALPHABET for s in tpl) and all(
-        _adjacent_P(tpl[i], tpl[(i + 1) % f]) for i in range(f)
+    return (
+        f == len(alphabets)
+        and all(s in alpha for s, alpha in zip(tpl, alphabets))
+        and all(follows(tpl[i], tpl[(i + 1) % f]) for i in range(f))
     )
 
 
-def is_valid_RD(tpl: tuple) -> bool:
-    f = len(tpl)
-    if f == 1:
-        return tpl[0] in RD_F1
-    return all(s in RD_ALPHABET for s in tpl) and all(
-        _adjacent_RD(tpl[i], tpl[(i + 1) % f]) for i in range(f)
-    )
-
-
-def is_valid_ID(tpl: tuple) -> bool:
-    f = len(tpl)
-    if f == 1:
-        return tpl[0] in ID_F1
-    if tpl[0] not in ID0_ALPHABET or any(s not in RD_ALPHABET for s in tpl[1:]):
-        return False
-    return all(_adjacent_ID(tpl[i], tpl[(i + 1) % f], i, f) for i in range(f))
-
-
-def is_valid_MU(tpl: tuple) -> bool:
-    f = len(tpl)
-    if f == 1:
-        return tpl[0] in MU_F1
-    return all(s in MU_ALPHABET for s in tpl) and all(
-        _adjacent_MU(tpl[i], tpl[(i + 1) % f]) for i in range(f)
-    )
-
-
-def _enumerate(alphabets, adjacent) -> list:
-    """Depth-first enumeration with cyclic adjacency pruning."""
+def _enumerate(alphabets) -> tuple:
+    """Depth-first enumeration with cyclic successor pruning."""
     f = len(alphabets)
     out = []
 
     def extend(prefix):
         i = len(prefix)
         if i == f:
-            if adjacent(prefix[f - 1], prefix[0], f - 1):
+            if follows(prefix[-1], prefix[0]):
                 out.append(tuple(prefix))
             return
         for s in alphabets[i]:
-            if i == 0 or adjacent(prefix[i - 1], s, i - 1):
+            if i == 0 or follows(prefix[-1], s):
                 prefix.append(s)
                 extend(prefix)
                 prefix.pop()
 
     extend([])
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def enumerate_P(f: int) -> tuple:
-    if f < 1:
-        raise DomainError("f must be >= 1")
-    if f == 1:
-        return tuple((s,) for s in P_F1)
-    return tuple(_enumerate([P_ALPHABET] * f, lambda a, b, i: _adjacent_P(a, b)))
+    return _enumerate(family_alphabets("P", f))
 
 
 @lru_cache(maxsize=None)
 def enumerate_RD(f: int) -> tuple:
-    if f < 1:
-        raise DomainError("f must be >= 1")
-    if f == 1:
-        return tuple((s,) for s in RD_F1)
-    return tuple(_enumerate([RD_ALPHABET] * f, lambda a, b, i: _adjacent_RD(a, b)))
+    return _enumerate(family_alphabets("RD", f))
 
 
 @lru_cache(maxsize=None)
 def enumerate_ID(f: int) -> tuple:
-    if f < 1:
-        raise DomainError("f must be >= 1")
-    if f == 1:
-        return tuple((s,) for s in ID_F1)
-    alphabets = [ID0_ALPHABET] + [RD_ALPHABET] * (f - 1)
-    return tuple(_enumerate(alphabets, lambda a, b, i: _adjacent_ID(a, b, i, f)))
+    return _enumerate(family_alphabets("ID", f))
 
 
 @lru_cache(maxsize=None)
 def enumerate_Imu(f: int) -> tuple:
-    if f < 1:
-        raise DomainError("f must be >= 1")
-    if f == 1:
-        return tuple((s,) for s in MU_F1)
-    return tuple(_enumerate([MU_ALPHABET] * f, lambda a, b, i: _adjacent_MU(a, b)))
+    return _enumerate(family_alphabets("IMU", f))
 
 
 def eval_tuple(tpl: tuple, r, p: int) -> tuple:
@@ -228,25 +181,12 @@ def J_of_lambda(tpl: tuple) -> frozenset:
     return frozenset(i for i, s in enumerate(tpl) if s.sign < 0)
 
 
-def S_of_lambda(tpl: tuple, reducible: bool) -> frozenset:
-    """Subset of {0..f-1} identifying an RD- (resp. ID-) tuple."""
-    out = set()
-    for i, s in enumerate(tpl):
-        if i == 0 and not reducible:
-            hit = s in (P1MX, XM1)
-        else:
-            hit = s in (P3MX, XP1)
-        if hit:
-            out.add(i)
-    return frozenset(out)
-
-
 def lambda_of_S(S, f: int, reducible: bool) -> tuple:
-    """Inverse of S_of_lambda (the identification is a bijection onto subsets)."""
+    """Inverse of S_of_mu on RD- (resp. ID-) tuples, a bijection onto subsets."""
     fam = enumerate_RD(f) if reducible else enumerate_ID(f)
     S = frozenset(S)
     for tpl in fam:
-        if S_of_lambda(tpl, reducible) == S:
+        if S_of_mu(tpl) == S:
             return tpl
     raise DomainError(f"no tuple with subset {set(S)}")
 
@@ -287,9 +227,10 @@ def compatible_Imu(mu_base: tuple) -> tuple:
     return tuple(mu for mu in enumerate_Imu(len(mu_base)) if compatible(mu, mu_base))
 
 
-def S_of_mu(mu: tuple) -> frozenset:
-    """Indices where the entry moves the variable: y±1 or p-1-y or p-3-y."""
-    return frozenset(i for i, s in enumerate(mu) if s not in (Sym(1, 0), P2MX))
+def S_of_mu(tpl: tuple) -> frozenset:
+    """Slots outside STAY: the subset identifying an RD- or ID-tuple, and the
+    slots where a mu-tuple moves the variable (y±1, p-1-y or p-3-y)."""
+    return frozenset(i for i, s in enumerate(tpl) if s not in STAY)
 
 
 def delta_red(S, f: int) -> frozenset:

@@ -321,7 +321,7 @@ def suite_s1s2(config: RunConfig) -> list:
     reports = [
         verify_ej_chain(ctx, chi, j, s)
         for j in range(params.f)
-        for s in (1, 2, min(3, params.p - 1))
+        for s in range(1, min(3, params.p - 1) + 1)
     ]
 
     if params.f == 2:

@@ -121,6 +121,15 @@ def test_filtration_refuses_a_flag_it_ignores(argv, flag, capsys):
     assert f"does not read {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("j", ["5", "-1"])
+def test_example1_refuses_a_slot_out_of_range(j, capsys):
+    # j = 5 used to index past the digits, j = -1 to print a float twist
+    assert main(["filtration", "example1", "--p", "7", "--f", "3", "--r", "2,2,2", "--j", j]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"j={j} out of range" in captured.err
+
+
 def test_verify_counts_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "counts", "--p", "5", "--f", "1")
     assert code == 0

@@ -117,6 +117,16 @@ def test_ext_vanishing(par72):
     assert ext_vanishing(st, st) == UNKNOWN
 
 
+@pytest.mark.parametrize("j", [-1, 3])
+def test_slot_out_of_range_is_refused(j):
+    sigma = Weight(Params(7, 3), (2, 2, 2), 0)
+    for build in (plus_one_partner, minus_one_partner, example1_filtration):
+        with pytest.raises(DomainError, match=f"j={j} out of range"):
+            build(sigma, j)
+    with pytest.raises(DomainError, match=f"j={j} out of range"):
+        char_times_alpha_power(chi_of_weight(sigma), j, 1)
+
+
 def test_example1_layer_count_and_coincidences():
     par = Params(7, 3)
     sigma = Weight(par, (2, 2, 2), 0)

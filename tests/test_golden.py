@@ -31,6 +31,13 @@ COMMANDS = {
     "verify-counts-p5-f2-all-generic": ["verify", "--suite", "counts", "--p", "5", "--f", "2", "--case", "all-generic", "--format", "json"],
     "verify-dimension-p5-f2": ["verify", "--suite", "dimension", "--p", "5", "--f", "2", "--format", "json"],
     "d0-p7-f3-r2-1-3": ["d0", "--p", "7", "--f", "3", "--r", "2,1,3", "--format", "json"],
+    "d0-p5-f1-r1": ["d0", "--p", "5", "--f", "1", "--r", "1", "--format", "json"],
+    "d0-p7-f1-reducible-r2": ["d0", "--p", "7", "--f", "1", "--case", "reducible", "--r", "2", "--format", "json"],
+    "diamond-p7-f2-r2-1": ["diamond", "--p", "7", "--f", "2", "--r", "2,1", "--format", "json"],
+    "filtration-v1-p7-f2-r2-1": ["filtration", "v1", "--p", "7", "--f", "2", "--r", "2,1", "--format", "json"],
+    "filtration-example1-p7-f3-r2-2-2-j0": [
+        "filtration", "example1", "--p", "7", "--f", "3", "--r", "2,2,2", "--j", "0", "--format", "json",
+    ],
 }
 
 COMBINATION_P5_F3 = ["verify", "--suite", "combination", "--p", "5", "--f", "3", "--format", "json"]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl2diamond.core import DomainError
-from gl2diamond.oracle.gf import GF, Subspace, get_gf, inverse, nullspace, rref, spin
+from gl2diamond.oracle.gf import GF, Subspace, get_gf, inverse, nullspace, reduced_powers, rref, spin
 from gl2diamond.oracle.gr import get_gr
 
 
@@ -23,6 +23,17 @@ def test_field_axioms(p, f):
     x, y, z = rng.integers(0, q, (3, 300))
     assert (F.mul_t[x, F.add_t[y, z]] == F.add_t[F.mul_t[x, y], F.mul_t[x, z]]).all()
     assert (F.mul_t[F.mul_t[x, y], z] == F.mul_t[x, F.mul_t[y, z]]).all()
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 3), (5, 2), (7, 2), (5, 3)])
+def test_reduced_powers_are_the_powers_of_x(p, f):
+    F = get_gf(p, f)
+    n = 2 * f + 1
+    rows = reduced_powers(F.poly, p, n)
+    x = int(F.encode(rows[1]))
+    assert [int(F.encode(row)) for row in rows] == [F._pow_int(x, k) for k in range(n)]
+    # the Galois-ring rows lift the field rows
+    assert (np.array(reduced_powers(F.poly, p * p, n)) % p == np.array(rows)).all()
 
 
 @pytest.mark.parametrize("p,f", [(5, 2), (7, 2), (5, 3)])
@@ -107,12 +118,12 @@ def test_subspace_membership_and_coordinates():
     rng = np.random.default_rng(2)
     rows = rng.integers(0, F.q, (3, 8))
     sub = Subspace(F, rows)
-    combo = F.add(F.scale(7, rows[0]), F.scale(3, rows[2]))
+    combo = F.add(F.mul(7, rows[0]), F.mul(3, rows[2]))
     assert sub.contains(combo)
     coeffs = sub.express(combo)[0]
     back = np.zeros(8, dtype=np.int64)
     for c, b in zip(coeffs, sub.basis):
-        back = F.add(back, F.scale(int(c), b))
+        back = F.add(back, F.mul(int(c), b))
     assert (back == combo).all()
     outside = rng.integers(0, F.q, 8)
     if not sub.contains(outside):
@@ -235,7 +246,7 @@ class _RowEchelon:
         for i, c in enumerate(self.pivots):
             coeff = v[c]
             if coeff:
-                v = gf.sub(v, gf.scale(coeff, self.basis[i]))
+                v = gf.sub(v, gf.mul(coeff, self.basis[i]))
         return v
 
     def insert(self, v) -> bool:
@@ -245,7 +256,7 @@ class _RowEchelon:
         if nz.size == 0:
             return False
         c = int(nz[0])
-        v = gf.scale(int(gf.inv_t[v[c]]), v)
+        v = gf.mul(int(gf.inv_t[v[c]]), v)
         if self.basis.shape[0]:
             coeffs = self.basis[:, c].copy()
             hot = np.nonzero(coeffs)[0]

@@ -493,14 +493,14 @@ def _h_eigen_split_by_nullspaces(mod, rows):
     mats = [sub.express(gf.matmul(B, M.T)) for M in mod.gen_mats("H")]
     out = []
     for e1 in range(gf.q - 1):
-        ker1 = nullspace(gf, gf.sub(mats[0], gf.scale(int(gf.exp_t[e1]), gf.eye(sub.dim))).T)
+        ker1 = nullspace(gf, gf.sub(mats[0], gf.mul(int(gf.exp_t[e1]), gf.eye(sub.dim))).T)
         if ker1.shape[0] == 0:
             continue
         inner = Subspace(gf, ker1)
         C = inner.basis
         m2 = inner.express(gf.matmul(C, mats[1]))
         for e2 in range(gf.q - 1):
-            ker2 = nullspace(gf, gf.sub(m2, gf.scale(int(gf.exp_t[e2]), gf.eye(inner.dim))).T)
+            ker2 = nullspace(gf, gf.sub(m2, gf.mul(int(gf.exp_t[e2]), gf.eye(inner.dim))).T)
             if ker2.shape[0]:
                 out.append((ICharacter(mod.ctx.params, e1, e2), gf.matmul(gf.matmul(ker2, C), B)))
     if sum(v.shape[0] for _, v in out) != sub.dim:

@@ -1,11 +1,12 @@
+import hashlib
 import itertools
 
 import pytest
 
+from gl2diamond.core import DomainError
 from gl2diamond.tuples import (
-    ID0_ALPHABET,
+    FAMILIES,
     MU_ALPHABET,
-    P_ALPHABET,
     RD_ALPHABET,
     P1MX,
     P2MX,
@@ -15,7 +16,6 @@ from gl2diamond.tuples import (
     XM1,
     XP1,
     J_of_lambda,
-    S_of_lambda,
     S_of_mu,
     all_candidate_tuples,
     compatible,
@@ -28,10 +28,8 @@ from gl2diamond.tuples import (
     enumerate_P,
     enumerate_RD,
     eval_tuple,
-    is_valid_ID,
-    is_valid_MU,
-    is_valid_P,
-    is_valid_RD,
+    family_alphabets,
+    is_valid,
     lambda_of_S,
     mu_of_lambda,
 )
@@ -57,44 +55,47 @@ def test_enumeration_counts(f):
     assert len(enumerate_ID(f)) == 2 ** f
 
 
-@pytest.mark.parametrize("f", [1, 2, 3])
-def test_imu_counts_match_brute_force(f):
-    got = set(enumerate_Imu(f))
-    if f == 1:
-        assert len(got) == 3
-    else:
-        brute = {t for t in all_candidate_tuples(f, MU_ALPHABET) if is_valid_MU(t)}
-        assert got == brute
+ENUMERATE = {"P": enumerate_P, "RD": enumerate_RD, "ID": enumerate_ID, "IMU": enumerate_Imu}
+UNION = tuple(sorted({s for first, rest in FAMILIES.values() for s in first + rest}))
+
+
+@pytest.mark.parametrize("family,f", [(family, f) for family in FAMILIES for f in (1, 2, 3, 4)])
+def test_enumeration_equals_rule_filter(family, f):
+    alphabets = family_alphabets(family, f)
+    got = ENUMERATE[family](f)
+    brute = {t for t in all_candidate_tuples(f, UNION) if is_valid(t, alphabets)}
+    assert set(got) == brute
+    # lexicographic in the per-slot alphabets
+    assert got == tuple(t for t in itertools.product(*alphabets) if is_valid(t, alphabets))
     # the identity tuple is always there
-    assert (Sym(1, 0),) * f in got
+    assert (X,) * f in got
 
 
-@pytest.mark.parametrize(
-    "f,family,alphabet,valid",
-    [
-        (2, enumerate_P, P_ALPHABET, is_valid_P),
-        (3, enumerate_P, P_ALPHABET, is_valid_P),
-        (2, enumerate_RD, RD_ALPHABET, is_valid_RD),
-        (3, enumerate_RD, RD_ALPHABET, is_valid_RD),
-    ],
-)
-def test_enumeration_equals_rule_filter(f, family, alphabet, valid):
-    brute = {t for t in all_candidate_tuples(f, alphabet) if valid(t)}
-    assert set(family(f)) == brute
+# sha256 of "FAMILYf:label,...,label\n" over every tuple of the four families,
+# 2 <= f <= 6, in enumeration order: the order is part of the interface
+ENUMERATION_SHA256 = "350db162d4eeb4bccee4cfd83f3002fd4695d77f200fca89849172243bb4c0e5"
 
 
-@pytest.mark.parametrize("f", [2, 3, 4])
-def test_id_enumeration_equals_rule_filter(f):
-    alphabet = set(ID0_ALPHABET) | set(RD_ALPHABET)
-    brute = {t for t in all_candidate_tuples(f, tuple(alphabet)) if is_valid_ID(t)}
-    assert set(enumerate_ID(f)) == brute
+def test_enumeration_order_is_pinned():
+    h = hashlib.sha256()
+    for family in FAMILIES:
+        for f in range(2, 7):
+            for t in ENUMERATE[family](f):
+                h.update(f"{family}{f}:{','.join(s.label() for s in t)}\n".encode())
+    assert h.hexdigest() == ENUMERATION_SHA256
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_enumeration_needs_positive_f(family):
+    with pytest.raises(DomainError):
+        ENUMERATE[family](0)
 
 
 def test_family_f1_contents():
     assert enumerate_P(1) == ((X,), (P1MX,))
     assert enumerate_RD(1) == ((X,), (P3MX,))
     assert enumerate_ID(1) == ((X,), (P1MX,))
-    assert len(enumerate_Imu(1)) == 3
+    assert enumerate_Imu(1) == ((X,), (P3MX,), (P1MX,))
 
 
 def test_eval_tuple_and_filtering():
@@ -129,10 +130,10 @@ def test_J_and_S_subsets():
     for f in (1, 2, 3, 4):
         for reducible in (True, False):
             fam = enumerate_RD(f) if reducible else enumerate_ID(f)
-            subsets = {S_of_lambda(t, reducible) for t in fam}
+            subsets = {S_of_mu(t) for t in fam}
             assert len(subsets) == 2 ** f
             for t in fam:
-                assert lambda_of_S(S_of_lambda(t, reducible), f, reducible) == t
+                assert lambda_of_S(S_of_mu(t), f, reducible) == t
 
 
 def test_mu_of_lambda_rules():

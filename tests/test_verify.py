@@ -62,3 +62,11 @@ def test_report_schema_and_determinism():
     assert a == b
     required = {"anchor", "instance", "expected", "got", "status"}
     assert all(required == set(c) for c in a)
+
+
+def test_s1s2_runs_each_chain_length_once_at_p3():
+    # at p = 3 the chain lengths are 1 and p-1 = 2, so no (instance, anchor) repeats
+    checks = run_suite(RunConfig(p=3, f=1, suite="s1s2"))
+    assert all_pass(checks)
+    rows = {(c["instance"], c["anchor"]) for c in checks}
+    assert len(checks) == 6 and len(rows) == 6
