@@ -2,10 +2,16 @@
 
 Field elements are integers in [0, q) whose base-p digits are the polynomial
 coefficients (constant term first).  Arithmetic goes through lookup tables,
-so numpy gathers give exact vectorized operations; matrix products are
-float64 BLAS products of digit planes, exact while f k (p-1)^2 < 2^53 (k the
-inner dimension).  The defining polynomial is the monic irreducible of degree
-f with the smallest encoded coefficient vector, so every run is reproducible.
+so numpy gathers give exact vectorized operations.  A matrix product is one
+float64 BLAS product: digit j of sum_l a_l b_l is sum_(l,i) digit_j(x^i a_l)
+digit_i(b_l) mod p, so the left factor is gathered from the table ``xplanes``
+of the digits of x^i a and the right factor is the stack of the digit planes
+of B (``prepare``, which a caller may keep for a reused right operand).  Each
+entry of the float product sums f k terms of at most (p-1)^2, so the product
+is exact while f k (p-1)^2 < 2^53 (k the inner dimension); past that bound
+it is refused before anything is gathered.  The defining polynomial is the
+monic irreducible of degree f with the smallest encoded coefficient vector,
+so every run is reproducible.
 Echelon work (subspaces, nullspaces, inverses, spins) runs on the tables in
 one whole-matrix elimination, ``rref``.
 """
@@ -13,6 +19,7 @@ one whole-matrix elimination, ``rref``.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,6 +147,14 @@ def _defining_poly(p, f):
     raise RuntimeError("no irreducible polynomial found")
 
 
+class Prepared(NamedTuple):
+    """A k x n right operand of ``GF.matmul`` in the kernel's layout: ``planes``
+    is (k f, n) with row l f + i holding digit i of row l."""
+
+    planes: np.ndarray
+    shape: tuple
+
+
 class GF:
     """Tables for F_q with elements encoded as integers in [0, q)."""
 
@@ -158,14 +173,14 @@ class GF:
         self.dig = np.zeros((q, f), dtype=np.int64)
         for i in range(f):
             self.dig[:, i] = (np.arange(q) // p ** i) % p
-        self.planes = self.dig.T.astype(np.float64)
+        self.fdig = self.dig.astype(np.float64)
 
         d = self.dig
         self.add_t = self.encode((d[:, None, :] + d[None, :, :]) % p)
         self.neg_t = self.encode((-d) % p)
 
         # reduction of x^(f+k), k = 0..f-2, in the monomial basis
-        self._red = np.array(reduced_powers(self.poly, p, 2 * f - 1)[f:], dtype=np.int64).reshape(f - 1, f)
+        red = np.array(reduced_powers(self.poly, p, 2 * f - 1)[f:], dtype=np.int64).reshape(f - 1, f)
 
         conv = np.zeros((q, q, 2 * f - 1), dtype=np.int64)
         for i in range(f):
@@ -173,8 +188,11 @@ class GF:
                 conv[:, :, i + j] += d[:, i, None] * d[None, :, j]
         low = conv[:, :, :f] % p
         for k in range(f, 2 * f - 1):
-            low = (low + conv[:, :, k, None] * self._red[k - f][None, None, :]) % p
+            low = (low + conv[:, :, k, None] * red[k - f][None, None, :]) % p
         self.mul_t = self.encode(low)
+        # xplanes[j, e, i] = digit j of x^i e (x^i is encoded p^i); a gather
+        # along e lands the left factor of ``matmul`` ready for BLAS
+        self.xplanes = np.ascontiguousarray(self.dig[self.mul_t[:, self.pows]].transpose(2, 0, 1), dtype=np.float64)
 
         # multiplicative structure: discrete logs w.r.t. the smallest generator
         self.gen = self._find_generator()
@@ -238,33 +256,32 @@ class GF:
     def mul(self, a, b):
         return self.mul_t[a, b]
 
-    def matmul(self, A, B):
-        """A @ B: float64 BLAS products of digit planes A_i @ B_j summed in slots
-        i + j, reduced mod p once, slots f..2f-2 folded with ``_red``.  Partial
-        sums are integers in [0, f k (p-1)^2], exact in any order below 2^53."""
-        A = np.asarray(A, dtype=np.int64)
+    def prepare(self, B) -> Prepared:
+        """The right factor of ``matmul`` for B (k x n), for a caller that
+        multiplies by the same B more than once.  Refuses an inner dimension
+        k past the exactness bound before gathering anything."""
         B = np.asarray(B, dtype=np.int64)
-        m, k = A.shape
-        k2, n = B.shape
-        if k != k2:
-            raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
+        k, n = B.shape
         p, f = self.p, self.f
         if f * k * (p - 1) ** 2 >= 2 ** 53:
             raise DomainError(f"an F_q product of inner dimension {k} over q = {p}^{f} is inexact in float64")
-        if 0 in (m, k, n):
-            return np.zeros((m, n), dtype=np.int64)
-        Ap, Bp = self.planes[:, A], self.planes[:, B]
-        conv = np.zeros((2 * f - 1, m, n))
-        for i, j in np.ndindex(f, f):
-            conv[i + j] += Ap[i] @ Bp[j]
-        slots = conv.astype(np.int64) % p
-        low = slots[:f]
-        for s in range(f, 2 * f - 1):
-            low += slots[s] * self._red[s - f][:, None, None]
-        return (self.pows @ (low % p).reshape(f, -1)).reshape(m, n)
+        # gathered as (n, k f) and read transposed, a layout BLAS takes as is
+        return Prepared(self.fdig.take(B.T, axis=0).reshape(n, k * f).T, (k, n))
 
-    def matvec(self, A, v):
-        return self.matmul(A, np.asarray(v, dtype=np.int64).reshape(-1, 1)).ravel()
+    def matmul(self, A, B):
+        """A @ B for A (m x k) and B (k x n) or ``prepare(B)``: one float64 BLAS
+        product (f m x k f) @ (k f x n) of the digits of x^i A against the digit
+        planes of B.  Row (j, r) of the product is digit j of row r of A @ B,
+        an integer in [0, f k (p-1)^2], reduced mod p once and encoded."""
+        if not isinstance(B, Prepared):
+            B = self.prepare(B)
+        A = np.asarray(A, dtype=np.int64)
+        m, k = A.shape
+        if k != B.shape[0]:
+            raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
+        f, n = self.f, B.shape[1]
+        digits = self.xplanes.take(A, axis=1).reshape(f * m, k * f) @ B.planes
+        return (self.pows @ (digits.astype(np.int64) % self.p).reshape(f, m * n)).reshape(m, n)
 
     def eye(self, n):
         return np.eye(n, dtype=np.int64)
@@ -321,6 +338,7 @@ class Subspace:
         self.gf = gf
         self.n = rows.shape[-1] if ambient is None else ambient
         self.basis, self.pivots = rref(gf, rows.reshape(-1, self.n))
+        self._prepared = None  # the basis as a right operand, until the basis grows
 
     @property
     def dim(self) -> int:
@@ -330,7 +348,9 @@ class Subspace:
         """Residue of a vector, or of each row of a block, modulo the row space."""
         rows = np.asarray(rows, dtype=np.int64)
         flat = rows.reshape(-1, self.n)
-        res = self.gf.sub(flat, self.gf.matmul(flat[:, self.pivots], self.basis))
+        if self._prepared is None:
+            self._prepared = self.gf.prepare(self.basis)
+        res = self.gf.sub(flat, self.gf.matmul(flat[:, self.pivots], self._prepared))
         return res.reshape(rows.shape)
 
     def contains(self, rows) -> bool:
@@ -346,6 +366,7 @@ class Subspace:
         _, grew = rref(self.gf, res.T)
         if grew:
             self.basis, self.pivots = rref(self.gf, np.vstack([self.basis, res[grew]]))
+            self._prepared = None
         return grew
 
     def express(self, rows):

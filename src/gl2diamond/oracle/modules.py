@@ -23,7 +23,7 @@ cosocles.  Everything is exact; any mismatch raises.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from math import comb
 
@@ -301,9 +301,10 @@ def h_eigen_split(mod: ExplicitModule, rows) -> list:
     A = np.hstack([sub.express(gf.matmul(B, M.T)) for M in mod.gen_mats("H")])
     S1, S2 = _projector_sums(gf, A[:, :k]), _projector_sums(gf, A[:, k:])
     out = []
+    S2_all = gf.prepare(np.hstack(S2))
     for e1 in np.flatnonzero(S1.reshape(n, -1).any(axis=1)):
         # the two projectors commute, so S1[e1] S2[e2] has the joint eigenspace as its image
-        joint = gf.matmul(S1[e1], np.hstack(S2)).reshape(k, n, k).transpose(1, 0, 2)
+        joint = gf.matmul(S1[e1], S2_all).reshape(k, n, k).transpose(1, 0, 2)
         for e2 in np.flatnonzero(joint.reshape(n, -1).any(axis=1)):
             V = Subspace(gf, joint[e2]).basis
             if not (gf.matmul(V, A) == np.hstack([gf.mul(gf.exp_t[e], V) for e in (e1, e2)])).all():
@@ -340,7 +341,7 @@ def _weight_words(params: Params, sigma: Weight):
         V = np.vstack([V, cands[grew]])
     if len(V) != W.dim:
         raise AssertionError(f"weight {sigma} not cyclic from its fixed vector")
-    V_inv = inverse(gf, V)
+    V_inv = gf.prepare(inverse(gf, V))
     struct = [gf.matmul(gf.matmul(V, gm.T), V_inv) for gm in gmats]
     return tuple(tree), struct
 
@@ -365,12 +366,21 @@ def hom_from_weight(mod: ExplicitModule, sigma: Weight, eig_rows=None):
     tree, struct = _weight_words(ctx.params, sigma)
     gmats = mod.gen_mats("K")
     dimw = len(tree) + 1
-    # translates of each candidate basis vector, along the weight's spanning tree
+    # translates of each candidate basis vector, along the weight's spanning
+    # tree: one product per (BFS level, generator), since a node's parent
+    # lies on an earlier level
     trans = np.zeros((m, dimw, mod.dim), dtype=np.int64)
     trans[:, 0] = eig_rows
+    level = [0]
+    steps = defaultdict(list)
     for i, (parent, k) in enumerate(tree, 1):
-        trans[:, i] = gf.matmul(trans[:, parent], gmats[k].T)
-    by_slot = trans.transpose(1, 0, 2).reshape(dimw, m * mod.dim)
+        level.append(level[parent] + 1)
+        steps[level[i], k].append((i, parent))
+    for (_, k), pairs in sorted(steps.items()):
+        nodes, parents = [i for i, _ in pairs], [j for _, j in pairs]
+        images = gf.matmul(trans[:, parents].reshape(-1, mod.dim), gmats[k].T)
+        trans[:, nodes] = images.reshape(m, len(nodes), mod.dim)
+    by_slot = gf.prepare(trans.transpose(1, 0, 2).reshape(dimw, m * mod.dim))
     constraints = []
     for gm, c_h in zip(gmats, struct):
         # act(h) trans_i - sum_j c[i][j] trans_j must vanish, for every i

@@ -148,24 +148,34 @@ def verify_witt(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     def wrap(k):
         return k if k <= q - 1 else k - (q - 1)
 
-    hmats = W.gen_mats("H")
-    hvals_chars = []
-    for k in range(q):
-        F_k, f_k = bundle.F_vec(k), bundle.f_vec(k)
-        ok2 = (gf.matvec(upper, F_k) == gf.add(F_k, f_k)).all()
-        rep.add(f"upper-shift k={k}", ok2)
-        ok3 = (gf.matvec(lower_m, F_k) == gf.sub(F_k, bundle.f_vec(wrap(k + 2 * pj)))).all()
-        rep.add(f"lower-shift k={k}", ok3)
-        ok4 = (gf.matvec(diag, F_k) == gf.add(F_k, bundle.f_vec(wrap(k + pj)))).all()
-        rep.add(f"diag-shift k={k}", ok4)
-        chF = char_times_alpha_power(char_times_alpha_power(chi, 0, -k), j, -1)
-        chf = char_times_alpha_power(chi, 0, -k)
-        for vec, ch, tag in ((F_k, chF, "F"), (f_k, chf, "f")):
-            good = all(
-                (gf.matvec(hm, vec) == gf.mul(ctx.char_value(ch, g), vec)).all()
-                for hm, g in zip(hmats, ctx.gens("H"))
-            )
-            rep.add(f"eigenchar-{tag} k={k}", good)
+    # every F_k and every f_k as the rows of one block, so each matrix acts
+    # on all q vectors in one product (M v is row v of V M^T); only the
+    # verdict of each row is kept
+    ks = range(q)
+    F = np.stack([bundle.F_vec(k) for k in ks])
+    f = np.stack([bundle.f_vec(k) for k in ks])
+
+    def acts_as(M, X, want):
+        return (gf.matmul(X, M.T) == want).all(axis=1)
+
+    def eigen(X, chars):
+        ok = np.ones(q, dtype=bool)
+        for hm, g in zip(W.gen_mats("H"), ctx.gens("H")):
+            values = np.array([ctx.char_value(ch, g) for ch in chars])
+            ok &= acts_as(hm, X, gf.mul(values[:, None], X))
+        return ok
+
+    upper_ok = acts_as(upper, F, gf.add(F, f))
+    lower_ok = acts_as(lower_m, F, gf.sub(F, f[[wrap(k + 2 * pj) for k in ks]]))
+    diag_ok = acts_as(diag, F, gf.add(F, f[[wrap(k + pj) for k in ks]]))
+    eigen_F = eigen(F, [char_times_alpha_power(char_times_alpha_power(chi, 0, -k), j, -1) for k in ks])
+    eigen_f = eigen(f, [char_times_alpha_power(chi, 0, -k) for k in ks])
+    for k in ks:
+        rep.add(f"upper-shift k={k}", upper_ok[k])
+        rep.add(f"lower-shift k={k}", lower_ok[k])
+        rep.add(f"diag-shift k={k}", diag_ok[k])
+        rep.add(f"eigenchar-F k={k}", eigen_F[k])
+        rep.add(f"eigenchar-f k={k}", eigen_f[k])
     return rep
 
 
@@ -370,7 +380,7 @@ def verify_ind_ej(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     mod = induce(ej_module(ctx, chi, j))
     R0 = coset_sum_vector(ctx, 2, np.array([0, 1]), 0)
     Rq = coset_sum_vector(ctx, 2, np.array([0, 1]), gf.q - 1)
-    fixed = all((gf.matvec(M, R0) == R0).all() for M in mod.gen_mats("I1"))
+    fixed = all((gf.matmul(R0[None], M.T) == R0).all() for M in mod.gen_mats("I1"))
     rep.add("bottom sum is pro-p fixed", fixed)
     gen0 = R0
     if psi == conjugate_char(chi):
@@ -391,7 +401,7 @@ def verify_ind_ej(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     rep.add("top sum generates everything", spanq.dim == mod.dim, mod.dim, spanq.dim)
     w_vec = identity_coset_vector(ctx, 2, np.array([0, 1]))
     g0 = ctx.coset_reps()[0]  # ([0],1;1,0) = the antidiagonal involution lift
-    lhs = gf.matvec(mod.evaluate(g0), w_vec)
+    lhs = gf.matmul(w_vec[None], mod.evaluate(g0).T)
     rep.add("reflection identity", (lhs == gf.sub(R0, Rq)).all())
     return rep
 

@@ -30,6 +30,9 @@ COMMANDS = {
     "verify-calculH-p5-f1-seed3": ["verify", "--suite", "calculH", "--p", "5", "--f", "1", "--seed", "3", "--format", "json"],
     "verify-counts-p5-f2-all-generic": ["verify", "--suite", "counts", "--p", "5", "--f", "2", "--case", "all-generic", "--format", "json"],
     "verify-dimension-p5-f2": ["verify", "--suite", "dimension", "--p", "5", "--f", "2", "--format", "json"],
+    "verify-witt-p5-f3": ["verify", "--suite", "witt", "--p", "5", "--f", "3", "--format", "json"],
+    "verify-indej-p5-f3": ["verify", "--suite", "indej", "--p", "5", "--f", "3", "--format", "json"],
+    "verify-jh-p7-f3-r2-3-4": ["verify", "--suite", "jh", "--p", "7", "--f", "3", "--r", "2,3,4", "--format", "json"],
     "d0-p7-f3-r2-1-3": ["d0", "--p", "7", "--f", "3", "--r", "2,1,3", "--format", "json"],
     "d0-p5-f1-r1": ["d0", "--p", "5", "--f", "1", "--r", "1", "--format", "json"],
     "d0-p7-f1-reducible-r2": ["d0", "--p", "7", "--f", "1", "--case", "reducible", "--r", "2", "--format", "json"],

@@ -55,12 +55,12 @@ def test_matmul_and_nullspace():
     A = rng.integers(0, F.q, (7, 5))
     B = rng.integers(0, F.q, (5, 6))
     C = F.matmul(A, B)
-    # associativity against a vector
-    v = rng.integers(0, F.q, 6)
-    assert (F.matvec(C, v) == F.matvec(A, F.matvec(B, v))).all()
+    # associativity against a column vector
+    v = rng.integers(0, F.q, (6, 1))
+    assert (F.matmul(C, v) == F.matmul(A, F.matmul(B, v))).all()
     ns = nullspace(F, A)
     for row in ns:
-        assert not F.matvec(A, row).any()
+        assert not F.matmul(A, row[:, None]).any()
     # rank-nullity on the columns
     assert Subspace(F, A).dim + ns.shape[0] == A.shape[1]
 
@@ -76,7 +76,7 @@ def _gather_matmul(gf, A, B):
     return (gf.dig[P].sum(axis=1) % gf.p) @ gf.pows
 
 
-MATMUL_FIELDS = [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]
+MATMUL_FIELDS = [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (5, 4)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,6 +99,10 @@ def test_matmul_matches_gather_reference(pf, m, k, n, kind, seed):
     C = gf.matmul(A, B)
     assert C.shape == (m, n) and C.dtype == np.int64
     assert (C == _gather_matmul(gf, A, B)).all()
+    # a prepared right operand gives the same product, every time it is used
+    prepared = gf.prepare(B)
+    for _ in range(2):
+        assert (gf.matmul(A, prepared) == C).all()
 
 
 @pytest.mark.parametrize("p,f", [(3, 1), (7, 2), (5, 3)])
@@ -129,6 +133,22 @@ def test_subspace_membership_and_coordinates():
     if not sub.contains(outside):
         with pytest.raises(ValueError):
             sub.express(outside)
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (5, 2), (3, 3)])
+def test_subspace_that_grew_reduces_like_a_fresh_one(p, f):
+    # reduce keeps the basis prepared; an insert that grows the basis must drop it
+    gf = get_gf(p, f)
+    rng = np.random.default_rng(5)
+    start, new = rng.integers(0, gf.q, (2, 7)), rng.integers(0, gf.q, (2, 7))
+    probe = rng.integers(0, gf.q, (6, 7))
+    sub = Subspace(gf, start)
+    sub.reduce(probe)
+    assert sub.insert(new) == [0, 1]
+    fresh = Subspace(gf, np.vstack([start, new]))
+    assert (sub.reduce(probe) == fresh.reduce(probe)).all()
+    assert sub.contains(new) and fresh.contains(new)
+    assert sub.contains(probe) == fresh.contains(probe)
 
 
 def test_spin_closure():
