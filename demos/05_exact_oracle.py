@@ -73,7 +73,7 @@ tab = f2_tables(rho)
 s3w, s4w = tab.sigmas[2], tab.sigmas[3]
 omega = Weight(par, (par.p - 2 - rho.r[0], rho.r[1] + 3), rho.r[0] + par.p * (par.p - 2))
 bundle3 = TwistedExtensionInduction(ctx, chi_of_weight(s3w), 1)
-fac = bundle3.jh_upper.by_weight(omega)
+fac = next(fac for fac in bundle3.jh_upper.factors if fac.weight == omega)
 span = bundle3.spin_K(bundle3.w_generator(fac))
 smod = sub_module(bundle3.W, span)
 allowed = {dw.weight for dw in diamond_set(rho)} - {s3w}

@@ -61,7 +61,7 @@ from .filtration import (
     w_contains_U,
     w_contents_two_char,
 )
-from .principal import InducedJH, PSFactor, U_contents, jh_of_induced, socle_of_induced
+from .principal import InducedJH, PSFactor, U_contents, factor_of_weight, jh_of_induced, socle_of_induced
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

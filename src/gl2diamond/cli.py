@@ -6,7 +6,8 @@ Subcommands:
   verify      run one verification suite; exit 0 on pass, 1 on any failure
   filtration  render one of the explicit socle-filtration displays
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error
+(an unwritable --out path included).
 Output is deterministic for a fixed argument list.
 """
 
@@ -47,8 +48,11 @@ def _emit(args, payload_text: str, payload_json):
     else:
         out = payload_text
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         print(out)
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .core import DomainError, Params, Weight, chi_of_weight, conjugate_char, sigma_s
 from .couples import CoupleType, couple_type
-from .principal import jh_of_induced
+from .principal import factor_of_weight
 from .tuples import (
     P1MX,
     P2MX,
@@ -297,15 +297,14 @@ def xi_and_J(rho: GaloisParams, sigma: DiamondWeight, factor: D0Factor) -> tuple
 def _xi_and_J_of_delta(rho: GaloisParams, factor: D0Factor, res: DeltaResult) -> tuple:
     """xi_and_J for a factor whose delta_data is already at hand."""
     chi_tau = chi_of_weight(factor.weight)
-    ind = jh_of_induced(conjugate_char(chi_tau))
-    ps = ind.by_weight(res.target.weight)
+    xi, J = factor_of_weight(conjugate_char(chi_tau), res.target.weight)
     theta = res.mirror.mu
     f = rho.params.f
     j_from_theta = frozenset(i for i in range(f) if theta[i] in (Y, YP1))
     s_theta = S_of_mu(theta)
     j_from_s = frozenset(i for i in range(f) if (i + 1) % f not in s_theta)
-    consistent = ps.J == j_from_theta == j_from_s
-    return ps.lam, ps.J, consistent
+    consistent = J == j_from_theta == j_from_s
+    return xi, J, consistent
 
 
 def lifting_factors(rho: GaloisParams, sigma: DiamondWeight) -> list:

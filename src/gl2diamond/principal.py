@@ -10,6 +10,13 @@ Convention: ``jh_of_induced(chi)`` describes Ind_I^K chi, but the tuples and
 J-subsets are computed at the normal form of the conjugate character, so
 they match the usual bookkeeping for an induction written as Ind chi^s.  In
 particular the factor with the all-identity tuple (J empty) is the socle.
+
+An induction depends on its character only through the digits s of that
+normal form and its twist t, and t shifts the determinant exponent of every
+factor by the same amount.  So the P-family is evaluated once per digit
+vector (``_evaluate_P``), and an induction is that evaluation plus the shift
+t; ``factor_of_weight`` reads one factor off the evaluation's index without
+building the others.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from functools import lru_cache
 from .core import (
     DomainError,
     ICharacter,
+    Params,
     Weight,
     char_normal_form,
     conjugate_char,
@@ -56,12 +64,6 @@ class InducedJH:
                 return fac
         raise DomainError(f"no surviving factor with J = {set(J)}")
 
-    def by_weight(self, w: Weight) -> PSFactor:
-        hits = [fac for fac in self.factors if fac.weight == w]
-        if len(hits) != 1:
-            raise DomainError(f"weight {w} occurs {len(hits)} times in the induction")
-        return hits[0]
-
     def weights(self) -> list:
         return [fac.weight for fac in self.factors]
 
@@ -70,9 +72,40 @@ class InducedJH:
         return sum(fac.dim for fac in self.factors)
 
 
-# callers ask for the same few characters in a row (the couples of one block),
-# so a short cache keeps nearly every hit of an unbounded one at a fraction
-# of its memory
+@lru_cache(maxsize=None)
+def _P_with_J(f: int) -> tuple:
+    """The P-family with each tuple's J, shared by every evaluation at this f."""
+    return tuple((lam, J_of_lambda(lam)) for lam in enumerate_P(f))
+
+
+# an entry is about 4 KB at f = 4 and 8 KB at f = 5, so the cache stays a few
+# MB; 1024 digit vectors hold every one at p = 5, f = 4
+@lru_cache(maxsize=1024)
+def _evaluate_P(params: Params, digits: tuple) -> tuple:
+    """The P-family at one digit vector: (index, dropped).
+
+    index maps (vals, e mod q-1) to (lam, J) for each tuple lam evaluating
+    to vals in range, in enumeration order, e being the normalizing exponent
+    before any twist; dropped are the tuples evaluating below 0.  A twist
+    shifts every e by the same amount, so the induction is multiplicity free
+    exactly when the keys are distinct.
+    """
+    index, dropped = {}, []
+    for lam, J in _P_with_J(params.f):
+        vals = eval_tuple(lam, digits, params.p)
+        if any(v < 0 for v in vals):
+            dropped.append(lam)
+            continue
+        key = (vals, params.mod_qm1(e_of_lambda(lam, digits, params.p)))
+        if key in index:
+            raise AssertionError(f"induced module at digits {digits} (p={params.p}) is not multiplicity free")
+        index[key] = (lam, J)
+    return index, tuple(dropped)
+
+
+# the evaluation is shared by every character with the same digits; this
+# cache keeps the assembled factors, which socle_of_induced, U_contents and
+# the filtration layers read again for a character just built
 @lru_cache(maxsize=64)
 def jh_of_induced(chi: ICharacter) -> InducedJH:
     """Irreducible constituents of Ind_I^K chi, indexed at the conjugate normal form.
@@ -81,18 +114,20 @@ def jh_of_induced(chi: ICharacter) -> InducedJH:
     """
     par = chi.params
     digits, t = char_normal_form(conjugate_char(chi))
-    factors, dropped = [], []
-    for lam in enumerate_P(par.f):
-        vals = eval_tuple(lam, digits, par.p)
-        if any(v < 0 for v in vals):
-            dropped.append(lam)
-            continue
-        tw = e_of_lambda(lam, digits, par.p) + t
-        factors.append(PSFactor(Weight(par, vals, tw), lam, J_of_lambda(lam)))
-    seen = [f.weight for f in factors]
-    if len(set(seen)) != len(seen):
-        raise AssertionError(f"induced module of {chi} is not multiplicity free")
-    return InducedJH(chi, digits, t, tuple(factors), tuple(dropped))
+    index, dropped = _evaluate_P(par, digits)
+    factors = tuple(PSFactor(Weight(par, vals, e + t), lam, J) for (vals, e), (lam, J) in index.items())
+    return InducedJH(chi, digits, t, factors, dropped)
+
+
+def factor_of_weight(chi: ICharacter, w: Weight) -> tuple:
+    """(lam, J) of the factor of Ind_I^K chi with weight w, by one index lookup."""
+    par = chi.params
+    digits, t = char_normal_form(conjugate_char(chi))
+    index, _ = _evaluate_P(par, digits)
+    hit = index.get((w.r, par.mod_qm1(w.twist - t))) if w.params == par else None
+    if hit is None:
+        raise DomainError(f"{w} is not a factor of the induction of {chi}")
+    return hit
 
 
 def socle_of_induced(chi: ICharacter) -> tuple:

@@ -374,8 +374,8 @@ SUITES = {
 
 def run_suite(config: RunConfig) -> list:
     """Checks of one suite, sorted by instance; a field set away from its
-    default that the suite would ignore, or a case the suite cannot take,
-    raises DomainError."""
+    default that the suite would ignore, a case the suite cannot take, or a
+    configuration with nothing to check raises DomainError."""
     if config.suite not in SUITES:
         raise DomainError(f"unknown suite {config.suite!r}; choose from {sorted(SUITES)}")
     if config.case not in CASES:
@@ -398,4 +398,7 @@ def run_suite(config: RunConfig) -> list:
         for rep in suite.run(config)
         for c in rep.checks
     ]
+    if not checks:
+        # a sweep over no instances would pass without checking anything
+        raise DomainError(f"suite {config.suite} has nothing to check at p={config.p}, f={config.f}")
     return sorted(checks, key=lambda c: (c["instance"], c["anchor"]))

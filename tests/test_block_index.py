@@ -1,38 +1,57 @@
-"""The per-parameter block index against brute-force references.
+"""The per-parameter block index and the shared P-family evaluation against
+brute-force references.
 
 `delta_data` looks the companion weight up in an index built once per
-parameter, `d0_factors` walks a cached list of compatible mu-tuples and
-`jh_of_induced` is cached per character.  Each is compared here with the
-direct computation it replaced, over random generic parameters with f <= 5
+parameter, `d0_factors` walks a cached list of compatible mu-tuples, and
+`jh_of_induced` and `factor_of_weight` read one evaluation of the P-family
+per digit vector.  Each is compared here with the direct computation it
+replaced (the whole-family build of an induction and a linear scan of its
+factors), over random characters and random generic parameters with f <= 5
 and a few at f = 6.  Every clause of the couple comparisons is checked over
 random generic parameters with 2 <= f <= 4.
 """
+
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl2diamond import diamond
-from gl2diamond.core import Params, Weight, chi_of_weight, conjugate_char, sigma_s
+from gl2diamond import diamond, principal
+from gl2diamond.core import (
+    DomainError,
+    ICharacter,
+    Params,
+    Weight,
+    char_normal_form,
+    chi_of_weight,
+    conjugate_char,
+    sigma_s,
+)
 from gl2diamond.diamond import (
     D0Factor,
     GaloisParams,
     d0_all,
     d0_factors,
+    Y,
+    YP1,
     d0_is_multiplicity_free,
     delta_data,
     diamond_set,
     is_generic,
     lifting_factors,
     verify_combination,
+    xi_and_J,
 )
-from gl2diamond.principal import jh_of_induced
+from gl2diamond.principal import InducedJH, PSFactor, factor_of_weight, jh_of_induced
 from gl2diamond.tuples import (
+    J_of_lambda,
     S_of_mu,
     compatible,
     compose_tuples,
     e_of_lambda,
     enumerate_Imu,
+    enumerate_P,
     eval_tuple,
     in_weight_range,
     mu_of_lambda,
@@ -75,6 +94,42 @@ def unfiltered_block(rho, sigma):
             out.append(D0Factor(sigma, mu, comp, Weight(par, vals, tw)))
     out.sort(key=lambda fac: (len(S_of_mu(fac.mu)), fac.mu))
     return tuple(out)
+
+
+def whole_family_induction(chi):
+    """Ind_I^K chi built tuple by tuple, every P-tuple evaluated into a factor."""
+    par = chi.params
+    digits, t = char_normal_form(conjugate_char(chi))
+    factors, dropped = [], []
+    for lam in enumerate_P(par.f):
+        vals = eval_tuple(lam, digits, par.p)
+        if any(v < 0 for v in vals):
+            dropped.append(lam)
+            continue
+        tw = e_of_lambda(lam, digits, par.p) + t
+        factors.append(PSFactor(Weight(par, vals, tw), lam, J_of_lambda(lam)))
+    return InducedJH(chi, digits, t, tuple(factors), tuple(dropped))
+
+
+def scan_by_weight(jh, w):
+    """The factor of an induction with weight w, by a linear scan."""
+    hits = [fac for fac in jh.factors if fac.weight == w]
+    if len(hits) != 1:
+        raise DomainError(f"weight {w} occurs {len(hits)} times in the induction")
+    return hits[0]
+
+
+def reference_xi_and_J(rho, sigma, factor):
+    """xi_and_J through the whole induction of the conjugate of chi_tau."""
+    res = delta_data(rho, sigma, factor)
+    ind = whole_family_induction(conjugate_char(chi_of_weight(factor.weight)))
+    ps = scan_by_weight(ind, res.target.weight)
+    theta = res.mirror.mu
+    f = rho.params.f
+    j_from_theta = frozenset(i for i in range(f) if theta[i] in (Y, YP1))
+    s_theta = S_of_mu(theta)
+    j_from_s = frozenset(i for i in range(f) if (i + 1) % f not in s_theta)
+    return ps.lam, ps.J, ps.J == j_from_theta == j_from_s
 
 
 def check_index(rho, stride=1):
@@ -139,3 +194,83 @@ def test_delta_guard_survives_the_index(monkeypatch):
             delta_data(rho, sigma, tau)
     finally:
         diamond._block_index.cache_clear()
+
+
+@st.composite
+def characters(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    par = Params(p, draw(st.integers(1, 5)))
+    a = draw(st.integers(0, par.q - 2))
+    # a = b is the conjugation-fixed case, which a random pair almost never hits
+    b = a if draw(st.integers(0, 3)) == 0 else draw(st.integers(0, par.q - 2))
+    return ICharacter(par, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(characters())
+def test_induction_matches_the_whole_family_build(chi):
+    ref = whole_family_induction(chi)
+    # the same factors in the same order, the same dropped tuples, digits and twist
+    assert jh_of_induced(chi) == ref
+    for fac in ref.factors:
+        assert factor_of_weight(chi, fac.weight) == (fac.lam, fac.J)
+
+
+@settings(max_examples=200, deadline=None)
+@given(characters(), st.integers(1, 3))
+def test_lookup_refuses_exactly_what_the_scan_refuses(chi, shift):
+    # the weights of the induction of a shifted character are factors here
+    # only where the scan finds them
+    ref = whole_family_induction(chi)
+    other = ICharacter(chi.params, chi.a + shift, chi.b + shift)
+    for w in jh_of_induced(other).weights():
+        try:
+            want = scan_by_weight(ref, w)
+        except DomainError:
+            with pytest.raises(DomainError):
+                factor_of_weight(chi, w)
+        else:
+            assert factor_of_weight(chi, w) == (want.lam, want.J)
+
+
+@settings(max_examples=15, deadline=None)
+@given(generic_parameters(min_f=2, max_f=5))
+def test_xi_and_J_matches_the_whole_induction(rho):
+    for dw in diamond_set(rho):
+        for fac in lifting_factors(rho, dw):
+            assert xi_and_J(rho, dw, fac) == reference_xi_and_J(rho, dw, fac)
+
+
+def test_a_weight_outside_the_induction_is_refused():
+    par = Params(7, 2)
+    chi = chi_of_weight(Weight(par, (2, 1), 3))
+    inside = jh_of_induced(chi).weights()
+    outside = Weight(par, inside[0].r, inside[0].twist + 1)
+    assert outside not in inside
+    with pytest.raises(DomainError, match=re.escape(f"{outside} is not a factor of the induction of {chi}")):
+        factor_of_weight(chi, outside)
+    # the same digits and twist over another prime are not a factor either
+    foreign = Weight(Params(11, 2), inside[0].r, inside[0].twist)
+    with pytest.raises(DomainError):
+        factor_of_weight(chi, foreign)
+
+
+def test_a_repeated_weight_is_refused(monkeypatch):
+    """A P-family that repeats a tuple makes the evaluation refuse, not pick one."""
+    chi = chi_of_weight(Weight(Params(5, 2), (2, 1), 0))
+    fam = enumerate_P(2)
+
+    def caches():
+        for fn in (principal._P_with_J, principal._evaluate_P, principal.jh_of_induced):
+            fn.cache_clear()
+
+    caches()
+    monkeypatch.setattr(principal, "enumerate_P", lambda f: fam + fam[:1])
+    try:
+        with pytest.raises(AssertionError, match="not multiplicity free"):
+            jh_of_induced(chi)
+        with pytest.raises(AssertionError, match="not multiplicity free"):
+            factor_of_weight(chi, Weight(Params(5, 2), (2, 1), 0))
+    finally:
+        monkeypatch.undo()
+        caches()

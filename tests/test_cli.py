@@ -235,6 +235,25 @@ def test_out_file(tmp_path, capsys):
     assert len(payload["weights"]) == 2
 
 
+def test_out_file_in_a_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = main(["diamond", "--p", "5", "--f", "2", "--r", "2,1", "--format", "json", "--out", str(target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write --out {target}" in captured.err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("suite,f", [("counts", "1"), ("combination", "1"), ("special", "1"), ("special", "2")])
+def test_verify_refuses_a_sweep_with_nothing_to_check(suite, f, capsys):
+    # p = 3 has no generic parameter at these f, so the sweep would pass vacuously
+    assert main(["verify", "--suite", suite, "--p", "3", "--f", f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"suite {suite} has nothing to check at p=3, f={f}" in captured.err
+
+
 def test_jobs_flag_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "counts", "--p", "5", "--f", "1", "--jobs", "2"])

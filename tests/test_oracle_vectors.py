@@ -203,7 +203,7 @@ def test_three_layer_image(ctx52):
     omega = Weight(par, (p - 2 - r0, r1 + 3), r0 + p * (p - 2))
     D = {dw.weight for dw in diamond_set(rho)}
     bundle = TwistedExtensionInduction(ctx52, chi_of_weight(s3w), 1)
-    fac = bundle.jh_upper.by_weight(omega)
+    fac = next(fac for fac in bundle.jh_upper.factors if fac.weight == omega)
     wspan = bundle.spin_K(bundle.w_generator(fac))
     smod = sub_module(bundle.W, wspan)
     img = quotient_by_non_diamond_socle(smod, D - {s3w})

@@ -10,7 +10,7 @@ from gl2diamond.core import (
     conjugate_char,
     weight_dim,
 )
-from gl2diamond.principal import U_contents, jh_of_induced, socle_of_induced
+from gl2diamond.principal import U_contents, factor_of_weight, jh_of_induced, socle_of_induced
 from gl2diamond.tuples import X
 
 
@@ -43,11 +43,8 @@ def test_conjugation_fixed_splits(par52):
 def test_socle_is_all_identity_tuple(par52):
     for r in [(2, 1), (3, 3), (1, 2)]:
         chi = chi_of_weight(Weight(par52, r, 0))
-        jh = jh_of_induced(chi)
         (soc,) = socle_of_induced(chi)
-        fac = jh.by_weight(soc)
-        assert fac.lam == (X,) * par52.f
-        assert fac.J == frozenset()
+        assert factor_of_weight(chi, soc) == ((X,) * par52.f, frozenset())
 
 
 def test_multiplicity_one_and_dimension_sum():
