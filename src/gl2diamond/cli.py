@@ -14,6 +14,7 @@ Output is deterministic for a fixed argument list.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -44,17 +45,26 @@ def _rho_from_args(args) -> GaloisParams:
 
 def _emit(args, payload_text: str, payload_json):
     if args.format == "json":
-        out = json.dumps(payload_json, indent=2, sort_keys=True)
+        # encoded piecewise, so a large report never exists as one string
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload_json)
     else:
-        out = payload_text
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(out + "\n")
-        except OSError as exc:
-            raise DomainError(f"cannot write --out {args.out}: {exc.strerror}") from None
-    else:
-        print(out)
+        chunks = iter((payload_text,))
+    if not args.out:
+        _write(sys.stdout, chunks)
+        return
+    try:
+        with open(args.out, "w") as fh:
+            _write(fh, chunks)
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {args.out}: {exc.strerror}") from None
+
+
+def _write(fh, chunks) -> None:
+    # one write per batch of chunks: under python -u or PYTHONUNBUFFERED,
+    # stdout makes a system call per write
+    while batch := "".join(itertools.islice(chunks, 8192)):
+        fh.write(batch)
+    fh.write("\n")
 
 
 def cmd_diamond(args) -> int:

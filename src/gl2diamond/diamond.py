@@ -16,7 +16,7 @@ whose agreement is tracked on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core import DomainError, Params, Weight, chi_of_weight, conjugate_char, sigma_s
 from .couples import CoupleType, couple_type
@@ -123,11 +123,11 @@ class D0Factor:
     composed: tuple
     weight: Weight
 
-    @property
+    @cached_property
     def lifts(self) -> bool:
         return all(s in LIFT_SYMBOLS for s in self.mu)
 
-    @property
+    @cached_property
     def is_socle(self) -> bool:
         return all(s == Y for s in self.mu)
 
@@ -137,9 +137,8 @@ def _require_generic(rho: GaloisParams):
         raise DomainError(f"{rho} is not generic")
 
 
-@lru_cache(maxsize=None)
-def diamond_set(rho: GaloisParams) -> tuple:
-    """The 2^f weights of a generic parameter, ordered by their subset bitmask."""
+def _weight_set(rho: GaloisParams) -> tuple:
+    """diamond_set's weights, built from the RD- or ID-tuples."""
     _require_generic(rho)
     par = rho.params
     fam = enumerate_RD(par.f) if rho.reducible else enumerate_ID(par.f)
@@ -154,6 +153,47 @@ def diamond_set(rho: GaloisParams) -> tuple:
         raise AssertionError("subset identification failed to separate the weight set")
     out.sort(key=lambda dw: sum(1 << i for i in dw.S))
     return tuple(out)
+
+
+def _block(rho: GaloisParams, sigma: DiamondWeight) -> tuple:
+    """d0_factors' block of sigma: compatible mu, in-range evaluation."""
+    par = rho.params
+    mu_base = mu_of_lambda(sigma.lam, rho.reducible)
+    out = []
+    for mu in compatible_Imu(mu_base):
+        comp = compose_tuples(mu, sigma.lam)
+        vals = eval_tuple(comp, rho.r, par.p)
+        if not in_weight_range(vals, par.p):
+            continue
+        tw = e_of_lambda(comp, rho.r, par.p) + rho.twist
+        out.append(D0Factor(sigma, mu, comp, Weight(par, vals, tw)))
+    out.sort(key=lambda fac: (len(S_of_mu(fac.mu)), fac.mu))
+    return tuple(out)
+
+
+def d0_all(rho: GaloisParams) -> dict:
+    return {dw: _block(rho, dw) for dw in _weight_set(rho)}
+
+
+# every caller finishes one parameter before it starts the next, so a record
+# is never read again once a few others have been built
+@lru_cache(maxsize=4)
+def _blocks(rho: GaloisParams) -> tuple:
+    """The blocks of rho, built once: (d0_all(rho), by_weight).
+
+    by_weight maps a factor's weight to its (block, factor) occurrences.
+    """
+    blocks = d0_all(rho)
+    by_weight: dict = {}
+    for dw, facs in blocks.items():
+        for fac in facs:
+            by_weight[fac.weight] = by_weight.get(fac.weight, ()) + ((dw, fac),)
+    return blocks, by_weight
+
+
+def diamond_set(rho: GaloisParams) -> tuple:
+    """The 2^f weights of a generic parameter, ordered by their subset bitmask."""
+    return tuple(_blocks(rho)[0])
 
 
 def diamond_by_subset(rho: GaloisParams, S) -> DiamondWeight:
@@ -171,49 +211,17 @@ def weight_in_diamond(rho: GaloisParams, w: Weight):
     return None
 
 
-@lru_cache(maxsize=None)
 def d0_factors(rho: GaloisParams, sigma: DiamondWeight) -> tuple:
-    """Factors of the block with socle sigma: compatible mu, in-range evaluation."""
-    _require_generic(rho)
-    if sigma not in diamond_set(rho):
+    """Factors of the block with socle sigma, ordered by level, then mu."""
+    blocks, _ = _blocks(rho)
+    if sigma not in blocks:
         raise DomainError(f"{sigma} is not in the weight set of {rho}")
-    par = rho.params
-    mu_base = mu_of_lambda(sigma.lam, rho.reducible)
-    out = []
-    for mu in compatible_Imu(mu_base):
-        comp = compose_tuples(mu, sigma.lam)
-        vals = eval_tuple(comp, rho.r, par.p)
-        if not in_weight_range(vals, par.p):
-            continue
-        tw = e_of_lambda(comp, rho.r, par.p) + rho.twist
-        out.append(D0Factor(sigma, mu, comp, Weight(par, vals, tw)))
-    out.sort(key=lambda fac: (len(S_of_mu(fac.mu)), fac.mu))
-    return tuple(out)
-
-
-def d0_all(rho: GaloisParams) -> dict:
-    return {dw: d0_factors(rho, dw) for dw in diamond_set(rho)}
-
-
-@lru_cache(maxsize=None)
-def _block_index(rho: GaloisParams) -> tuple:
-    """The blocks of rho, indexed once: (lifted, by_weight).
-
-    lifted maps each weight-set element to its block's lifted factors;
-    by_weight maps a factor's weight to its (block, factor) occurrences.
-    """
-    blocks = d0_all(rho)
-    lifted = {dw: tuple(fac for fac in facs if fac.lifts) for dw, facs in blocks.items()}
-    by_weight: dict = {}
-    for dw, facs in blocks.items():
-        for fac in facs:
-            by_weight[fac.weight] = by_weight.get(fac.weight, ()) + ((dw, fac),)
-    return lifted, by_weight
+    return blocks[sigma]
 
 
 def d0_is_multiplicity_free(rho: GaloisParams) -> bool:
-    weights = [fac.weight for facs in d0_all(rho).values() for fac in facs]
-    return len(set(weights)) == len(weights)
+    _, by_weight = _blocks(rho)
+    return all(len(hits) == 1 for hits in by_weight.values())
 
 
 def ell_decomposition(rho: GaloisParams) -> dict:
@@ -269,7 +277,7 @@ def delta_data(rho: GaloisParams, sigma: DiamondWeight, factor: D0Factor) -> Del
     if not factor.lifts:
         raise DomainError("delta is defined for factors with lifted invariants")
     target_w = sigma_s(factor.weight)
-    _, by_weight = _block_index(rho)
+    _, by_weight = _blocks(rho)
     hits = by_weight.get(target_w, ())
     if len(hits) != 1:
         raise AssertionError(
@@ -308,10 +316,7 @@ def _xi_and_J_of_delta(rho: GaloisParams, factor: D0Factor, res: DeltaResult) ->
 
 
 def lifting_factors(rho: GaloisParams, sigma: DiamondWeight) -> list:
-    lifted, _ = _block_index(rho)
-    if sigma not in lifted:
-        raise DomainError(f"{sigma} is not in the weight set of {rho}")
-    return list(lifted[sigma])
+    return [fac for fac in d0_factors(rho, sigma) if fac.lifts]
 
 
 def plus_one_couples(rho: GaloisParams, sigma: DiamondWeight, j: int) -> list:

@@ -37,42 +37,6 @@ def _trim(a):
     return a
 
 
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _poly_mulmod(a, b, m, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    dm = len(m) - 1
-    for k in range(len(out) - 1, dm - 1, -1):
-        c = out[k]
-        if c:
-            for j in range(dm):
-                out[k - dm + j] = (out[k - dm + j] - c * m[j]) % p
-            out[k] = 0
-    return _trim(out)
-
-
-def _poly_powmod(a, e, m, p):
-    result = [1]
-    base = _trim(a)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, m, p)
-        base = _poly_mulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
 def _poly_mod(a, b, p):
     a = _trim(a)
     b = _trim(b)
@@ -85,13 +49,6 @@ def _poly_mod(a, b, p):
         a = _trim(a)
         if not a:
             break
-    return a
-
-
-def _poly_gcd(a, b, p):
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _poly_mod(a, b, p)
     return a
 
 
@@ -110,17 +67,13 @@ def _prime_divisors(n):
 
 
 def _is_irreducible(coeffs, f, p):
-    """coeffs: the f low coefficients of the monic polynomial x^f + sum c_i x^i."""
-    if f == 1:
-        return True
+    """coeffs: the f low coefficients of the monic polynomial x^f + sum c_i x^i,
+    which is irreducible when no monic polynomial of degree 1..f//2 divides it."""
     m = list(coeffs) + [1]
-    x = [0, 1]
-    if _poly_powmod(x, p ** f, m, p) != x:
-        return False
-    for ell in _prime_divisors(f):
-        h = _poly_powmod(x, p ** (f // ell), m, p)
-        if len(_poly_gcd(_poly_sub(h, x, p), m, p)) > 1:
-            return False
+    for d in range(1, f // 2 + 1):
+        for e in range(p ** d):
+            if not _poly_mod(m, [(e // p ** i) % p for i in range(d)] + [1], p):
+                return False
     return True
 
 

@@ -103,15 +103,8 @@ def _evaluate_P(params: Params, digits: tuple) -> tuple:
     return index, tuple(dropped)
 
 
-# the evaluation is shared by every character with the same digits; this
-# cache keeps the assembled factors, which socle_of_induced, U_contents and
-# the filtration layers read again for a character just built
-@lru_cache(maxsize=64)
 def jh_of_induced(chi: ICharacter) -> InducedJH:
-    """Irreducible constituents of Ind_I^K chi, indexed at the conjugate normal form.
-
-    Cached per character: ICharacter is frozen and the result is immutable.
-    """
+    """Irreducible constituents of Ind_I^K chi, indexed at the conjugate normal form."""
     par = chi.params
     digits, t = char_normal_form(conjugate_char(chi))
     index, dropped = _evaluate_P(par, digits)

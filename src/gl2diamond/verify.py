@@ -1,19 +1,20 @@
 """Named verification suites over parameter sweeps, with uniform reports.
 
-Each suite re-derives one family of statements and returns one CheckReport
-per instance it checks.  run_suite turns their rows into the check
-dictionaries {anchor, instance, expected, got, status}, the anchor being the
-report's anchor and the row's name joined by a dot; a sweep passes when every
-check passes.  Instances are enumerated deterministically from the run
-configuration and checks are reported in sorted instance order, so identical
-configurations produce identical reports.
+Each suite re-derives one family of statements and yields one CheckReport
+per instance it checks, as soon as that instance is checked.  run_suite
+turns their rows into the check dictionaries {anchor, instance, expected,
+got, status}, the anchor being the report's anchor and the row's name
+joined by a dot; a sweep passes when every check passes.  Instances are
+enumerated deterministically from the run configuration and checks are
+reported in sorted instance order, so identical configurations produce
+identical reports.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -120,7 +121,7 @@ def _weights(config: RunConfig, defaults: list) -> list:
     return defaults
 
 
-def suite_jh(config: RunConfig) -> list:
+def suite_jh(config: RunConfig) -> Iterator[CheckReport]:
     from collections import Counter
 
     from .oracle.groups import get_context
@@ -134,7 +135,6 @@ def suite_jh(config: RunConfig) -> list:
         chars = [chi_of_weight(Weight(params, config.r, config.twist))]
     else:
         chars = sweep_characters(params, limit=JH_CHARACTERS)
-    reports = []
     for chi in chars:
         rep = CheckReport("jh", f"p={params.p},f={params.f},chi=({chi.a},{chi.b})")
         mod = induce(character_module(ctx, conjugate_char(chi)))
@@ -145,23 +145,20 @@ def suite_jh(config: RunConfig) -> list:
         soc = layers[0]
         want_soc = Counter(socle_of_induced(conjugate_char(chi)))
         rep.add("socle", soc == want_soc, dict(want_soc), dict(soc))
-        reports.append(rep)
-    return reports
+        yield rep
 
 
-def suite_dimension(config: RunConfig) -> list:
+def suite_dimension(config: RunConfig) -> Iterator[CheckReport]:
     """Dimension identity for inductions with interior normal-form digits."""
     params = config.params
-    reports = []
     for r in itertools.product(range(1, params.p - 1), repeat=params.f):
         jh = jh_of_induced(chi_of_weight(Weight(params, r, 0)))
         rep = CheckReport("jh", f"r={r}")
         rep.add("dimension", jh.total_dim == params.q + 1 and not jh.dropped, params.q + 1, jh.total_dim)
-        reports.append(rep)
-    return reports
+        yield rep
 
 
-def suite_witt(config: RunConfig) -> list:
+def suite_witt(config: RunConfig) -> Iterator[CheckReport]:
     from .oracle.groups import get_context
     from .oracle.vectors import verify_witt
 
@@ -172,10 +169,10 @@ def suite_witt(config: RunConfig) -> list:
         Weight(params, mid, 0),
         Weight(params, tuple(params.p - 2 - m for m in reversed(mid)), 1),
     ])
-    return [verify_witt(ctx, chi_of_weight(w), j) for w in weights for j in range(params.f)]
+    yield from (verify_witt(ctx, chi_of_weight(w), j) for w in weights for j in range(params.f))
 
 
-def suite_uplus(config: RunConfig) -> list:
+def suite_uplus(config: RunConfig) -> Iterator[CheckReport]:
     from .oracle.groups import get_context
     from .oracle.vectors import verify_uplus
 
@@ -183,10 +180,10 @@ def suite_uplus(config: RunConfig) -> list:
     ctx = get_context(params)
     [w] = _weights(config, [Weight(params, _interior_r(params), config.twist)])
     chi = chi_of_weight(w)
-    return [verify_uplus(ctx, chi, j, k) for j in range(params.f) for k in range(params.q)]
+    yield from (verify_uplus(ctx, chi, j, k) for j in range(params.f) for k in range(params.q))
 
 
-def suite_calculH(config: RunConfig) -> list:
+def suite_calculH(config: RunConfig) -> Iterator[CheckReport]:
     from .oracle.groups import get_context
     from .oracle.vectors import verify_calcul_H
 
@@ -199,27 +196,25 @@ def suite_calculH(config: RunConfig) -> list:
     for _ in range(5):
         ks = rng.integers(0, params.q, 3)
         combos.append(({int(ks[0]): 1, int(ks[1]): 2}, {int(ks[2]): 3}))
-    return [verify_calcul_H(ctx, chi, j, a_c, b_c) for j in range(params.f) for a_c, b_c in combos]
+    yield from (verify_calcul_H(ctx, chi, j, a_c, b_c) for j in range(params.f) for a_c, b_c in combos)
 
 
-def suite_indej(config: RunConfig) -> list:
+def suite_indej(config: RunConfig) -> Iterator[CheckReport]:
     from .oracle.groups import get_context
     from .oracle.vectors import verify_ind_ej
 
     params = config.params
     ctx = get_context(params)
     weights = _weights(config, [Weight(params, _interior_r(params), 0), Weight(params, (1,) * params.f, 0)])
-    reports = []
     for w in weights:
         chi = chi_of_weight(w)
         for j in range(params.f):
             digits, _ = char_normal_form(char_times_alpha_power(chi, j, -1))
             if digits[j] <= params.p - 2:
-                reports.append(verify_ind_ej(ctx, chi, j))
-    return reports
+                yield verify_ind_ej(ctx, chi, j)
 
 
-def suite_womega(config: RunConfig) -> list:
+def suite_womega(config: RunConfig) -> Iterator[CheckReport]:
     from .oracle.groups import get_context
     from .oracle.vectors import verify_u_generators, verify_w_omega
 
@@ -229,21 +224,18 @@ def suite_womega(config: RunConfig) -> list:
         defaults = [Weight(params, (r0,), 0) for r0 in range(1, params.p)]
     else:
         defaults = [Weight(params, _interior_r(params), 0)]
-    reports = []
     for w in _weights(config, defaults):
         chi = chi_of_weight(w)
-        reports.append(verify_u_generators(ctx, chi))
-        reports.extend(verify_w_omega(ctx, chi, j) for j in range(params.f))
-    return reports
+        yield verify_u_generators(ctx, chi)
+        yield from (verify_w_omega(ctx, chi, j) for j in range(params.f))
 
 
-def suite_combination(config: RunConfig) -> list:
+def suite_combination(config: RunConfig) -> Iterator[CheckReport]:
     params = config.params
     if config.r is not None:
         rhos = [GaloisParams(params, config.reducible, config.r, config.twist)]
     else:
         rhos = generic_parameters(params, config.case, config.twist)
-    reports = []
     for rho in rhos:
         for dw in diamond_set(rho):
             for j in range(params.f):
@@ -253,28 +245,24 @@ def suite_combination(config: RunConfig) -> list:
                     rep.add("no-couple", True, "", "no couple")
                 for cl in res.clauses:
                     rep.add(cl.name, cl.passed, "", cl.detail)
-                reports.append(rep)
-    return reports
+                yield rep
 
 
-def suite_counts(config: RunConfig) -> list:
+def suite_counts(config: RunConfig) -> Iterator[CheckReport]:
     """Size of the weight set and multiplicity freeness of its blocks."""
     params = config.params
-    reports = []
     for rho in generic_parameters(params, config.case, config.twist):
         n = len(diamond_set(rho))
         rep = CheckReport("diamond", str(rho))
         rep.add("count", n == 2 ** params.f, 2 ** params.f, n)
         rep.add("mult-free", d0_is_multiplicity_free(rho))
-        reports.append(rep)
-    return reports
+        yield rep
 
 
-def suite_f2(config: RunConfig) -> list:
+def suite_f2(config: RunConfig) -> Iterator[CheckReport]:
     params = config.params
     if params.f != 2:
         raise DomainError("the f2 suite needs f = 2")
-    reports = []
     for rho in generic_parameters(params, "irreducible", config.twist):
         rep = CheckReport("f2", str(rho))
         tab = f2_tables(rho)
@@ -283,18 +271,16 @@ def suite_f2(config: RunConfig) -> list:
         rep.add("s1-is-v1-head", vs.s1.layers == vs.v1.layers[:-2])
         rep.add("taus-outside", vs.taus_outside[0] and not any(vs.taus_outside[1:]))
         rep.add("couples", all(ok for _, ok in vs.couple_checks))
-        reports.append(rep)
-    return reports
+        yield rep
 
 
-def suite_special(config: RunConfig) -> list:
+def suite_special(config: RunConfig) -> Iterator[CheckReport]:
     params = config.params
     red = params.f % 2 == 0
     if config.r is not None:
         rhos = [GaloisParams(params, red, config.r, config.twist)]
     else:
         rhos = generic_parameters(params, "reducible" if red else "irreducible", config.twist)
-    reports = []
     for rho in rhos:
         sp = find_special_sigma(rho)
         rep = CheckReport("special", str(rho))
@@ -304,11 +290,10 @@ def suite_special(config: RunConfig) -> list:
             _, J, consistent = xi_and_J(rho, sp, fac)
             want = frozenset(range(params.f)) - {(j - 2) % params.f}
             rep.add(f"J-xi j={j}", J == want and consistent, sorted(want), sorted(J))
-        reports.append(rep)
-    return reports
+        yield rep
 
 
-def suite_s1s2(config: RunConfig) -> list:
+def suite_s1s2(config: RunConfig) -> Iterator[CheckReport]:
     from .oracle.groups import get_context
     from .oracle.modules import h_eigen_split
     from .oracle.vectors import e_two_char_module, verify_S1_condition, verify_e_two_char, verify_ej_chain
@@ -318,11 +303,11 @@ def suite_s1s2(config: RunConfig) -> list:
     ctx = get_context(params)
     [w] = _weights(config, [Weight(params, _interior_r(params), config.twist)])
     chi = chi_of_weight(w)
-    reports = [
+    yield from (
         verify_ej_chain(ctx, chi, j, s)
         for j in range(params.f)
         for s in range(1, min(3, params.p - 1) + 1)
-    ]
+    )
 
     if params.f == 2:
         try:
@@ -336,20 +321,19 @@ def suite_s1s2(config: RunConfig) -> list:
             chi2 = chi_of_weight(s2w)
             chi1s = conjugate_char(chi_of_weight(s1w))
             r0 = rho.r[0]
-            reports.append(verify_e_two_char(ctx, chi2, chi1s, 1, r0))
+            yield verify_e_two_char(ctx, chi2, chi1s, 1, r0)
             mod = e_two_char_module(ctx, chi2, chi1s, 1, r0)
             chi3 = char_times_alpha_power(chi2, 0, -r0)
             rows = dict(h_eigen_split(mod, np.eye(mod.dim, dtype=np.int64))).get(chi3)
             rep = CheckReport("s1", str(rho))
             rep.add("generator-condition", rows is not None and verify_S1_condition(mod, rows[0]))
-            reports.append(rep)
-    return reports
+            yield rep
 
 
 @dataclass(frozen=True)
 class Suite:
-    # the CheckReports of the suite's instances at a run configuration
-    run: Callable[[RunConfig], list]
+    # yields the CheckReports of the suite's instances at a run configuration
+    run: Callable[[RunConfig], Iterator[CheckReport]]
     # each optional RunConfig field the suite reads, mapped to the field it is
     # read only together with (None when it is read alone)
     reads: dict

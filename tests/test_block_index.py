@@ -1,10 +1,10 @@
 """The per-parameter block index and the shared P-family evaluation against
 brute-force references.
 
-`delta_data` looks the companion weight up in an index built once per
-parameter, `d0_factors` walks a cached list of compatible mu-tuples, and
-`jh_of_induced` and `factor_of_weight` read one evaluation of the P-family
-per digit vector.  Each is compared here with the direct computation it
+`delta_data` looks the companion weight up in the record of the blocks
+built once per parameter, `d0_factors` walks a cached list of compatible
+mu-tuples, and `jh_of_induced` and `factor_of_weight` read one evaluation
+of the P-family per digit vector.  Each is compared here with the direct computation it
 replaced (the whole-family build of an induction and a linear scan of its
 factors), over random characters and random generic parameters with f <= 5
 and a few at f = 6.  Every clause of the couple comparisons is checked over
@@ -31,7 +31,6 @@ from gl2diamond.core import (
 from gl2diamond.diamond import (
     D0Factor,
     GaloisParams,
-    d0_all,
     d0_factors,
     Y,
     YP1,
@@ -76,7 +75,7 @@ def generic_parameters(draw, min_f=1, max_f=5):
 def brute_force_delta(rho, factor):
     """The (block, factor) pairs holding tau^[s], by a scan over every block."""
     target = sigma_s(factor.weight)
-    return [(dw, fac) for dw, facs in d0_all(rho).items() for fac in facs if fac.weight == target]
+    return [(dw, fac) for dw in diamond_set(rho) for fac in d0_factors(rho, dw) if fac.weight == target]
 
 
 def unfiltered_block(rho, sigma):
@@ -145,9 +144,6 @@ def check_index(rho, stride=1):
     for dw, fac in lifted[::stride]:
         res = delta_data(rho, dw, fac)
         assert brute_force_delta(rho, fac) == [(res.target, res.mirror)]
-        chi = conjugate_char(chi_of_weight(fac.weight))
-        assert jh_of_induced(chi) == jh_of_induced.__wrapped__(chi)
-        assert jh_of_induced(chi) is jh_of_induced(chi)
 
 
 @settings(max_examples=30, deadline=None)
@@ -181,19 +177,19 @@ def test_delta_guard_survives_the_index(monkeypatch):
     mirror = delta_data(rho, sigma, tau)
     other = next(dw for dw in diamond_set(rho) if dw != mirror.target)
     duplicate = D0Factor(other, mirror.mirror.mu, mirror.mirror.composed, mirror.mirror.weight)
-    real = d0_factors
+    real = diamond._block
 
     def patched(rho_, sigma_):
         facs = real(rho_, sigma_)
         return facs + (duplicate,) if sigma_ == other else facs
 
-    diamond._block_index.cache_clear()
-    monkeypatch.setattr(diamond, "d0_factors", patched)
+    diamond._blocks.cache_clear()
+    monkeypatch.setattr(diamond, "_block", patched)
     try:
         with pytest.raises(AssertionError, match="found 2 times"):
             delta_data(rho, sigma, tau)
     finally:
-        diamond._block_index.cache_clear()
+        diamond._blocks.cache_clear()
 
 
 @st.composite
@@ -261,7 +257,7 @@ def test_a_repeated_weight_is_refused(monkeypatch):
     fam = enumerate_P(2)
 
     def caches():
-        for fn in (principal._P_with_J, principal._evaluate_P, principal.jh_of_induced):
+        for fn in (principal._P_with_J, principal._evaluate_P):
             fn.cache_clear()
 
     caches()

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gl2diamond
 from gl2diamond.cli import main
 
 
@@ -264,3 +269,30 @@ def test_verify_refuses_oversized_field(capsys):
     # the field tables at q = 31^3 would need tens of GB; refused before allocation
     assert main(["verify", "--suite", "jh", "--p", "31", "--f", "3"]) == 2
     assert "29791" in capsys.readouterr().err
+
+
+# bound on the peak RSS of a combination sweep at p = 5, f = 4 written with
+# --out, which reads about 60 MB on a 2-vCPU x86-64 host; blocks kept for
+# every parameter of the sweep, or the report encoded as one string, exceed it
+SWEEP_PEAK_MB = 100
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_a_sweep_stays_under_its_peak_memory_bound(tmp_path):
+    # the child reads its own VmHWM; ru_maxrss would carry over the RSS of
+    # the process that started it
+    script = (
+        "import sys\n"
+        "from gl2diamond.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(code, int(hwm.split()[1]) / 1024)\n"
+    )
+    src = str(Path(gl2diamond.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["verify", "--suite", "combination", "--p", "5", "--f", "4", "--format", "json",
+            "--out", str(tmp_path / "combination.json")]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, check=True)
+    code, peak_mb = proc.stdout.split()
+    assert code == "0"
+    assert float(peak_mb) <= SWEEP_PEAK_MB, f"peak RSS {peak_mb} MB"

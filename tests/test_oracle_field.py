@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl2diamond.core import DomainError
-from gl2diamond.oracle.gf import GF, Subspace, get_gf, inverse, nullspace, reduced_powers, rref, spin
+from gl2diamond.oracle.gf import GF, Subspace, _defining_poly, get_gf, inverse, nullspace, reduced_powers, rref, spin
 from gl2diamond.oracle.gr import get_gr
 
 
@@ -244,6 +244,33 @@ def test_defining_polynomial_is_deterministic():
     b = GF(5, 2)
     assert a.poly == b.poly
     assert a.gen == b.gen
+
+
+# the defining polynomial of every odd-prime field under TABLE_BYTES_LIMIT
+# with p <= 47, as its f low coefficients, constant term first: any other
+# choice moves every oracle table, so these must never change
+DEFINING_POLYNOMIALS = {
+    (3, 1): (0,), (3, 2): (1, 0), (3, 3): (1, 2, 0), (3, 4): (2, 1, 0, 0), (3, 5): (1, 2, 0, 0, 0),
+    (3, 6): (2, 1, 0, 0, 0, 0), (3, 7): (2, 0, 1, 0, 0, 0, 0),
+    (5, 1): (0,), (5, 2): (2, 0), (5, 3): (1, 1, 0), (5, 4): (2, 0, 0, 0), (5, 5): (1, 4, 0, 0, 0),
+    (7, 1): (0,), (7, 2): (1, 0), (7, 3): (2, 0, 0), (7, 4): (1, 1, 0, 0),
+    (11, 1): (0,), (11, 2): (1, 0), (11, 3): (4, 1, 0),
+    (13, 1): (0,), (13, 2): (2, 0), (13, 3): (2, 0, 0),
+    (17, 1): (0,), (17, 2): (3, 0), (17, 3): (3, 1, 0),
+    (19, 1): (0,), (19, 2): (1, 0), (19, 3): (2, 0, 0),
+    (23, 1): (0,), (23, 2): (1, 0),
+    (29, 1): (0,), (29, 2): (2, 0),
+    (31, 1): (0,), (31, 2): (1, 0),
+    (37, 1): (0,), (37, 2): (2, 0),
+    (41, 1): (0,), (41, 2): (3, 0),
+    (43, 1): (0,), (43, 2): (1, 0),
+    (47, 1): (0,), (47, 2): (1, 0),
+}
+
+
+def test_defining_polynomials_are_pinned():
+    got = {(p, f): tuple(_defining_poly(p, f)) for p, f in DEFINING_POLYNOMIALS}
+    assert got == DEFINING_POLYNOMIALS
 
 
 def test_oversized_field_tables_are_refused():
