@@ -34,7 +34,6 @@ from ..core import (
     ICharacter,
     Params,
     Weight,
-    chi_of_weight,
     weight_dim,
     weight_dual,
     weights_of_char,
@@ -132,10 +131,7 @@ def weight_module(ctx: GroupContext, sigma: Weight) -> ExplicitModule:
             a, b, c, d = gf.frob_t[a], gf.frob_t[b], gf.frob_t[c], gf.frob_t[d]
         return gf.mul_t[gf.pow_vec(det, sigma.twist)[..., None, None], M]
 
-    mod = ExplicitModule(ctx, weight_dim(sigma), "K", "K1", f"weight {sigma}", evaluate=evaluate)
-    mod.cyclic_vector = np.zeros(mod.dim, dtype=np.int64)
-    mod.cyclic_vector[0] = 1  # the pro-p fixed line
-    return mod
+    return ExplicitModule(ctx, weight_dim(sigma), "K", "K1", f"weight {sigma}", evaluate=evaluate)
 
 
 def character_module(ctx: GroupContext, chi: ICharacter) -> ExplicitModule:
@@ -260,11 +256,11 @@ def direct_sum(A: ExplicitModule, B: ExplicitModule) -> ExplicitModule:
     return ExplicitModule(A.ctx, A.dim + B.dim, group, level, f"{A.name} + {B.name}", derive=derive)
 
 
-def invariants(mod: ExplicitModule, kind: str = "I1") -> np.ndarray:
-    """Rows spanning the fixed space of the listed generators."""
+def invariants(mod: ExplicitModule) -> np.ndarray:
+    """Rows spanning the pro-p (I1) fixed space."""
     gf = mod.gf
     eye = gf.eye(mod.dim)
-    blocks = [gf.sub(M, eye) for M in mod.gen_mats(kind)]
+    blocks = [gf.sub(M, eye) for M in mod.gen_mats("I1")]
     stacked = np.vstack(blocks) if blocks else np.zeros((0, mod.dim), dtype=np.int64)
     return nullspace(gf, stacked)
 
@@ -328,7 +324,7 @@ def _weight_words(params: Params, sigma: Weight):
     gf = ctx.gf
     W = weight_module(ctx, sigma)
     gmats = W.gen_mats("K")
-    V = W.cyclic_vector.reshape(1, -1)
+    V = np.eye(1, W.dim, dtype=np.int64)  # the pro-p fixed line
     sub = Subspace(gf, V)
     tree = []
     frontier = [0]
@@ -346,31 +342,25 @@ def _weight_words(params: Params, sigma: Weight):
     return tuple(tree), struct
 
 
-def hom_from_weight(mod: ExplicitModule, sigma: Weight, eig_rows=None):
+def hom_from_weight(mod: ExplicitModule, sigma: Weight, rows) -> list:
     """Basis of equivariant maps from the weight into a K-module.
 
+    ``rows`` span the chi_sigma-eigenspace of the module's pro-p invariants
+    (an entry of ``h_eigen_split``), where the weight's fixed vector must go.
     Returns a list of image bases (rows), one per independent map; a map is
-    determined by the image w of the weight's fixed vector, constrained by
-    the weight's structure constants applied to the translates of w.
+    determined by the image w of the fixed vector, constrained by the
+    weight's structure constants applied to the translates of w.
     """
-    ctx = mod.ctx
     gf = mod.gf
-    if eig_rows is None:
-        eig_rows = dict(h_eigen_split(mod, invariants(mod, "I1"))).get(chi_of_weight(sigma))
-        if eig_rows is None:
-            return []
-    eig_rows = np.atleast_2d(np.asarray(eig_rows, dtype=np.int64))
-    m = eig_rows.shape[0]
-    if m == 0:
-        return []
-    tree, struct = _weight_words(ctx.params, sigma)
+    m = rows.shape[0]
+    tree, struct = _weight_words(mod.ctx.params, sigma)
     gmats = mod.gen_mats("K")
     dimw = len(tree) + 1
     # translates of each candidate basis vector, along the weight's spanning
     # tree: one product per (BFS level, generator), since a node's parent
     # lies on an earlier level
     trans = np.zeros((m, dimw, mod.dim), dtype=np.int64)
-    trans[:, 0] = eig_rows
+    trans[:, 0] = rows
     level = [0]
     steps = defaultdict(list)
     for i, (parent, k) in enumerate(tree, 1):
@@ -391,40 +381,14 @@ def hom_from_weight(mod: ExplicitModule, sigma: Weight, eig_rows=None):
     return list(gf.matmul(ker, trans.reshape(m, dimw * mod.dim)).reshape(-1, dimw, mod.dim))
 
 
-def hom_space(A, B: ExplicitModule) -> list:
-    """Basis of equivariant maps A -> B.
-
-    A may be a Weight (then B must be a K-module and each map is returned
-    as the rows of its image, via the fixed-vector translates) or a small
-    ExplicitModule (then maps are returned as dim(B) x dim(A) matrices from
-    the full intertwiner system over the generator list).
-    """
-    if isinstance(A, Weight):
-        return hom_from_weight(B, A)
-    if A.ctx is not B.ctx:
-        raise DomainError("modules live over different contexts")
-    gf = A.gf
-    kind = "I" if "I" in (A.group, B.group) else "K"
-    nA, nB = A.dim, B.dim
-    if nA * nB > 4096:
-        raise DomainError("full intertwiner solve is limited to small modules")
-    rows = []
-    for MA, MB in zip(A.gen_mats(kind), B.gen_mats(kind)):
-        # X MA - MB X = 0 on the row-major flattening of the nB x nA matrix X
-        rows.append(gf.sub(gf_kron(gf, gf.eye(nB), MA.T), gf_kron(gf, MB, gf.eye(nA))))
-    ker = nullspace(gf, np.vstack(rows))
-    return [vec.reshape(nB, nA) for vec in ker]
-
-
 def socle_components(mod: ExplicitModule) -> list:
     """Irreducible subobjects as (Weight, image rows), one entry per embedding."""
     out = []
-    inv = invariants(mod, "I1")
-    for chi, rows in h_eigen_split(mod, inv):
+    for chi, rows in h_eigen_split(mod, invariants(mod)):
         for w in weights_of_char(chi):
             if weight_dim(w) > mod.dim:
                 continue
-            for img in hom_from_weight(mod, w, eig_rows=rows):
+            for img in hom_from_weight(mod, w, rows):
                 out.append((w, img))
     return out
 
@@ -507,7 +471,7 @@ def i_socle_series_chars(mod: ExplicitModule) -> list:
     layers = []
     cur = mod
     while cur.dim > 0:
-        inv = invariants(cur, "I1")
+        inv = invariants(cur)
         if inv.shape[0] == 0:
             raise AssertionError("nonzero module with no pro-p invariants")
         chars = []

@@ -233,12 +233,10 @@ def verify_uplus(ctx: GroupContext, chi: ICharacter, j: int, k: int) -> CheckRep
     return rep
 
 
-def ej_chain_module(ctx: GroupContext, chi: ICharacter, j: int, s: int):
-    """The uniserial (s+1)-dimensional chain below Ind of the twisted character.
-
-    Returns (module, subspace, bundle); the module is the span of f_(p^j s)
-    under the Iwahori inside the induction of the twist of chi.
-    """
+def ej_chain_module(ctx: GroupContext, chi: ICharacter, j: int, s: int) -> ExplicitModule:
+    """The uniserial (s+1)-dimensional chain below Ind of the twisted character:
+    the span of f_(p^j s) under the Iwahori inside the induction of the twist
+    of chi."""
     if not 0 <= s <= ctx.params.p - 1:
         raise DomainError("chain length out of range")
     gf = ctx.gf
@@ -246,13 +244,12 @@ def ej_chain_module(ctx: GroupContext, chi: ICharacter, j: int, s: int):
     k = ctx.params.p ** j * s
     seed = coset_sum_vector(ctx, 1, np.array([1]), k)
     sub = spin(gf, base.gen_mats("I"), seed)
-    mod = sub_module(base, sub, name=f"chain({chi},{j},{s})", group="I")
-    return mod, sub, base
+    return sub_module(base, sub, name=f"chain({chi},{j},{s})", group="I")
 
 
 def verify_ej_chain(ctx: GroupContext, chi: ICharacter, j: int, s: int) -> CheckReport:
     rep = CheckReport("chain", f"chi=({chi.a},{chi.b}),j={j},s={s}")
-    mod, _, _ = ej_chain_module(ctx, chi, j, s)
+    mod = ej_chain_module(ctx, chi, j, s)
     rep.add("dimension", mod.dim == s + 1, s + 1, mod.dim)
     layers = i_socle_series_chars(mod)
     expected = [[char_times_alpha_power(chi, j, -i)] for i in range(s + 1)]
@@ -287,7 +284,7 @@ def e_two_char_module(ctx: GroupContext, chi: ICharacter, chi2: ICharacter, j: i
     rhs = char_times_alpha_power(chi2, j, -1)
     if lhs != rhs:
         raise DomainError("characters are incompatible with the gluing")
-    A, _, _ = ej_chain_module(ctx, chi, jm1, s_plus_1)
+    A = ej_chain_module(ctx, chi, jm1, s_plus_1)
     B = ej_module(ctx, chi2, j)
     gf = ctx.gf
     dA, dB = A.dim, B.dim
@@ -394,7 +391,7 @@ def verify_ind_ej(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     )
     rep.add("span dimension", span0.dim == weight_dim(target), weight_dim(target), span0.dim)
     sm = sub_module(mod, span0)
-    inv = invariants(sm, "I1")
+    inv = invariants(sm)
     ok = inv.shape[0] == 1 and h_eigen_split(sm, inv)[0][0] == chi_of_weight(target)
     rep.add("span is the predicted weight", ok, str(target))
     spanq = spin(gf, mod.gen_mats("K"), Rq)
@@ -416,10 +413,11 @@ def verify_u_generators(ctx: GroupContext, chi: ICharacter) -> CheckReport:
         # the lower layer of the bundle sits in the v-slots of each coset block
         vec = bundle.u_generator_lower(factor)[0::2].copy()
         span = spin(gf, base.gen_mats("K"), vec)
-        got = jh_multiset(sub_module(base, span))
+        sub = sub_module(base, span)
+        got = jh_multiset(sub)
         want = Counter(fac.weight for fac in U_contents(factor, conjugate_char(chi)))
         rep.add(f"contents of U({factor.weight})", got == want, dict(want), dict(got))
-        cos = cosocle_weights(sub_module(base, span))
+        cos = cosocle_weights(sub)
         rep.add(f"cosocle of U({factor.weight})", cos == Counter([factor.weight]))
     return rep
 

@@ -358,8 +358,8 @@ SUITES = {
 
 def run_suite(config: RunConfig) -> list:
     """Checks of one suite, sorted by instance; a field set away from its
-    default that the suite would ignore, a case the suite cannot take, or a
-    configuration with nothing to check raises DomainError."""
+    default that the suite would ignore, a case the suite cannot take, a
+    negative seed, or a configuration with nothing to check raises DomainError."""
     if config.suite not in SUITES:
         raise DomainError(f"unknown suite {config.suite!r}; choose from {sorted(SUITES)}")
     if config.case not in CASES:
@@ -376,6 +376,8 @@ def run_suite(config: RunConfig) -> list:
             raise DomainError(f"suite {config.suite} reads --{name} only together with --{need}")
     if config.case == "all-generic" and config.r is not None:
         raise DomainError("--case all-generic names no single parameter, so it takes no --r")
+    if config.seed < 0:
+        raise DomainError(f"--seed must be a non-negative integer, got {config.seed}")
     checks = [
         {"anchor": f"{rep.anchor}.{c['name']}", "instance": rep.instance,
          "expected": c["expected"], "got": c["got"], "status": c["status"]}

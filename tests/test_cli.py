@@ -116,6 +116,14 @@ def test_seed_is_a_verify_flag_only(argv, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_negative_seed(capsys):
+    # the seed used to reach numpy's generator and die with a traceback, exit 1
+    assert main(["verify", "--suite", "calculH", "--p", "5", "--f", "1", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed must be a non-negative integer, got -1" in captured.err
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["filtration", "v1", "--p", "7", "--f", "2", "--r", "2,1", "--j", "1"], "--j"),
     (["filtration", "s1", "--p", "7", "--f", "2", "--r", "2,1", "--j", "1"], "--j"),
