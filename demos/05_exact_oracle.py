@@ -21,6 +21,7 @@ from gl2diamond import (
     jh_of_induced,
     sigma_s,
 )
+from gl2diamond.oracle.gf import spin
 from gl2diamond.oracle.groups import get_context
 from gl2diamond.oracle.modules import (
     character_module,
@@ -74,7 +75,7 @@ s3w, s4w = tab.sigmas[2], tab.sigmas[3]
 omega = Weight(par, (par.p - 2 - rho.r[0], rho.r[1] + 3), rho.r[0] + par.p * (par.p - 2))
 bundle3 = TwistedExtensionInduction(ctx, chi_of_weight(s3w), 1)
 fac = next(fac for fac in bundle3.jh_upper.factors if fac.weight == omega)
-span = bundle3.spin_K(bundle3.w_generator(fac))
+span = spin(ctx.gf, bundle3.W.gen_mats("K"), bundle3.w_generator(fac))
 smod = sub_module(bundle3.W, span)
 allowed = {dw.weight for dw in diamond_set(rho)} - {s3w}
 img = quotient_by_non_diamond_socle(smod, allowed)

@@ -93,6 +93,16 @@ class GroupContext:
         k = self.k_gens()
         return tuple(k[i] for i in self.kind_positions()[kind])
 
+    @lru_cache(maxsize=None)
+    def transpose_positions(self) -> tuple:
+        """For each position in k_gens(), the position of its transpose: upper
+        and lower elementary matrices swap, diagonal ones stay."""
+        gens = self.k_gens()
+        hits = [[i for i, h in enumerate(gens) if (h == g.swapaxes(0, 1)).all()] for g in gens]
+        if any(len(h) != 1 for h in hits):
+            raise AssertionError("k_gens() is not closed under transposition, or repeats a generator")
+        return tuple(h[0] for h in hits)
+
     # -- cosets of I in K --
 
     @lru_cache(maxsize=None)

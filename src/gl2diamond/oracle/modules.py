@@ -10,15 +10,15 @@ normalizer, and induction from I to K over the fixed coset representatives.
 Every evaluator broadcasts: a stack of matrices (..., 2, 2, f) gives the
 stack of their images (..., d, d), so a module's generator matrices are
 one call and an induced module evaluates all q+1 cosets of a whole stack
-in one call of its base.  Submodules, quotients, duals and direct sums
-transform the matrices of their parts once.
+in one call of its base.  Submodules, quotients and direct sums transform
+the matrices of their parts once.
 
 Socles are computed from first principles: any irreducible subobject is
 generated by a pro-p-fixed eigenvector, and a weight embeds through such a
 vector exactly when the images of a recorded spanning set of group words
 satisfy the weight's structure constants.  Iterating over quotients gives
-socle series, Jordan-Hoelder multisets and, through the contragredient,
-cosocles.  Everything is exact; any mismatch raises.
+socle series, Jordan-Hoelder multisets and, as the socle of the transposed
+action, cosocles.  Everything is exact; any mismatch raises.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from ..core import (
     Params,
     Weight,
     weight_dim,
-    weight_dual,
     weights_of_char,
 )
 from .gf import Subspace, inverse, nullspace
@@ -223,22 +222,6 @@ def quotient_module(mod: ExplicitModule, sub: Subspace, name: str = "") -> Expli
         return [gf.matmul(P, M[:, comp]) for M in mod.gen_mats(mod.group)]
 
     return ExplicitModule(mod.ctx, len(comp), mod.group, mod.level, name or f"quot({mod.name})", derive=derive)
-
-
-def dual_module(mod: ExplicitModule) -> ExplicitModule:
-    """Contragredient (inverse transpose); keeps an evaluator for check_module
-    when the module has one."""
-    ctx = mod.ctx
-    evaluate = None
-    if hasattr(mod, "evaluate"):
-        def evaluate(g):
-            return np.swapaxes(mod.evaluate(ctx.gr.mat_inv(g)), -1, -2)
-
-    def derive():
-        return [inverse(mod.gf, M).T for M in mod.gen_mats(mod.group)]
-
-    return ExplicitModule(ctx, mod.dim, mod.group, mod.level, f"dual({mod.name})",
-                          evaluate=evaluate, derive=derive)
 
 
 def direct_sum(A: ExplicitModule, B: ExplicitModule) -> ExplicitModule:
@@ -437,9 +420,13 @@ def socle_weights(mod: ExplicitModule) -> Counter:
 
 
 def cosocle_weights(mod: ExplicitModule) -> Counter:
-    dual = dual_module(mod)
-    found, _ = socle_data(dual)
-    return Counter({weight_dual(w): k for w, k in found.items()})
+    """Cosocle of a K-module, as the socle of g -> M(g^T)^T: the contragredient
+    composed with g -> (g^T)^(-1) = det(g)^(-1) J g J^(-1), J = (0,1;-1,0),
+    which sends each weight's dual back to the weight.  K's generators are
+    closed under transposition, so nothing is inverted."""
+    mats, perm = mod.gen_mats("K"), mod.ctx.transpose_positions()
+    return socle_weights(ExplicitModule(mod.ctx, mod.dim, "K", mod.level, f"transpose({mod.name})",
+                                        derive=lambda: [mats[i].T for i in perm]))
 
 
 def radical_subspace(mod: ExplicitModule, kind: str, rows=None) -> Subspace:

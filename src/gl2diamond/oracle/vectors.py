@@ -72,6 +72,21 @@ def minus_one_to(t: int, gf) -> int:
     return gf.neg_t[1] if t % 2 else 1
 
 
+def canonical_generator(ctx: GroupContext, char: ICharacter, member, factor) -> np.ndarray:
+    """The twisted coset sum of ``member`` whose exponent k is read off the
+    factor's tuple at the normal form of char, corrected by epsilon_generator."""
+    par, gf = ctx.params, ctx.gf
+    digits, t = char_normal_form(char)
+    k = sum(
+        par.p ** i * (par.p - 1 - factor.lam[i].value(digits[i], par.p))
+        for i in factor.J
+    )
+    vec = coset_sum_vector(ctx, len(member), member, k)
+    if epsilon_generator(char, factor.weight):
+        vec = gf.add(vec, identity_coset_vector(ctx, len(member), member * minus_one_to(t, gf)))
+    return vec
+
+
 class TwistedExtensionInduction:
     """The induction W of the normalizer twist of a two-dimensional extension.
 
@@ -103,30 +118,11 @@ class TwistedExtensionInduction:
 
     def u_generator_lower(self, factor) -> np.ndarray:
         """Canonical generator of the unique sub with cosocle ``factor`` below."""
-        return self._generator(self.chi, 0, factor)
+        return canonical_generator(self.ctx, self.chi, np.array([1, 0]), factor)
 
     def w_generator(self, factor) -> np.ndarray:
         """Canonical generator of W_omega for a factor of the upper layer."""
-        return self._generator(self.psi, 1, factor)
-
-    def _generator(self, char: ICharacter, slot: int, factor) -> np.ndarray:
-        # the twisted coset sum of member slot `slot` (0: f_k, 1: F_k) whose
-        # exponent k is read off the factor's tuple at the normal form of char
-        par, gf = self.ctx.params, self.ctx.gf
-        digits, t = char_normal_form(char)
-        k = sum(
-            par.p ** i * (par.p - 1 - factor.lam[i].value(digits[i], par.p))
-            for i in factor.J
-        )
-        member = np.zeros(2, dtype=np.int64)
-        member[slot] = 1
-        vec = coset_sum_vector(self.ctx, 2, member, k)
-        if epsilon_generator(char, factor.weight):
-            vec = gf.add(vec, identity_coset_vector(self.ctx, 2, member * minus_one_to(t, gf)))
-        return vec
-
-    def spin_K(self, seed) -> Subspace:
-        return spin(self.ctx.gf, self.W.gen_mats("K"), seed)
+        return canonical_generator(self.ctx, self.psi, np.array([0, 1]), factor)
 
 
 def verify_witt(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
@@ -406,12 +402,10 @@ def verify_ind_ej(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
 def verify_u_generators(ctx: GroupContext, chi: ICharacter) -> CheckReport:
     """Each canonical generator spans exactly the predicted sub of the induction."""
     gf = ctx.gf
-    bundle = TwistedExtensionInduction(ctx, chi, 0)
     rep = CheckReport("u-generator", f"chi=({chi.a},{chi.b})")
     base = induce(pi_twist(character_module(ctx, chi)))
-    for factor in bundle.jh_lower.factors:
-        # the lower layer of the bundle sits in the v-slots of each coset block
-        vec = bundle.u_generator_lower(factor)[0::2].copy()
+    for factor in jh_of_induced(conjugate_char(chi)).factors:
+        vec = canonical_generator(ctx, chi, np.array([1]), factor)
         span = spin(gf, base.gen_mats("K"), vec)
         sub = sub_module(base, span)
         got = jh_multiset(sub)
@@ -430,7 +424,7 @@ def verify_w_omega(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     quotient = quotient_module(bundle.W, bundle.lower)
     for omega in bundle.jh_upper.factors:
         wgen = bundle.w_generator(omega)
-        wspan = bundle.spin_K(wgen)
+        wspan = spin(gf, bundle.W.gen_mats("K"), wgen)
         smod = sub_module(bundle.W, wspan)
         cos = cosocle_weights(smod)
         rep.add(f"cosocle W_({omega.weight})", cos == Counter([omega.weight]),

@@ -5,6 +5,8 @@ A golden file is regenerated with
     PYTHONPATH=src python -m gl2diamond.cli ARGV > tests/golden/NAME.json
 and should change only when a check itself is meant to change.  The
 combination sweep at p = 5, f = 3 is 1.4 MB, so only its sha256 is kept.
+tests/golden/verify-womega-p5-f3.json takes about 15 s, so it is compared
+in CI only (.github/workflows/tier1.yml), not here.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = {
     "verify-jh-p5-f1": ["verify", "--suite", "jh", "--p", "5", "--f", "1", "--format", "json"],
     "verify-womega-p5-f1": ["verify", "--suite", "womega", "--p", "5", "--f", "1", "--format", "json"],
+    "verify-womega-p7-f2": ["verify", "--suite", "womega", "--p", "7", "--f", "2", "--format", "json"],
     "verify-indej-p5-f2": ["verify", "--suite", "indej", "--p", "5", "--f", "2", "--format", "json"],
     "verify-indej-p7-f2": ["verify", "--suite", "indej", "--p", "7", "--f", "2", "--format", "json"],
     "verify-s1s2-p5-f2-r2-1": ["verify", "--suite", "s1s2", "--p", "5", "--f", "2", "--r", "2,1", "--format", "json"],

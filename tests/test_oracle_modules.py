@@ -13,6 +13,7 @@ from gl2diamond.core import (
     conjugate_char,
     sigma_s,
     weight_dim,
+    weight_dual,
 )
 from gl2diamond.principal import jh_of_induced, socle_of_induced
 from gl2diamond.oracle.gf import Subspace, spin
@@ -22,7 +23,6 @@ from gl2diamond.oracle.modules import (
     check_module,
     cosocle_weights,
     direct_sum,
-    dual_module,
     ej_module,
     h_eigen_split,
     hom_from_weight,
@@ -112,11 +112,10 @@ def test_induce_needs_an_evaluator(ctx51):
     E = ej_module(ctx, chi_of_weight(Weight(ctx.params, (2,), 0)), 0)
     line = Subspace(gf, invariants(E))
     S = sub_module(E, line)
-    for mod in (S, quotient_module(E, line), direct_sum(E, E), dual_module(S)):
+    for mod in (S, quotient_module(E, line), direct_sum(E, E)):
         assert mod.group == "I" and not hasattr(mod, "evaluate")
         with pytest.raises(DomainError, match="evaluator"):
             induce(mod)
-    assert induce(dual_module(E)).dim == 2 * (gf.q + 1)
 
 
 def test_evaluator_multiplicativity_100_samples(ctx52):
@@ -256,16 +255,40 @@ def test_socle_components_of_a_principal_series(pf, data):
     assert socle_weights(mod) == Counter(socle_of_induced(chi))
 
 
-def test_dual_module(ctx51):
+@pytest.mark.parametrize("p, f", [(5, 1), (3, 2), (3, 3)])
+def test_transpose_positions(p, f):
+    ctx = get_context(Params(p, f))
+    gens = ctx.k_gens()
+    perm = ctx.transpose_positions()
+    assert sorted(perm) == list(range(len(gens)))
+    for g, i in zip(gens, perm):
+        assert (gens[i] == g.swapaxes(0, 1)).all()
+
+
+def test_cosocle_of_a_twisted_weight(ctx51):
     ctx = ctx51
     sigma = Weight(ctx.params, (2,), 1)
-    W = weight_module(ctx, sigma)
-    D = dual_module(W)
-    rng = np.random.default_rng(1)
-    check_module(D, rng, samples=10)
-    from gl2diamond.core import weight_dual
+    assert cosocle_weights(weight_module(ctx, sigma)) == Counter([sigma])
 
-    assert socle_weights(D) == Counter([weight_dual(sigma)])
+
+def test_cosocle_needs_a_k_module(ctx51):
+    ctx = ctx51
+    C = character_module(ctx, chi_of_weight(Weight(ctx.params, (2,), 1)))
+    with pytest.raises(DomainError):
+        cosocle_weights(C)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2)]), st.data())
+def test_cosocle_of_a_principal_series(pf, data):
+    # the cosocle of Ind(chi) is the dual of the socle of Ind(chi^-1), read
+    # off the combinatorial layer
+    p, f = pf
+    ctx = get_context(Params(p, f))
+    r = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
+    chi = chi_of_weight(Weight(ctx.params, r, data.draw(st.integers(0, ctx.gf.q - 2))))
+    mod = induce(character_module(ctx, chi))
+    assert cosocle_weights(mod) == Counter(weight_dual(w) for w in socle_of_induced(chi.inverse()))
 
 
 def test_restricted_loewy(ctx52):
@@ -377,28 +400,26 @@ def test_twisted_induction_socle(ctx52):
 
 def test_derived_matrices_intertwine(ctx51):
     # the inclusion of a submodule, the projection onto a quotient and the
-    # block inclusions of a direct sum are equivariant; the dual of a
-    # submodule, which has no evaluator, acts by the inverse transpose; an
-    # Iwahori-stable subspace restricted to I is included equivariantly
+    # block inclusions of a direct sum are equivariant; an Iwahori-stable
+    # subspace restricted to I is included equivariantly
     ctx = ctx51
     gf = ctx.gf
     mod = induce(character_module(ctx, chi_of_weight(Weight(ctx.params, (2,), 0))))
     sub = Subspace(gf, socle_components(mod)[0][1])
     assert 0 < sub.dim < mod.dim
     S, Q = sub_module(mod, sub), quotient_module(mod, sub)
-    D, SD = direct_sum(S, Q), dual_module(S)
-    assert not hasattr(S, "evaluate") and not hasattr(SD, "evaluate")
+    D = direct_sum(S, Q)
+    assert not hasattr(S, "evaluate")
     B = sub.basis
     P = np.stack([sub.reduce(v)[sub.complement_coords()] for v in gf.eye(mod.dim)]).T
     k = S.dim
     for kind in ctx.kind_positions():
-        mats = zip(mod.gen_mats(kind), S.gen_mats(kind), Q.gen_mats(kind), D.gen_mats(kind), SD.gen_mats(kind))
-        for M, MS, MQ, MD, MSD in mats:
+        mats = zip(mod.gen_mats(kind), S.gen_mats(kind), Q.gen_mats(kind), D.gen_mats(kind))
+        for M, MS, MQ, MD in mats:
             assert (gf.matmul(B, M.T) == gf.matmul(MS.T, B)).all()
             assert (gf.matmul(P, M) == gf.matmul(MQ, P)).all()
             assert (MD[:k, :k] == MS).all() and (MD[k:, k:] == MQ).all()
             assert not MD[:k, k:].any() and not MD[k:, :k].any()
-            assert (gf.matmul(MSD.T, MS) == gf.eye(k)).all()
     seed = np.zeros(mod.dim, dtype=np.int64)
     seed[0] = 1
     span = spin(gf, mod.gen_mats("I"), seed)
@@ -459,7 +480,7 @@ def test_stacked_evaluators_match_single_calls(pf, seed):
     j = int(rng.integers(0, f))
     W, C, E = weight_module(ctx, sigma), character_module(ctx, chi), ej_module(ctx, chi, j)
     P = pi_twist(E)
-    mods = [W, C, E, P, induce(C), induce(E), induce(P), dual_module(W), dual_module(E), dual_module(induce(C))]
+    mods = [W, C, E, P, induce(C), induce(E), induce(P)]
     for mod in mods:
         stack = np.stack([ctx.random_element(mod.group, rng) for _ in range(6)]).reshape(2, 3, 2, 2, f)
         images = mod.evaluate(stack)

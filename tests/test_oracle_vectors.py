@@ -13,6 +13,7 @@ from gl2diamond.core import (
 from gl2diamond.diamond import GaloisParams, diamond_set
 from gl2diamond.filtration import f2_tables
 from gl2diamond.principal import jh_of_induced
+from gl2diamond.oracle.gf import spin
 from gl2diamond.oracle.groups import get_context
 from gl2diamond.oracle.modules import (
     h_eigen_split,
@@ -204,7 +205,7 @@ def test_three_layer_image(ctx52):
     D = {dw.weight for dw in diamond_set(rho)}
     bundle = TwistedExtensionInduction(ctx52, chi_of_weight(s3w), 1)
     fac = next(fac for fac in bundle.jh_upper.factors if fac.weight == omega)
-    wspan = bundle.spin_K(bundle.w_generator(fac))
+    wspan = spin(ctx52.gf, bundle.W.gen_mats("K"), bundle.w_generator(fac))
     smod = sub_module(bundle.W, wspan)
     img = quotient_by_non_diamond_socle(smod, D - {s3w})
     layers = socle_series(img)
