@@ -13,7 +13,10 @@ it is refused before anything is gathered.  The defining polynomial is the
 monic irreducible of degree f with the smallest encoded coefficient vector,
 so every run is reproducible.
 Echelon work (subspaces, nullspaces, inverses, spins) runs on the tables in
-one whole-matrix elimination, ``rref``.
+one whole-matrix elimination, ``rref``.  A subspace grows in place: only the
+new residues are echeloned, and its old rows are cleared at the new pivot
+columns by one product.  A spin grows its subspace once per round of
+images and stops at the full space.
 """
 
 from __future__ import annotations
@@ -318,9 +321,25 @@ class Subspace:
         # column is a pivot column of the transposed residue block
         _, grew = rref(self.gf, res.T)
         if grew:
-            self.basis, self.pivots = rref(self.gf, np.vstack([self.basis, res[grew]]))
-            self._prepared = None
+            self._grow(res[grew])
         return grew
+
+    def _grow(self, res):
+        """Add nonzero residues (rows that vanish at the pivots) in place;
+        returns their echelon rows.  Only the residues are echeloned: the old rows
+        are cleared at the new pivot columns by one product, and the two
+        sets of rows are merged in pivot order."""
+        gf = self.gf
+        new, pivots = rref(gf, res)
+        old = self.basis
+        if old.shape[0]:
+            old = gf.sub(old, gf.matmul(old[:, pivots], new))
+        pivots = self.pivots + pivots
+        order = sorted(range(len(pivots)), key=pivots.__getitem__)
+        self.basis = np.vstack([old, new])[order]
+        self.pivots = [pivots[i] for i in order]
+        self._prepared = None
+        return new
 
     def express(self, rows):
         """Coordinates of each row in the echelon basis; raises ValueError
@@ -361,16 +380,36 @@ def inverse(gf: GF, A) -> np.ndarray:
 
 
 def spin(gf: GF, mats, seeds) -> Subspace:
-    """Closure of the span of the seed rows under left action by the matrices."""
+    """Closure of the span of the seed rows under left action by the matrices.
+
+    One round reduces every generator's images of the frontier against the
+    basis and grows the basis once by the nonzero residues; their echelon
+    rows are the next frontier.  At most n residue rows (n the ambient
+    dimension) are held: when the next generator's block would pass n, the
+    held rows are merged first and the block is reduced again.  The spin
+    stops at the full space, which is closed."""
     mats = [np.asarray(M, dtype=np.int64) for M in mats]
     sub = Subspace(gf, seeds)
+    n = sub.n
+
+    def residues(rows):
+        res = sub.reduce(rows)
+        return res[res.any(axis=1)]
+
     frontier = sub.basis
-    while frontier.shape[0]:
-        # one block per generator, so reducing the images costs no more
-        # memory than computing them
-        grown = []
+    while frontier.shape[0] and sub.dim < n:
+        held, grown = [], []
         for M in mats:
-            images = gf.matmul(frontier, M.T)
-            grown.append(images[sub.insert(images)])
-        frontier = np.vstack(grown)
+            res = residues(gf.matmul(frontier, M.T))
+            if sum(map(len, held)) + len(res) > n:
+                grown.append(sub._grow(np.vstack(held)))
+                held = []
+                if sub.dim == n:
+                    break
+                res = residues(res)
+            if len(res):
+                held.append(res)
+        if held:
+            grown.append(sub._grow(np.vstack(held)))
+        frontier = np.vstack([sub.basis[:0], *grown])
     return sub

@@ -30,6 +30,7 @@ COMMANDS = {
     "verify-f2-p7-f2": ["verify", "--suite", "f2", "--p", "7", "--f", "2", "--format", "json"],
     "verify-witt-p5-f1": ["verify", "--suite", "witt", "--p", "5", "--f", "1", "--format", "json"],
     "verify-uplus-p5-f1": ["verify", "--suite", "uplus", "--p", "5", "--f", "1", "--format", "json"],
+    "verify-uplus-p5-f2": ["verify", "--suite", "uplus", "--p", "5", "--f", "2", "--format", "json"],
     "verify-calculH-p5-f1-seed3": ["verify", "--suite", "calculH", "--p", "5", "--f", "1", "--seed", "3", "--format", "json"],
     "verify-counts-p5-f2-all-generic": ["verify", "--suite", "counts", "--p", "5", "--f", "2", "--case", "all-generic", "--format", "json"],
     "verify-dimension-p5-f2": ["verify", "--suite", "dimension", "--p", "5", "--f", "2", "--format", "json"],

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl2diamond.core import DomainError
+from gl2diamond.core import DomainError, Params, Weight, chi_of_weight
+from gl2diamond.oracle import gf as gf_module
 from gl2diamond.oracle.gf import GF, Subspace, _defining_poly, get_gf, inverse, nullspace, reduced_powers, rref, spin
 from gl2diamond.oracle.gr import get_gr
+from gl2diamond.oracle.groups import get_context
+from gl2diamond.oracle.modules import character_module, induce
 
 
 @pytest.mark.parametrize("p,f", [(3, 2), (5, 1), (5, 2), (7, 2), (5, 3)])
@@ -159,6 +162,14 @@ def test_spin_closure():
         P[(i + 1) % 4, i] = 1
     seed = np.array([1, 0, 0, 0])
     assert spin(F, [P], seed).dim == 4
+
+
+def test_spin_without_generators_is_the_span_of_the_seeds():
+    gf = get_gf(5, 2)
+    seeds = np.random.default_rng(4).integers(0, gf.q, (3, 6))
+    sub = spin(gf, [], seeds)
+    span = Subspace(gf, seeds)
+    assert (sub.basis == span.basis).all() and sub.pivots == span.pivots
 
 
 @pytest.mark.parametrize("p,f", [(5, 1), (5, 2), (7, 2), (5, 3)])
@@ -319,12 +330,8 @@ class _RowEchelon:
 FIELDS = [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (3, 3)]
 
 
-@st.composite
-def field_matrices(draw, square=False):
-    """(gf, A): random, rank-deficient (m x r)(r x n), or zero, possibly with 0 rows."""
-    gf = get_gf(*draw(st.sampled_from(FIELDS)))
-    n = draw(st.integers(1, 7))
-    m = n if square else draw(st.integers(0, 8))
+def _draw_matrix(draw, gf, m, n):
+    """An m x n matrix over gf: random, rank-deficient (m x r)(r x n), or zero."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(["random", "low rank", "zero"]))
     if kind == "random":
@@ -334,7 +341,16 @@ def field_matrices(draw, square=False):
         A = gf.matmul(rng.integers(0, gf.q, (m, r)), rng.integers(0, gf.q, (r, n)))
     else:
         A = np.zeros((m, n), dtype=np.int64)
-    return gf, A.astype(np.int64)
+    return A.astype(np.int64)
+
+
+@st.composite
+def field_matrices(draw, square=False):
+    """(gf, A) for A from ``_draw_matrix``, possibly with 0 rows."""
+    gf = get_gf(*draw(st.sampled_from(FIELDS)))
+    n = draw(st.integers(1, 7))
+    m = n if square else draw(st.integers(0, 8))
+    return gf, _draw_matrix(draw, gf, m, n)
 
 
 def _reference(gf, rows, n, start=()):
@@ -363,6 +379,106 @@ def test_rref_and_insert_match_row_at_a_time_reference(gf_A, seed):
     sub = Subspace(gf, start)
     assert sub.insert(block) == grew
     assert (sub.basis == ref.basis).all() and sub.pivots == ref.pivots
+
+
+@st.composite
+def insert_chains(draw):
+    """(gf, blocks): successive blocks of rows of one length over one field."""
+    gf = get_gf(*draw(st.sampled_from(FIELDS)))
+    n = draw(st.integers(1, 7))
+    sizes = draw(st.lists(st.integers(0, 4), min_size=2, max_size=6))
+    return gf, [_draw_matrix(draw, gf, m, n) for m in sizes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(insert_chains(), st.integers(0, 2 ** 32 - 1))
+def test_a_chain_of_inserts_matches_row_at_a_time_reference(gf_blocks, seed):
+    # each block grows the basis in place against the rows of the earlier
+    # ones; members of the span so far are mixed into it
+    gf, blocks = gf_blocks
+    n = blocks[0].shape[1]
+    rng = np.random.default_rng(seed)
+    sub, ref = Subspace(gf, ambient=n), _RowEchelon(gf, n)
+    for block in blocks:
+        members = gf.matmul(rng.integers(0, gf.q, (2, sub.dim)), sub.basis) if sub.dim else block[:0]
+        block = np.vstack([members[:1], block, members[1:]])
+        grew = [i for i, row in enumerate(block) if ref.insert(row)]
+        assert sub.insert(block) == grew
+        assert (sub.basis == ref.basis).all() and sub.pivots == ref.pivots
+
+
+@st.composite
+def spin_cases(draw):
+    """(gf, mats, seeds): up to three generators, each random, nilpotent, a
+    permutation or zero; seeds random or zero, or a basis vector together
+    with a cyclic shift among the generators, which fills the space."""
+    gf = get_gf(*draw(st.sampled_from(FIELDS)))
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(["random", "nilpotent", "permutation", "zero"]), max_size=3)):
+        if kind == "random":
+            M = rng.integers(0, gf.q, (n, n))
+        elif kind == "nilpotent":
+            perm = rng.permutation(n)
+            M = np.triu(rng.integers(0, gf.q, (n, n)), 1)[perm][:, perm]
+        elif kind == "permutation":
+            M = np.eye(n, dtype=np.int64)[rng.permutation(n)]
+        else:
+            M = np.zeros((n, n), dtype=np.int64)
+        mats.append(M)
+    kind = draw(st.sampled_from(["random", "zero", "cyclic"]))
+    if kind == "random":
+        seeds = rng.integers(0, gf.q, (draw(st.integers(1, 3)), n))
+    elif kind == "zero":
+        seeds = np.zeros((draw(st.integers(1, 2)), n), dtype=np.int64)
+    else:
+        mats.insert(draw(st.integers(0, len(mats))), np.roll(np.eye(n, dtype=np.int64), 1, axis=0))
+        seeds = np.eye(n, dtype=np.int64)[:1]
+    return gf, mats, seeds
+
+
+def _reference_spin(gf, mats, seeds, n):
+    """Reference: the closure grown one image vector at a time."""
+    ref = _RowEchelon(gf, n)
+    todo = [row for row in seeds if ref.insert(row)]
+    while todo:
+        v = todo.pop()
+        for M in mats:
+            w = gf.matmul(M, v[:, None])[:, 0]
+            if ref.insert(w):
+                todo.append(w)
+    return ref
+
+
+@settings(max_examples=80, deadline=None)
+@given(spin_cases())
+def test_spin_matches_one_vector_at_a_time_closure(case):
+    gf, mats, seeds = case
+    n = seeds.shape[1]
+    sub = spin(gf, mats, seeds)
+    ref = _reference_spin(gf, mats, seeds, n)
+    assert sub.basis.shape == ref.basis.shape
+    assert (sub.basis == ref.basis).all() and sub.pivots == ref.pivots
+    assert all(type(c) is int for c in sub.pivots)
+
+
+def test_spin_holds_at_most_n_residue_rows(monkeypatch):
+    # the induced trivial character at p=5, f=2 (dim 26) under the 14
+    # generators of K: one round's residues pass 26 rows in all
+    ctx = get_context(Params(5, 2))
+    mod = induce(character_module(ctx, chi_of_weight(Weight(ctx.params, (0, 0), 0))))
+    seed = np.zeros(mod.dim, dtype=np.int64)
+    seed[0] = 1
+    seen = []
+
+    def counting_rref(gf, A):
+        seen.append(np.asarray(A).shape[0])
+        return rref(gf, A)
+
+    monkeypatch.setattr(gf_module, "rref", counting_rref)
+    assert spin(ctx.gf, mod.gen_mats("K"), seed).dim == mod.dim
+    assert seen and max(seen) <= mod.dim
 
 
 @settings(max_examples=80, deadline=None)
