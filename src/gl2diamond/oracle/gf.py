@@ -31,6 +31,10 @@ from ..core import DomainError
 # the multiplication table is built from q^2 (2f - 1) int64 digit products;
 # fields whose table would pass this many bytes are refused
 TABLE_BYTES_LIMIT = 2 * 1024 ** 3
+# a product whose gathered left digit planes plus float output would pass this
+# many float64 entries (32 MiB) runs in row blocks, so a tall left operand's
+# transient memory stays bounded
+MATMUL_BLOCK_ENTRIES = 2 ** 22
 
 
 def _trim(a):
@@ -228,13 +232,26 @@ class GF:
         """A @ B for A (m x k) and B (k x n) or ``prepare(B)``: one float64 BLAS
         product (f m x k f) @ (k f x n) of the digits of x^i A against the digit
         planes of B.  Row (j, r) of the product is digit j of row r of A @ B,
-        an integer in [0, f k (p-1)^2], reduced mod p once and encoded."""
+        an integer in [0, f k (p-1)^2], reduced mod p once and encoded.  Rows
+        of A are taken in blocks of at most ``MATMUL_BLOCK_ENTRIES`` gathered
+        and output entries."""
         if not isinstance(B, Prepared):
             B = self.prepare(B)
         A = np.asarray(A, dtype=np.int64)
         m, k = A.shape
         if k != B.shape[0]:
             raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
+        f, n = self.f, B.shape[1]
+        step = max(1, MATMUL_BLOCK_ENTRIES // max(1, f * (f * k + n)))
+        if step >= m:
+            return self._matmul_rows(A, B)
+        out = np.empty((m, n), dtype=np.int64)
+        for s in range(0, m, step):
+            out[s:s + step] = self._matmul_rows(A[s:s + step], B)
+        return out
+
+    def _matmul_rows(self, A, B: Prepared):
+        m, k = A.shape
         f, n = self.f, B.shape[1]
         digits = self.xplanes.take(A, axis=1).reshape(f * m, k * f) @ B.planes
         return (self.pows @ (digits.astype(np.int64) % self.p).reshape(f, m * n)).reshape(m, n)

@@ -37,7 +37,7 @@ from ..core import (
     weight_dim,
     weights_of_char,
 )
-from .gf import Subspace, inverse, nullspace
+from .gf import Subspace, inverse, nullspace, rref
 from .groups import GroupContext, get_context
 
 LEVELS = ("K1", "K2", "I2")
@@ -45,7 +45,8 @@ LEVELS = ("K1", "K2", "I2")
 
 class ExplicitModule:
     """One list of matrices: the images of the generators of its group
-    (``ctx.gens(group)``), built once, on first use.
+    (``ctx.gens(group)``), built once, on first use; likewise the record of
+    its socle (``socle_data``).
 
     Built by ``derive()`` when given (derived modules), else by one
     ``evaluate`` of the stacked generators; an evaluator given with
@@ -68,6 +69,7 @@ class ExplicitModule:
         self.level = level
         self.name = name
         self._mats = None
+        self._socle = None
 
     def gen_mats(self, kind: str) -> list:
         positions = self.ctx.kind_positions()
@@ -240,12 +242,23 @@ def direct_sum(A: ExplicitModule, B: ExplicitModule) -> ExplicitModule:
 
 
 def invariants(mod: ExplicitModule) -> np.ndarray:
-    """Rows spanning the pro-p (I1) fixed space."""
+    """Rows spanning the pro-p (I1) fixed space, narrowed one generator at a
+    time: the rows fixed so far are cut down to the kernel of (g - 1) on
+    them, and a generator that fixes them all costs no echelon."""
     gf = mod.gf
-    eye = gf.eye(mod.dim)
-    blocks = [gf.sub(M, eye) for M in mod.gen_mats("I1")]
-    stacked = np.vstack(blocks) if blocks else np.zeros((0, mod.dim), dtype=np.int64)
-    return nullspace(gf, stacked)
+    basis = None  # the whole space, until a generator moves a row
+    for M in mod.gen_mats("I1"):
+        if basis is None:
+            moved = gf.sub(M, gf.eye(mod.dim))
+        else:
+            moved = gf.sub(gf.matmul(basis, M.T), basis).T
+        if not moved.any():
+            continue
+        ker = nullspace(gf, moved)
+        basis = ker if basis is None else gf.matmul(ker, basis)
+        if not len(basis):
+            break
+    return gf.eye(mod.dim) if basis is None else basis
 
 
 def _projector_sums(gf, A) -> np.ndarray:
@@ -332,7 +345,11 @@ def hom_from_weight(mod: ExplicitModule, sigma: Weight, rows) -> list:
     (an entry of ``h_eigen_split``), where the weight's fixed vector must go.
     Returns a list of image bases (rows), one per independent map; a map is
     determined by the image w of the fixed vector, constrained by the
-    weight's structure constants applied to the translates of w.
+    weight's structure constants applied to the translates of w.  The
+    candidates are narrowed one generator at a time to the kernel of its
+    constraints, and the maps are given in the basis ``nullspace`` gives
+    for the whole system: the echelon basis of the kernel read from its last
+    coordinate.
     """
     gf = mod.gf
     m = rows.shape[0]
@@ -353,15 +370,27 @@ def hom_from_weight(mod: ExplicitModule, sigma: Weight, rows) -> list:
         nodes, parents = [i for i, _ in pairs], [j for _, j in pairs]
         images = gf.matmul(trans[:, parents].reshape(-1, mod.dim), gmats[k].T)
         trans[:, nodes] = images.reshape(m, len(nodes), mod.dim)
-    by_slot = gf.prepare(trans.transpose(1, 0, 2).reshape(dimw, m * mod.dim))
-    constraints = []
+    flat = trans.reshape(m, dimw * mod.dim)
+    coeffs, cur, by_slot = None, trans, None  # coeffs None: every candidate so far
     for gm, c_h in zip(gmats, struct):
+        k = len(cur)
+        if by_slot is None:
+            by_slot = gf.prepare(cur.transpose(1, 0, 2).reshape(dimw, k * mod.dim))
         # act(h) trans_i - sum_j c[i][j] trans_j must vanish, for every i
-        lhs = gf.matmul(trans.reshape(-1, mod.dim), gm.T).reshape(m, dimw * mod.dim)
-        combo = gf.matmul(c_h, by_slot).reshape(dimw, m, mod.dim).transpose(1, 0, 2)
-        constraints.append(gf.sub(lhs, combo.reshape(m, dimw * mod.dim)).T)  # columns indexed by t
-    ker = nullspace(gf, np.vstack(constraints))
-    return list(gf.matmul(ker, trans.reshape(m, dimw * mod.dim)).reshape(-1, dimw, mod.dim))
+        lhs = gf.matmul(cur.reshape(-1, mod.dim), gm.T).reshape(k, dimw * mod.dim)
+        combo = gf.matmul(c_h, by_slot).reshape(dimw, k, mod.dim).transpose(1, 0, 2)
+        block = gf.sub(lhs, combo.reshape(k, dimw * mod.dim))
+        if not block.any():
+            continue
+        ker = nullspace(gf, block.T)  # columns indexed by the candidates
+        if not len(ker):
+            return []
+        coeffs = ker if coeffs is None else gf.matmul(ker, coeffs)
+        cur, by_slot = gf.matmul(coeffs, flat).reshape(-1, dimw, mod.dim), None
+    if coeffs is None:
+        return list(trans)
+    canon = rref(gf, coeffs[:, ::-1])[0][::-1, ::-1]
+    return list(gf.matmul(canon, flat).reshape(-1, dimw, mod.dim))
 
 
 def socle_components(mod: ExplicitModule) -> list:
@@ -377,12 +406,17 @@ def socle_components(mod: ExplicitModule) -> list:
 
 
 def socle_data(mod: ExplicitModule):
-    """(weight multiset of the socle, subspace spanned by it)."""
-    found, rows = Counter(), []
-    for w, img in socle_components(mod):
-        found[w] += 1
-        rows.extend(img)
-    return found, Subspace(mod.gf, rows, ambient=mod.dim)
+    """(weight multiset of the socle, subspace spanned by it), searched once
+    per module.  Each call gets its own copy of the multiset; the subspace is
+    the module's record and is not to be grown."""
+    if mod._socle is None:
+        found, rows = Counter(), []
+        for w, img in socle_components(mod):
+            found[w] += 1
+            rows.extend(img)
+        mod._socle = found, Subspace(mod.gf, rows, ambient=mod.dim)
+    found, soc = mod._socle
+    return Counter(found), soc
 
 
 def socle_series(mod: ExplicitModule) -> list:

@@ -108,6 +108,46 @@ def test_matmul_matches_gather_reference(pf, m, k, n, kind, seed):
         assert (gf.matmul(A, prepared) == C).all()
 
 
+@pytest.mark.parametrize("pf", [(5, 2), (3, 3)])
+@pytest.mark.parametrize("m,k,n", [(97, 10, 5), (40, 60, 3), (1, 10, 5), (0, 4, 2)])
+def test_matmul_row_blocks_match_gather_reference(monkeypatch, pf, m, k, n):
+    # a budget of 300 entries takes 1 to 6 rows per block; at k = 60 one row
+    # alone passes it
+    monkeypatch.setattr(gf_module, "MATMUL_BLOCK_ENTRIES", 300)
+    gf = get_gf(*pf)
+    rng = np.random.default_rng(1000 * m + k)
+    A, B = rng.integers(0, gf.q, (m, k)), rng.integers(0, gf.q, (k, n))
+    want = _gather_matmul(gf, A, B)
+    calls = []
+    matmul = GF.matmul
+    monkeypatch.setattr(GF, "matmul", lambda self, *args: calls.append(1) or matmul(self, *args))
+    for right in (B, gf.prepare(B)):
+        C = gf.matmul(A, right)
+        assert C.shape == (m, n) and C.dtype == np.int64
+        assert (C == want).all()
+    # the blocks do not go through the public method again
+    assert len(calls) == 2
+
+
+def test_matmul_of_a_tall_left_operand_stays_in_its_budget():
+    import tracemalloc
+
+    gf = get_gf(5, 2)
+    rng = np.random.default_rng(0)
+    A, B = rng.integers(0, gf.q, (20_000, 128)), rng.integers(0, gf.q, (128, 128))
+    prepared = gf.prepare(B)
+    tracemalloc.start()
+    try:
+        C = gf.matmul(A, prepared)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # in one block, the f^2 gathered digit planes (82 MB) and the float output
+    # (41 MB) peak at 117 MB; in row blocks, 52 MB with the 20 MB product
+    assert peak < 64 * 2 ** 20
+    assert (C[::997] == _gather_matmul(gf, A[::997], B)).all()
+
+
 @pytest.mark.parametrize("p,f", [(3, 1), (7, 2), (5, 3)])
 def test_matmul_refuses_an_inexact_inner_dimension(p, f):
     gf = get_gf(p, f)

@@ -359,6 +359,61 @@ def test_blocked_hom_from_weight_matches_per_translate_loop(p, f, r):
     assert found  # the socle weights embed
 
 
+def _span_basis(gf, rows, n):
+    return Subspace(gf, np.reshape(rows, (-1, n)), ambient=n).basis
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2)]), st.data())
+def test_narrowed_kernels_match_the_stacked_systems(pf, data):
+    # invariants and hom_from_weight narrow their kernel one generator at a
+    # time; the stacked systems of all generators must give the same spaces
+    from gl2diamond.core import weights_of_char
+    from gl2diamond.oracle.gf import nullspace
+    from gl2diamond.oracle.modules import socle_data
+
+    p, f = pf
+    ctx = get_context(Params(p, f))
+    gf = ctx.gf
+    r = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
+    sigma = Weight(ctx.params, r, data.draw(st.integers(0, gf.q - 2)))
+    mods = []
+    for mod in (induce(character_module(ctx, chi_of_weight(sigma))), weight_module(ctx, sigma)):
+        top = quotient_module(mod, socle_data(mod)[1])
+        mods += [mod] + ([top] if top.dim else [])
+    for mod in mods:
+        inv = invariants(mod)
+        stacked = nullspace(gf, np.vstack([gf.sub(M, gf.eye(mod.dim)) for M in mod.gen_mats("I1")]))
+        assert (_span_basis(gf, inv, mod.dim) == _span_basis(gf, stacked, mod.dim)).all(), mod
+        for ch, rows in h_eigen_split(mod, inv):
+            for w in weights_of_char(ch):
+                if weight_dim(w) > mod.dim:
+                    continue
+                got, want = hom_from_weight(mod, w, rows), _hom_from_weight_per_translate(mod, w, rows)
+                assert (got == []) == (want == []), (mod, w)
+                if want:
+                    assert (_span_basis(gf, got, mod.dim) == _span_basis(gf, want, mod.dim)).all(), (mod, w)
+
+
+def test_socle_is_searched_once_per_module(ctx52, monkeypatch):
+    from gl2diamond.oracle import modules
+
+    calls = []
+    hom = modules.hom_from_weight
+    monkeypatch.setattr(modules, "hom_from_weight", lambda *args: calls.append(1) or hom(*args))
+    chi = chi_of_weight(Weight(ctx52.params, (2, 1), 0))
+    mod = induce(character_module(ctx52, chi))
+    want = Counter(socle_of_induced(chi))
+    assert jh_multiset(mod) == Counter(jh_of_induced(chi).weights())
+    searched = len(calls)
+    assert searched
+    soc = socle_weights(mod)
+    assert soc == want and len(calls) == searched
+    # the caller's Counter is its own
+    soc[next(iter(want))] += 3
+    assert socle_weights(mod) == want and len(calls) == searched
+
+
 def test_chain_of_length_two_is_the_extension(ctx51):
     # equal two-step ladders and a one-dimensional Ext^1 between the two
     # characters: both are the unique nonsplit extension, so chain(s=1) ~ E_0
