@@ -13,10 +13,10 @@ it is refused before anything is gathered.  The defining polynomial is the
 monic irreducible of degree f with the smallest encoded coefficient vector,
 so every run is reproducible.
 Echelon work (subspaces, nullspaces, inverses, spins) runs on the tables in
-one whole-matrix elimination, ``rref``.  A subspace grows in place: only the
-new residues are echeloned, and its old rows are cleared at the new pivot
-columns by one product.  A spin grows its subspace once per round of
-images and stops at the full space.
+one whole-matrix elimination, ``rref``, which also names the rows it pivots
+on.  A subspace grows in place: the new residues are echeloned once, and its
+old rows are cleared at the new pivot columns by one product.  A spin grows
+its subspace once per round of images and stops at the full space.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ import numpy as np
 
 from ..core import DomainError
 
-# the multiplication table is built from q^2 (2f - 1) int64 digit products;
-# fields whose table would pass this many bytes are refused
+# fields whose table build (``_table_plan``) would pass this many bytes are refused
 TABLE_BYTES_LIMIT = 2 * 1024 ** 3
 # a product whose gathered left digit planes plus float output would pass this
 # many float64 entries (32 MiB) runs in row blocks, so a tall left operand's
@@ -107,6 +106,15 @@ def _defining_poly(p, f):
     raise RuntimeError("no irreducible polynomial found")
 
 
+def _table_plan(q: int, f: int) -> tuple:
+    """(rows, bytes): ``GF`` builds its add and mul tables ``rows`` rows at
+    a time and holds at most ``bytes`` at once: the two q x q int64 tables,
+    one block's (rows, q, f) digits, their residues and its encoded rows,
+    the q f^2 digit planes, the q-sized tables and 64 KiB of Python objects."""
+    rows = max(1, q // (8 * f))
+    return rows, 8 * (2 * q * q + rows * q * (2 * f + 1) + (4 * f * f + 16) * q) + 2 ** 16
+
+
 class Prepared(NamedTuple):
     """A k x n right operand of ``GF.matmul`` in the kernel's layout: ``planes``
     is (k f, n) with row l f + i holding digit i of row l."""
@@ -121,7 +129,7 @@ class GF:
     def __init__(self, p: int, f: int):
         self.p, self.f = p, f
         self.q = q = p ** f
-        need = 8 * q * q * (2 * f - 1)
+        rows, need = _table_plan(q, f)
         if need > TABLE_BYTES_LIMIT:
             raise DomainError(
                 f"F_q tables for q = {p}^{f} = {q} need {need / 1024 ** 3:.1f} GiB, "
@@ -136,23 +144,18 @@ class GF:
         self.fdig = self.dig.astype(np.float64)
 
         d = self.dig
-        self.add_t = self.encode((d[:, None, :] + d[None, :, :]) % p)
-        self.neg_t = self.encode((-d) % p)
-
-        # reduction of x^(f+k), k = 0..f-2, in the monomial basis
-        red = np.array(reduced_powers(self.poly, p, 2 * f - 1)[f:], dtype=np.int64).reshape(f - 1, f)
-
-        conv = np.zeros((q, q, 2 * f - 1), dtype=np.int64)
-        for i in range(f):
-            for j in range(f):
-                conv[:, :, i + j] += d[:, i, None] * d[None, :, j]
-        low = conv[:, :, :f] % p
-        for k in range(f, 2 * f - 1):
-            low = (low + conv[:, :, k, None] * red[k - f][None, None, :]) % p
-        self.mul_t = self.encode(low)
-        # xplanes[j, e, i] = digit j of x^i e (x^i is encoded p^i); a gather
-        # along e lands the left factor of ``matmul`` ready for BLAS
-        self.xplanes = np.ascontiguousarray(self.dig[self.mul_t[:, self.pows]].transpose(2, 0, 1), dtype=np.float64)
+        self.neg_t = self.encode(-d)
+        # xd[i, e] = the digits of x^i e, so digit j of a e is sum_i a_i xd[i, e, j]
+        xpow = np.array(reduced_powers(self.poly, p, 2 * f - 1), dtype=np.int64)
+        xd = np.stack([(d @ xpow[i:i + f]) % p for i in range(f)])
+        self.add_t = np.empty((q, q), dtype=np.int64)
+        self.mul_t = np.empty((q, q), dtype=np.int64)
+        for s in range(0, q, rows):
+            a = d[s:s + rows]
+            self.add_t[s:s + rows] = self.encode(a[:, None, :] + d)
+            self.mul_t[s:s + rows] = self.encode(np.tensordot(a, xd, 1))
+        # xplanes[j, e, i] = digit j of x^i e: gathered along e, the left factor of ``matmul``
+        self.xplanes = np.ascontiguousarray(xd.transpose(2, 1, 0), dtype=np.float64)
 
         # multiplicative structure: discrete logs w.r.t. the smallest generator
         self.gen = self._find_generator()
@@ -266,34 +269,35 @@ def get_gf(p: int, f: int) -> GF:
 
 
 def rref(gf: GF, A):
-    """Reduced row echelon form of A and its pivot columns.
+    """Reduced row echelon form of A, its pivot columns and the rows of A used.
 
-    Gauss-Jordan over the whole matrix, one pivot column at a time: the
-    first nonzero entry at or below the current row is swapped up and scaled
-    to 1, then one gather clears its column in every other row.  Returns the
-    nonzero rows of the form (a new array) and the list of pivot columns.
+    Gauss-Jordan, one pivot column at a time and with no row swaps: the
+    lowest row not yet pivoted on that is nonzero in the column is scaled
+    to 1, then one gather clears the column in every other row.  Returns the
+    nonzero rows of the form (a new array), the pivot columns and the rows
+    of A pivoted on, in pivot order.  Each of those rows is independent of
+    the rows above it, so sorted they are what sequential insertion keeps.
     """
     R = np.array(A, dtype=np.int64, ndmin=2)
     m, n = R.shape
-    pivots: list = []
+    free = np.ones(m, dtype=bool)
+    pivots, used = [], []
     for c in range(n):
-        r = len(pivots)
-        if r == m:
+        if len(used) == m:
             break
-        nz = np.flatnonzero(R[r:, c])
-        if nz.size == 0:
+        hot = np.flatnonzero(R[:, c])
+        lowest = hot[free[hot]]
+        if lowest.size == 0:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
+        r = int(lowest[0])
+        free[r] = False
         R[r, c:] = gf.mul_t[gf.inv_t[R[r, c]], R[r, c:]]
-        col = R[:, c].copy()
-        col[r] = 0
-        hot = np.flatnonzero(col)
+        hot = hot[hot != r]
         if hot.size:
-            R[hot, c:] = gf.sub(R[hot, c:], gf.mul_t[col[hot, None], R[r, None, c:]])
+            R[hot, c:] = gf.sub(R[hot, c:], gf.mul_t[R[hot, c, None], R[r, None, c:]])
         pivots.append(c)
-    return R[: len(pivots)], pivots
+        used.append(r)
+    return R[used], pivots, used
 
 
 class Subspace:
@@ -310,7 +314,7 @@ class Subspace:
             raise ValueError("need rows or ambient dimension")
         self.gf = gf
         self.n = rows.shape[-1] if ambient is None else ambient
-        self.basis, self.pivots = rref(gf, rows.reshape(-1, self.n))
+        self.basis, self.pivots, _ = rref(gf, rows.reshape(-1, self.n))
         self._prepared = None  # the basis as a right operand, until the basis grows
 
     @property
@@ -333,21 +337,17 @@ class Subspace:
     def insert(self, rows) -> list:
         """Add a block of rows; returns the indices, in order, of the rows
         that enlarged the span (the greedy choice of sequential insertion)."""
-        res = self.reduce(rows).reshape(-1, self.n)
-        # a residue is independent of the earlier residues exactly when its
-        # column is a pivot column of the transposed residue block
-        _, grew = rref(self.gf, res.T)
-        if grew:
-            self._grow(res[grew])
-        return grew
+        return sorted(self._grow(self.reduce(rows).reshape(-1, self.n)))
 
     def _grow(self, res):
-        """Add nonzero residues (rows that vanish at the pivots) in place;
-        returns their echelon rows.  Only the residues are echeloned: the old rows
-        are cleared at the new pivot columns by one product, and the two
-        sets of rows are merged in pivot order."""
+        """Add residues (rows that vanish at the pivots) in place; returns the
+        indices of the residues ``rref`` pivoted on.  Only the residues are
+        echeloned: the old rows are cleared at the new pivot columns by one
+        product, and the two sets of rows are merged in pivot order."""
         gf = self.gf
-        new, pivots = rref(gf, res)
+        new, pivots, used = rref(gf, res)
+        if not used:
+            return used
         old = self.basis
         if old.shape[0]:
             old = gf.sub(old, gf.matmul(old[:, pivots], new))
@@ -356,7 +356,7 @@ class Subspace:
         self.basis = np.vstack([old, new])[order]
         self.pivots = [pivots[i] for i in order]
         self._prepared = None
-        return new
+        return used
 
     def express(self, rows):
         """Coordinates of each row in the echelon basis; raises ValueError
@@ -375,7 +375,7 @@ def nullspace(gf: GF, A) -> np.ndarray:
     """Basis (rows) of the right kernel of A, one row per free column."""
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     n = A.shape[1]
-    R, pivots = rref(gf, A)
+    R, pivots, _ = rref(gf, A)
     taken = set(pivots)
     free = [c for c in range(n) if c not in taken]
     out = np.zeros((len(free), n), dtype=np.int64)
@@ -390,7 +390,7 @@ def inverse(gf: GF, A) -> np.ndarray:
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError(f"matrix of shape {A.shape} is not square")
-    R, pivots = rref(gf, np.hstack([A, gf.eye(n)]))
+    R, pivots, _ = rref(gf, np.hstack([A, gf.eye(n)]))
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")
     return R[:, n:]
@@ -400,8 +400,8 @@ def spin(gf: GF, mats, seeds) -> Subspace:
     """Closure of the span of the seed rows under left action by the matrices.
 
     One round reduces every generator's images of the frontier against the
-    basis and grows the basis once by the nonzero residues; their echelon
-    rows are the next frontier.  At most n residue rows (n the ambient
+    basis and grows the basis once by the nonzero residues; the residues it
+    pivots on are the next frontier.  At most n residue rows (n the ambient
     dimension) are held: when the next generator's block would pass n, the
     held rows are merged first and the block is reduced again.  The spin
     stops at the full space, which is closed."""
@@ -419,7 +419,7 @@ def spin(gf: GF, mats, seeds) -> Subspace:
         for M in mats:
             res = residues(gf.matmul(frontier, M.T))
             if sum(map(len, held)) + len(res) > n:
-                grown.append(sub._grow(np.vstack(held)))
+                grown.append((held := np.vstack(held))[sub._grow(held)])
                 held = []
                 if sub.dim == n:
                     break
@@ -427,6 +427,6 @@ def spin(gf: GF, mats, seeds) -> Subspace:
             if len(res):
                 held.append(res)
         if held:
-            grown.append(sub._grow(np.vstack(held)))
+            grown.append((held := np.vstack(held))[sub._grow(held)])
         frontier = np.vstack([sub.basis[:0], *grown])
     return sub

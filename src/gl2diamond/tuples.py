@@ -22,15 +22,14 @@ is lexicographic in the per-slot alphabets and is part of the interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .core import DomainError
 
 
-@dataclass(frozen=True, order=True)
-class Sym:
+class Sym(NamedTuple):
     """Affine symbol: value(x) = x + c when sign > 0, else (p + c) - x."""
 
     sign: int

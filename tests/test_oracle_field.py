@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from gl2diamond.core import DomainError, Params, Weight, chi_of_weight
 from gl2diamond.oracle import gf as gf_module
-from gl2diamond.oracle.gf import GF, Subspace, _defining_poly, get_gf, inverse, nullspace, reduced_powers, rref, spin
+from gl2diamond.oracle.gf import (
+    GF, TABLE_BYTES_LIMIT, Subspace, _defining_poly, _table_plan, get_gf, inverse, nullspace, reduced_powers, rref, spin,
+)
 from gl2diamond.oracle.gr import get_gr
 from gl2diamond.oracle.groups import get_context
 from gl2diamond.oracle.modules import character_module, induce
@@ -324,10 +328,26 @@ def test_defining_polynomials_are_pinned():
     assert got == DEFINING_POLYNOMIALS
 
 
+@pytest.mark.parametrize("p,f", [(3, 1), (7, 2), (3, 5), (5, 3), (5, 4), (2003, 1)])
+def test_field_build_peaks_within_the_checked_figure(p, f):
+    # the size check refuses a field by the bytes its build holds at once,
+    # not by the size of one finished table
+    tracemalloc.start()
+    try:
+        GF(p, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _table_plan(p ** f, f)[1]
+
+
 def test_oversized_field_tables_are_refused():
     # q = 31^3: the multiplication table alone would need about 33 GiB
     with pytest.raises(DomainError, match="29791"):
         get_gf(31, 3)
+    # q = 16381: one 8 q^2 table fits in the limit, but the build holds two
+    # tables and a row block at once (arithmetic only: nothing is built)
+    assert 8 * 16381 ** 2 <= TABLE_BYTES_LIMIT < _table_plan(16381, 1)[1]
 
 
 class _RowEchelon:
@@ -406,10 +426,11 @@ def _reference(gf, rows, n, start=()):
 def test_rref_and_insert_match_row_at_a_time_reference(gf_A, seed):
     gf, A = gf_A
     n = A.shape[1]
-    ref, _ = _reference(gf, A, n)
-    R, pivots = rref(gf, A)
+    ref, kept = _reference(gf, A, n)
+    R, pivots, rows = rref(gf, A)
     assert (R == ref.basis).all() and R.shape == ref.basis.shape
     assert pivots == ref.pivots
+    assert sorted(rows) == kept
     sub = Subspace(gf, A)
     assert (sub.basis == ref.basis).all() and sub.pivots == ref.pivots
     # greedy insertion of a block into a nonempty subspace, rows repeated
@@ -519,6 +540,22 @@ def test_spin_holds_at_most_n_residue_rows(monkeypatch):
     monkeypatch.setattr(gf_module, "rref", counting_rref)
     assert spin(ctx.gf, mod.gen_mats("K"), seed).dim == mod.dim
     assert seen and max(seen) <= mod.dim
+
+
+def test_growing_insert_runs_one_elimination(monkeypatch):
+    gf = get_gf(5, 2)
+    rng = np.random.default_rng(7)
+    sub = Subspace(gf, rng.integers(0, gf.q, (2, 9)))
+    block = np.vstack([rng.integers(0, gf.q, (3, 9)), sub.basis[:1]])
+    seen = []
+
+    def counting_rref(gf, A):
+        seen.append(np.asarray(A).shape)
+        return rref(gf, A)
+
+    monkeypatch.setattr(gf_module, "rref", counting_rref)
+    assert sub.insert(block) == [0, 1, 2]
+    assert seen == [(4, 9)]
 
 
 @settings(max_examples=80, deadline=None)
