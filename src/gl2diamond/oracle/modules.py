@@ -11,14 +11,19 @@ Every evaluator broadcasts: a stack of matrices (..., 2, 2, f) gives the
 stack of their images (..., d, d), so a module's generator matrices are
 one call and an induced module evaluates all q+1 cosets of a whole stack
 in one call of its base.  Submodules, quotients and direct sums transform
-the matrices of their parts once.
+the matrices of their parts once.  A module notes which generators act as
+the identity (read from the matrices, not from the level tag), and nothing
+is multiplied by them: spins, invariants, radicals, derived modules and the
+weight words skip them.
 
 Socles are computed from first principles: any irreducible subobject is
 generated by a pro-p-fixed eigenvector, and a weight embeds through such a
 vector exactly when the images of a recorded spanning set of group words
-satisfy the weight's structure constants.  Iterating over quotients gives
-socle series, Jordan-Hoelder multisets and, as the socle of the transposed
-action, cosocles.  Everything is exact; any mismatch raises.
+satisfy the weight's structure constants.  Those words are built once per
+digit vector; a determinant twist only rescales the translates.  Iterating
+over quotients gives socle series, Jordan-Hoelder multisets and, as the
+socle of the transposed action, cosocles.  Everything is exact; any
+mismatch raises.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from ..core import (
     weight_dim,
     weights_of_char,
 )
-from .gf import Subspace, inverse, nullspace, rref
+from .gf import TABLE_BYTES_LIMIT, Subspace, inverse, nullspace, rref
 from .groups import GroupContext, get_context
 
 LEVELS = ("K1", "K2", "I2")
@@ -45,13 +50,15 @@ LEVELS = ("K1", "K2", "I2")
 
 class ExplicitModule:
     """One list of matrices: the images of the generators of its group
-    (``ctx.gens(group)``), built once, on first use; likewise the record of
-    its socle (``socle_data``).
+    (``ctx.gens(group)``), built once, on first use, together with the set
+    of positions whose image is the identity; likewise the record of its
+    socle (``socle_data``).
 
     Built by ``derive()`` when given (derived modules), else by one
     ``evaluate`` of the stacked generators; an evaluator given with
     ``derive`` is kept for check_module only.  ``gen_mats(kind)`` selects the
-    positions of a subgroup kind, which serve I- and K-modules alike.
+    positions of a subgroup kind, which serve I- and K-modules alike, and
+    ``moving_mats(kind)`` only those whose image is not the identity.
     """
 
     def __init__(self, ctx: GroupContext, dim: int, group: str, level: str, name: str = "",
@@ -69,9 +76,11 @@ class ExplicitModule:
         self.level = level
         self.name = name
         self._mats = None
+        self._identities = None
         self._socle = None
 
-    def gen_mats(self, kind: str) -> list:
+    def _positions(self, kind: str) -> tuple:
+        """The positions of a subgroup kind, with the generator images built."""
         positions = self.ctx.kind_positions()
         if kind not in positions or not set(positions[kind]) <= set(positions[self.group]):
             raise DomainError(f"{kind!r} is not a subgroup kind of {self.group}")
@@ -80,7 +89,27 @@ class ExplicitModule:
                 self._mats = self._derive()
             else:
                 self._mats = self.evaluate(np.stack(self.ctx.gens(self.group)))
-        return [self._mats[i] for i in positions[kind]]
+            self._identities = frozenset(i for i, M in enumerate(self._mats) if _is_identity(M))
+        return positions[kind]
+
+    def gen_mats(self, kind: str) -> list:
+        return [self._mats[i] for i in self._positions(kind)]
+
+    def moving_mats(self, kind: str) -> list:
+        """The images of the kind's generators that are not the identity."""
+        return [self._mats[i] for i in self._positions(kind) if i not in self._identities]
+
+    def identity_positions(self) -> frozenset:
+        """Positions of the group's generators whose image is the identity."""
+        self._positions(self.group)
+        return self._identities
+
+    def derived_mats(self, group: str, dim: int, transform) -> list:
+        """``transform`` of each image of the group's generators, except that
+        the identity goes to the identity of size ``dim`` (one shared array)."""
+        eye = self.gf.eye(dim)
+        ident = self.identity_positions()
+        return [eye if i in ident else transform(self._mats[i]) for i in self._positions(group)]
 
     @property
     def gf(self):
@@ -89,6 +118,11 @@ class ExplicitModule:
     def __repr__(self):
         tag = self.name or "module"
         return f"<{tag}: dim {self.dim} over {self.group}, {self.level}-trivial>"
+
+
+def _is_identity(M) -> bool:
+    """Whether a square matrix is the identity, without an n x n temporary."""
+    return np.count_nonzero(M) == len(M) and bool((M.diagonal() == 1).all())
 
 
 def gf_kron(gf, A, B):
@@ -174,16 +208,35 @@ def pi_twist(mod: ExplicitModule) -> ExplicitModule:
     return ExplicitModule(ctx, mod.dim, "I", "I2", f"Pi({mod.name})", evaluate=evaluate)
 
 
+def _induced_bytes(q: int, f: int, d: int) -> int:
+    """Bytes that building the generator images of the induction of a
+    d-dimensional I-module holds at most: the 6f+2 images of size
+    n = (q+1) d as one int64 stack, the blocks scattered into it, the
+    Galois-ring outer product of the generators with the q+1 coset
+    representatives (2 x 2 x 2 x f x f per pair), and 64 KiB of Python
+    objects."""
+    n = (q + 1) * d
+    return 8 * (6 * f + 2) * (n * n + (q + 1) * (d * d + 8 * f * f)) + 2 ** 16
+
+
 def induce(mod: ExplicitModule) -> ExplicitModule:
-    """Induction from I to K over the fixed coset representatives."""
+    """Induction from I to K over the fixed coset representatives; refused
+    when building its generator images would pass the F_q table limit."""
     if mod.group != "I":
         raise DomainError("induction starts from an Iwahori module")
     if not hasattr(mod, "evaluate"):
         raise DomainError(f"induction needs an evaluator; {mod} has none")
     ctx = mod.ctx
-    q = ctx.gf.q
+    p, f, q = ctx.params.p, ctx.params.f, ctx.params.q
     d = mod.dim
     n = (q + 1) * d
+    need = _induced_bytes(q, f, d)
+    if need > TABLE_BYTES_LIMIT:
+        raise DomainError(
+            f"the induced module of dimension {n} over q = {p}^{f} = {q} needs "
+            f"{need / 1024 ** 3:.1f} GiB for its generator images, over the "
+            f"{TABLE_BYTES_LIMIT / 1024 ** 3:.0f} GiB limit"
+        )
     reps = np.stack(ctx.coset_reps())
 
     def evaluate(g):
@@ -207,7 +260,7 @@ def sub_module(mod: ExplicitModule, sub: Subspace, name: str = "", group: str | 
     group = group or mod.group
 
     def derive():
-        return [sub.express(gf.matmul(B, M.T)).T for M in mod.gen_mats(group)]
+        return mod.derived_mats(group, sub.dim, lambda M: sub.express(gf.matmul(B, M.T)).T)
 
     return ExplicitModule(mod.ctx, sub.dim, group, mod.level, name or f"sub({mod.name})", derive=derive)
 
@@ -221,7 +274,7 @@ def quotient_module(mod: ExplicitModule, sub: Subspace, name: str = "") -> Expli
     P[:, sub.pivots] = gf.neg_t[sub.basis[:, comp]].T
 
     def derive():
-        return [gf.matmul(P, M[:, comp]) for M in mod.gen_mats(mod.group)]
+        return mod.derived_mats(mod.group, len(comp), lambda M: gf.matmul(P, M[:, comp]))
 
     return ExplicitModule(mod.ctx, len(comp), mod.group, mod.level, name or f"quot({mod.name})", derive=derive)
 
@@ -244,10 +297,11 @@ def direct_sum(A: ExplicitModule, B: ExplicitModule) -> ExplicitModule:
 def invariants(mod: ExplicitModule) -> np.ndarray:
     """Rows spanning the pro-p (I1) fixed space, narrowed one generator at a
     time: the rows fixed so far are cut down to the kernel of (g - 1) on
-    them, and a generator that fixes them all costs no echelon."""
+    them, a generator that fixes them all costs no echelon, and one that
+    acts as the identity is not multiplied at all."""
     gf = mod.gf
     basis = None  # the whole space, until a generator moves a row
-    for M in mod.gen_mats("I1"):
+    for M in mod.moving_mats("I1"):
         if basis is None:
             moved = gf.sub(M, gf.eye(mod.dim))
         else:
@@ -307,35 +361,83 @@ def h_eigen_split(mod: ExplicitModule, rows) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def _weight_words(params: Params, sigma: Weight):
-    """Spanning tree of translates of the fixed vector v0, plus structure constants.
+# one entry per digit vector: all of them fit up to q = 125 (11 MB at p = 5, f = 3)
+WORDS_CACHE = 128
+
+
+@lru_cache(maxsize=WORDS_CACHE)
+def _digit_words(params: Params, r: tuple):
+    """Spanning tree of translates of the fixed vector v0 of the untwisted
+    weight with digits r, its structure constants, the positions of the
+    K-generators acting as the identity on it, and the discrete logs of the
+    determinants of each generator and of each translate's word.
 
     Translate 0 is v0; translate i >= 1 is K-generator k applied to
     translate ``parent``, where tree[i - 1] = (parent, k).  The translates
-    form a basis of sigma, and struct[h] holds the coefficients c with
-    h . (translate i) = sum_j c[i][j] (translate j).
+    form a basis of the weight, and struct[h] holds the coefficients c with
+    h . (translate i) = sum_j c[i][j] (translate j); an identity generator's
+    constants are the identity (one shared array).  The BFS tries only the
+    other generators, since an identity generator's candidate is its
+    parent, which greedy insertion never keeps.
     """
     ctx = get_context(params)
-    gf = ctx.gf
+    gf, gr = ctx.gf, ctx.gr
+    sigma = Weight(params, r, 0)
     W = weight_module(ctx, sigma)
     gmats = W.gen_mats("K")
+    ident = W.identity_positions()
+    moving = [k for k in range(len(gmats)) if k not in ident]
     V = np.eye(1, W.dim, dtype=np.int64)  # the pro-p fixed line
     sub = Subspace(gf, V)
     tree = []
     frontier = [0]
-    while frontier:
+    while frontier and len(V) < W.dim:
         # candidates of one BFS level in (parent, k) order
-        cands = np.stack([gf.matmul(V[frontier], gm.T) for gm in gmats], axis=1).reshape(-1, W.dim)
+        cands = np.stack([gf.matmul(V[frontier], gmats[k].T) for k in moving], axis=1).reshape(-1, W.dim)
         grew = sub.insert(cands)
-        tree += [(frontier[i // len(gmats)], i % len(gmats)) for i in grew]
+        tree += [(frontier[i // len(moving)], moving[i % len(moving)]) for i in grew]
         frontier = list(range(len(V), len(V) + len(grew)))
         V = np.vstack([V, cands[grew]])
     if len(V) != W.dim:
         raise AssertionError(f"weight {sigma} not cyclic from its fixed vector")
     V_inv = gf.prepare(inverse(gf, V))
-    struct = [gf.matmul(gf.matmul(V, gm.T), V_inv) for gm in gmats]
-    return tuple(tree), struct
+    eye = gf.eye(W.dim)
+    struct = [eye if k in ident else gf.matmul(gf.matmul(V, gm.T), V_inv) for k, gm in enumerate(gmats)]
+    res = gr.reduce_p(np.stack(ctx.gens("K")))
+    gen_logs = gf.log_t[gf.sub(gf.mul_t[res[:, 0, 0], res[:, 1, 1]], gf.mul_t[res[:, 0, 1], res[:, 1, 0]])]
+    word_logs = [0]
+    for parent, k in tree:
+        word_logs.append(word_logs[parent] + gen_logs[k])
+    return tuple(tree), struct, ident, gen_logs, np.array(word_logs)
+
+
+def _weight_words(params: Params, sigma: Weight):
+    """(tree, struct, identity positions) of a weight, from the words of its
+    digit vector (``_digit_words``).
+
+    The twist t keeps the tree and rescales the translates: translate i of
+    sigma is D_i times that of the untwisted weight, D_i = det(word_i)^t, so
+    struct_t[h] = det(h)^t D struct_0[h] D^(-1).  A generator stays the
+    identity exactly when it is one untwisted and det(h)^t = 1.
+    """
+    tree, struct, ident, gen_logs, word_logs = _digit_words(params, sigma.r)
+    gf = get_context(params).gf
+    n = gf.q - 1
+    t = sigma.twist % n
+    if t == 0:
+        return tree, struct, ident
+    ratio = t * (word_logs[:, None] - word_logs[None, :])  # log of D_i / D_j
+    twisted, still = [], set()
+    for k, c_h in enumerate(struct):
+        scale = gf.exp_t[(t * gen_logs[k]) % n]
+        if k not in ident:
+            twisted.append(gf.mul_t[c_h, gf.exp_t[(ratio + t * gen_logs[k]) % n]])
+        elif scale == 1:
+            twisted.append(c_h)
+            still.add(k)
+        else:
+            twisted.append(gf.mul_t[scale, c_h])
+    return tree, twisted, frozenset(still)
 
 
 def hom_from_weight(mod: ExplicitModule, sigma: Weight, rows) -> list:
@@ -353,8 +455,10 @@ def hom_from_weight(mod: ExplicitModule, sigma: Weight, rows) -> list:
     """
     gf = mod.gf
     m = rows.shape[0]
-    tree, struct = _weight_words(mod.ctx.params, sigma)
+    tree, struct, idle = _weight_words(mod.ctx.params, sigma)
     gmats = mod.gen_mats("K")
+    # a generator acting as the identity on both sides imposes nothing
+    idle = idle & mod.identity_positions()
     dimw = len(tree) + 1
     # translates of each candidate basis vector, along the weight's spanning
     # tree: one product per (BFS level, generator), since a node's parent
@@ -372,7 +476,9 @@ def hom_from_weight(mod: ExplicitModule, sigma: Weight, rows) -> list:
         trans[:, nodes] = images.reshape(m, len(nodes), mod.dim)
     flat = trans.reshape(m, dimw * mod.dim)
     coeffs, cur, by_slot = None, trans, None  # coeffs None: every candidate so far
-    for gm, c_h in zip(gmats, struct):
+    for h, (gm, c_h) in enumerate(zip(gmats, struct)):
+        if h in idle:
+            continue
         k = len(cur)
         if by_slot is None:
             by_slot = gf.prepare(cur.transpose(1, 0, 2).reshape(dimw, k * mod.dim))
@@ -464,13 +570,14 @@ def cosocle_weights(mod: ExplicitModule) -> Counter:
 
 
 def radical_subspace(mod: ExplicitModule, kind: str, rows=None) -> Subspace:
-    """Span of (g - 1) applied to the rows, over the listed generators."""
+    """Span of (g - 1) applied to the rows, over the kind's generators
+    that do not act as the identity (the others add nothing)."""
     gf = mod.gf
     if rows is None:
         rows = gf.eye(mod.dim)
     rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
     eye = gf.eye(mod.dim)
-    images = [gf.matmul(rows, gf.sub(M, eye).T) for M in mod.gen_mats(kind)]
+    images = [gf.matmul(rows, gf.sub(M, eye).T) for M in mod.moving_mats(kind)]
     return Subspace(gf, images, ambient=mod.dim)
 
 

@@ -185,7 +185,7 @@ def verify_calcul_H(ctx: GroupContext, chi: ICharacter, j: int, a_coeffs: dict, 
         vec = gf.add(vec, gf.mul(c % gf.p, bundle.F_vec(k)))
     for k, c in b_coeffs.items():
         vec = gf.add(vec, gf.mul(c % gf.p, bundle.f_vec(k)))
-    span = spin(gf, bundle.W.gen_mats("I"), vec)
+    span = spin(gf, bundle.W.moving_mats("I"), vec)
     for k, c in a_coeffs.items():
         if c % gf.p:
             rep.add(f"F_{k} recovered", span.contains(bundle.F_vec(k)))
@@ -203,7 +203,7 @@ def verify_uplus(ctx: GroupContext, chi: ICharacter, j: int, k: int) -> CheckRep
     rep = CheckReport("uplus", f"chi=({chi.a},{chi.b}),j={j},k={k}")
     digits = [(k // par.p ** i) % par.p for i in range(par.f)]
 
-    span_f = spin(gf, bundle.W.gen_mats("U+"), bundle.f_vec(k))
+    span_f = spin(gf, bundle.W.moving_mats("U+"), bundle.f_vec(k))
     expected = []
     for kp in range(gf.q):
         dig = [(kp // par.p ** i) % par.p for i in range(par.f)]
@@ -211,10 +211,10 @@ def verify_uplus(ctx: GroupContext, chi: ICharacter, j: int, k: int) -> CheckRep
             expected.append(kp)
     rep.add("span dimension", span_f.dim == len(expected), len(expected), span_f.dim)
     rep.add("stated basis inside", span_f.contains([bundle.f_vec(kp) for kp in expected]))
-    stable = all(span_f.contains(gf.matmul(span_f.basis, M.T)) for M in bundle.W.gen_mats("I"))
+    stable = all(span_f.contains(gf.matmul(span_f.basis, M.T)) for M in bundle.W.moving_mats("I"))
     rep.add("Iwahori stable", stable)
 
-    span_F = spin(gf, bundle.W.gen_mats("U+"), bundle.F_vec(k))
+    span_F = spin(gf, bundle.W.moving_mats("U+"), bundle.F_vec(k))
     jm1 = (j - 1) % par.f
     want = []
     for kp in range(gf.q):
@@ -239,7 +239,7 @@ def ej_chain_module(ctx: GroupContext, chi: ICharacter, j: int, s: int) -> Expli
     base = induce(pi_twist(character_module(ctx, chi)))
     k = ctx.params.p ** j * s
     seed = coset_sum_vector(ctx, 1, np.array([1]), k)
-    sub = spin(gf, base.gen_mats("I"), seed)
+    sub = spin(gf, base.moving_mats("I"), seed)
     return sub_module(base, sub, name=f"chain({chi},{j},{s})", group="I")
 
 
@@ -333,7 +333,7 @@ def verify_S1_condition(mod: ExplicitModule, v) -> bool:
     if rad.contains(v):
         raise DomainError("vector lies in the radical")
     [(chi_v, _)] = h_eigen_split(mod, v)
-    span_v = spin(gf, mod.gen_mats("I"), v)
+    span_v = spin(gf, mod.moving_mats("I"), v)
     r_plus_v = restricted_loewy(sub_module(mod, span_v), "U+")
     r_minus = restricted_loewy(mod, "U-")
     # kernel of the cosocle projection along the class of v: the radical plus
@@ -373,13 +373,13 @@ def verify_ind_ej(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     mod = induce(ej_module(ctx, chi, j))
     R0 = coset_sum_vector(ctx, 2, np.array([0, 1]), 0)
     Rq = coset_sum_vector(ctx, 2, np.array([0, 1]), gf.q - 1)
-    fixed = all((gf.matmul(R0[None], M.T) == R0).all() for M in mod.gen_mats("I1"))
+    fixed = all((gf.matmul(R0[None], M.T) == R0).all() for M in mod.moving_mats("I1"))
     rep.add("bottom sum is pro-p fixed", fixed)
     gen0 = R0
     if psi == conjugate_char(chi):
         corr = identity_coset_vector(ctx, 2, np.array([1, 0]))
         gen0 = gf.add(R0, gf.mul(int(gf.neg_t[minus_one_to(t, gf)]), corr))
-    span0 = spin(gf, mod.gen_mats("K"), gen0)
+    span0 = spin(gf, mod.moving_mats("K"), gen0)
     target = Weight(
         par,
         tuple(par.p - 1 - d for d in digits),
@@ -390,7 +390,7 @@ def verify_ind_ej(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     inv = invariants(sm)
     ok = inv.shape[0] == 1 and h_eigen_split(sm, inv)[0][0] == chi_of_weight(target)
     rep.add("span is the predicted weight", ok, str(target))
-    spanq = spin(gf, mod.gen_mats("K"), Rq)
+    spanq = spin(gf, mod.moving_mats("K"), Rq)
     rep.add("top sum generates everything", spanq.dim == mod.dim, mod.dim, spanq.dim)
     w_vec = identity_coset_vector(ctx, 2, np.array([0, 1]))
     g0 = ctx.coset_reps()[0]  # ([0],1;1,0) = the antidiagonal involution lift
@@ -406,7 +406,7 @@ def verify_u_generators(ctx: GroupContext, chi: ICharacter) -> CheckReport:
     base = induce(pi_twist(character_module(ctx, chi)))
     for factor in jh_of_induced(conjugate_char(chi)).factors:
         vec = canonical_generator(ctx, chi, np.array([1]), factor)
-        span = spin(gf, base.gen_mats("K"), vec)
+        span = spin(gf, base.moving_mats("K"), vec)
         sub = sub_module(base, span)
         got = jh_multiset(sub)
         want = Counter(fac.weight for fac in U_contents(factor, conjugate_char(chi)))
@@ -424,7 +424,7 @@ def verify_w_omega(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     quotient = quotient_module(bundle.W, bundle.lower)
     for omega in bundle.jh_upper.factors:
         wgen = bundle.w_generator(omega)
-        wspan = spin(gf, bundle.W.gen_mats("K"), wgen)
+        wspan = spin(gf, bundle.W.moving_mats("K"), wgen)
         smod = sub_module(bundle.W, wspan)
         cos = cosocle_weights(smod)
         rep.add(f"cosocle W_({omega.weight})", cos == Counter([omega.weight]),

@@ -283,12 +283,15 @@ def test_verify_refuses_oversized_field(capsys):
 # --out, which reads about 60 MB on a 2-vCPU x86-64 host; blocks kept for
 # every parameter of the sweep, or the report encoded as one string, exceed it
 SWEEP_PEAK_MB = 100
+# bound on the peak RSS of the default jh sweep at p = 5, f = 3, which reads
+# about 51 MB on the same host; multiplying by the generators that act as the
+# identity, with words cached per twisted weight and unbounded, reads 77 MB
+JH_PEAK_MB = 64
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_a_sweep_stays_under_its_peak_memory_bound(tmp_path):
-    # the child reads its own VmHWM; ru_maxrss would carry over the RSS of
-    # the process that started it
+def _child_exit_and_peak_mb(argv) -> tuple:
+    """Run the CLI in a child that reads its own VmHWM; ru_maxrss would carry
+    over the RSS of the process that started it."""
     script = (
         "import sys\n"
         "from gl2diamond.cli import main\n"
@@ -298,9 +301,24 @@ def test_a_sweep_stays_under_its_peak_memory_bound(tmp_path):
     )
     src = str(Path(gl2diamond.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = ["verify", "--suite", "combination", "--p", "5", "--f", "4", "--format", "json",
-            "--out", str(tmp_path / "combination.json")]
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, check=True)
     code, peak_mb = proc.stdout.split()
+    return code, float(peak_mb)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_a_sweep_stays_under_its_peak_memory_bound(tmp_path):
+    argv = ["verify", "--suite", "combination", "--p", "5", "--f", "4", "--format", "json",
+            "--out", str(tmp_path / "combination.json")]
+    code, peak_mb = _child_exit_and_peak_mb(argv)
     assert code == "0"
-    assert float(peak_mb) <= SWEEP_PEAK_MB, f"peak RSS {peak_mb} MB"
+    assert peak_mb <= SWEEP_PEAK_MB, f"peak RSS {peak_mb} MB"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_the_jh_sweep_at_f3_stays_under_its_peak_memory_bound(tmp_path):
+    argv = ["verify", "--suite", "jh", "--p", "5", "--f", "3", "--format", "json",
+            "--out", str(tmp_path / "jh.json")]
+    code, peak_mb = _child_exit_and_peak_mb(argv)
+    assert code == "0"
+    assert peak_mb <= JH_PEAK_MB, f"peak RSS {peak_mb} MB"

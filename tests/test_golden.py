@@ -22,6 +22,7 @@ GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = {
     "verify-jh-p5-f1": ["verify", "--suite", "jh", "--p", "5", "--f", "1", "--format", "json"],
     "verify-jh-p5-f2": ["verify", "--suite", "jh", "--p", "5", "--f", "2", "--format", "json"],
+    "verify-jh-p5-f3": ["verify", "--suite", "jh", "--p", "5", "--f", "3", "--format", "json"],
     "verify-womega-p5-f1": ["verify", "--suite", "womega", "--p", "5", "--f", "1", "--format", "json"],
     "verify-womega-p7-f2": ["verify", "--suite", "womega", "--p", "7", "--f", "2", "--format", "json"],
     "verify-indej-p5-f2": ["verify", "--suite", "indej", "--p", "5", "--f", "2", "--format", "json"],

@@ -34,6 +34,7 @@ from gl2diamond.oracle.modules import (
     quotient_module,
     restricted_loewy,
     socle_components,
+    socle_series,
     socle_weights,
     sub_module,
     weight_module,
@@ -323,7 +324,7 @@ def _hom_from_weight_per_translate(mod, sigma, rows):
         return (gf.dig[arr].sum(axis=axis) % gf.p) @ gf.pows
 
     m = rows.shape[0]
-    tree, struct = _weight_words(mod.ctx.params, sigma)
+    tree, struct, _ = _weight_words(mod.ctx.params, sigma)
     gmats = mod.gen_mats("K")
     dimw = len(tree) + 1
     trans = np.zeros((m, dimw, mod.dim), dtype=np.int64)
@@ -393,6 +394,126 @@ def test_narrowed_kernels_match_the_stacked_systems(pf, data):
                 assert (got == []) == (want == []), (mod, w)
                 if want:
                     assert (_span_basis(gf, got, mod.dim) == _span_basis(gf, want, mod.dim)).all(), (mod, w)
+
+
+def _direct_weight_words(ctx, sigma):
+    """Reference: the spanning tree and structure constants of one weight,
+    twist included, built from the weight itself with every K-generator."""
+    from gl2diamond.oracle.gf import inverse
+
+    gf = ctx.gf
+    W = weight_module(ctx, sigma)
+    gmats = W.gen_mats("K")
+    V = np.eye(1, W.dim, dtype=np.int64)
+    sub = Subspace(gf, V)
+    tree, frontier = [], [0]
+    while frontier:
+        cands = np.stack([gf.matmul(V[frontier], gm.T) for gm in gmats], axis=1).reshape(-1, W.dim)
+        grew = sub.insert(cands)
+        tree += [(frontier[i // len(gmats)], i % len(gmats)) for i in grew]
+        frontier = list(range(len(V), len(V) + len(grew)))
+        V = np.vstack([V, cands[grew]])
+    V_inv = inverse(gf, V)
+    return tuple(tree), [gf.matmul(gf.matmul(V, gm.T), V_inv) for gm in gmats]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3)]), st.data())
+def test_rescaled_words_match_a_direct_build_of_the_twisted_weight(pf, data):
+    # the words are built once per digit vector and the twist is applied by
+    # rescaling: struct_t[h] = det(h)^t D struct_0[h] D^-1, D_i = det(word_i)^t
+    from gl2diamond.oracle.modules import _weight_words
+
+    p, f = pf
+    ctx = get_context(Params(p, f))
+    r = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
+    sigma = Weight(ctx.params, r, data.draw(st.integers(0, ctx.gf.q - 2)))
+    tree, struct, fixed = _weight_words(ctx.params, sigma)
+    want_tree, want_struct = _direct_weight_words(ctx, sigma)
+    assert tree == want_tree
+    assert all((c == w).all() for c, w in zip(struct, want_struct, strict=True))
+    assert fixed == weight_module(ctx, sigma).identity_positions()
+
+
+def _oracle_answers(ctx, chi):
+    """socle_series, hom_from_weight images, spins and invariants of the
+    inductions of chi, E_0(chi) and its normalizer twist."""
+    from gl2diamond.core import weights_of_char
+
+    gf = ctx.gf
+    mods = [induce(character_module(ctx, chi)), induce(ej_module(ctx, chi, 0)),
+            induce(pi_twist(ej_module(ctx, chi, 0)))]
+    out = []
+    for mod in mods:
+        inv = invariants(mod)
+        homs = [hom_from_weight(mod, w, rows)
+                for ch, rows in h_eigen_split(mod, inv)
+                for w in sorted(weights_of_char(ch), key=str) if weight_dim(w) <= mod.dim]
+        spins = [spin(gf, mod.moving_mats(kind), seed).basis
+                 for kind, seed in (("K", inv[:1]), ("I", np.eye(1, mod.dim, dtype=np.int64)))]
+        out.append((mod.identity_positions(), socle_series(mod), inv, homs, spins))
+    return out
+
+
+def test_skipping_identity_generators_matches_multiplying_by_all(ctx52, monkeypatch):
+    from gl2diamond.oracle import modules
+
+    chi = chi_of_weight(Weight(ctx52.params, (2, 1), 0))
+    modules._digit_words.cache_clear()
+    got = _oracle_answers(ctx52, chi)
+    # positions 2-5 and 8-11 lie in K1, which Ind chi and Ind E_0 do not see;
+    # every generator moves the induction of the twisted extension
+    assert [ident for ident, *_ in got] == [frozenset({2, 3, 4, 5, 8, 9, 10, 11})] * 2 + [frozenset()]
+    # reference: no image is taken for the identity, so every generator is multiplied
+    monkeypatch.setattr(modules, "_is_identity", lambda M: False)
+    modules._digit_words.cache_clear()
+    try:
+        want = _oracle_answers(ctx52, chi)
+    finally:
+        modules._digit_words.cache_clear()
+    for (_, *a), (ident, *b) in zip(got, want, strict=True):
+        assert ident == frozenset()
+        layers, inv, homs, spins = a
+        assert layers == b[0]
+        assert (inv == b[1]).all()
+        assert len(homs) == len(b[2]) and all(
+            len(g) == len(w) and all((x == y).all() for x, y in zip(g, w)) for g, w in zip(homs, b[2]))
+        assert all((x == y).all() for x, y in zip(spins, b[3], strict=True))
+
+
+@pytest.mark.parametrize("p,f,kind", [(5, 2, "char"), (7, 2, "pi-ej"), (3, 4, "ej"), (13, 2, "ej")])
+def test_induced_build_peaks_within_the_checked_figure(p, f, kind):
+    import tracemalloc
+
+    from gl2diamond.oracle.modules import _induced_bytes
+
+    ctx = get_context(Params(p, f))
+    ctx.gf, ctx.coset_reps(), ctx.k_gens()  # built outside the traced span
+    chi = chi_of_weight(Weight(ctx.params, (1,) * f, 0))
+    base = character_module(ctx, chi) if kind == "char" else ej_module(ctx, chi, 0)
+    mod = induce(pi_twist(base) if kind == "pi-ej" else base)
+    tracemalloc.start()
+    try:
+        mod.gen_mats("K")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _induced_bytes(p ** f, f, base.dim)
+
+
+def test_induction_past_the_table_limit_is_refused(ctx51, monkeypatch):
+    from gl2diamond.oracle import modules
+
+    chi = chi_of_weight(Weight(ctx51.params, (2,), 0))
+    need = modules._induced_bytes(5, 1, 1)
+    monkeypatch.setattr(modules, "TABLE_BYTES_LIMIT", need - 1)
+    with pytest.raises(DomainError, match="dimension 6 over q = 5"):
+        induce(character_module(ctx51, chi))
+    monkeypatch.setattr(modules, "TABLE_BYTES_LIMIT", need)
+    assert induce(character_module(ctx51, chi)).dim == 6
+    # q = 3^8 passes the table check but not this one (arithmetic only)
+    monkeypatch.undo()
+    assert modules._induced_bytes(3 ** 8, 8, 1) > modules.TABLE_BYTES_LIMIT
 
 
 def test_socle_is_searched_once_per_module(ctx52, monkeypatch):
