@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class DomainError(ValueError):
@@ -74,7 +74,7 @@ class Params:
         if self.f < 1:
             raise DomainError(f"f must be >= 1, got {self.f}")
 
-    @property
+    @cached_property
     def q(self) -> int:
         return self.p ** self.f
 
@@ -91,12 +91,17 @@ class Weight:
     twist: int
 
     def __post_init__(self):
-        if len(self.r) != self.params.f:
-            raise DomainError(f"digit vector has length {len(self.r)}, expected f={self.params.f}")
-        if any(not (0 <= ri <= self.params.p - 1) for ri in self.r):
-            raise DomainError(f"digits out of range [0, p-1]: {self.r}")
-        object.__setattr__(self, "r", tuple(int(ri) for ri in self.r))
-        object.__setattr__(self, "twist", self.params.mod_qm1(self.twist))
+        par = self.params
+        if len(self.r) != par.f:
+            raise DomainError(f"digit vector has length {len(self.r)}, expected f={par.f}")
+        top = par.p - 1
+        digits = []
+        for ri in self.r:
+            if not 0 <= ri <= top:
+                raise DomainError(f"digits out of range [0, p-1]: {self.r}")
+            digits.append(int(ri))
+        object.__setattr__(self, "r", tuple(digits))
+        object.__setattr__(self, "twist", self.twist % (par.q - 1))
 
     def __str__(self):
         body = "(" + ",".join(str(ri) for ri in self.r) + ")"

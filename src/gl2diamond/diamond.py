@@ -155,19 +155,28 @@ def _weight_set(rho: GaloisParams) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _skeleton(lam: tuple, reducible: bool) -> tuple:
+    """The pairs (mu, mu o lam) of the block over lam, in block order.
+
+    They do not depend on the digits, so every parameter of the case shares
+    them; at most 2^(f+1) tuples lam exist at each f.
+    """
+    pairs = [(mu, compose_tuples(mu, lam)) for mu in compatible_Imu(mu_of_lambda(lam, reducible))]
+    pairs.sort(key=lambda pair: (len(S_of_mu(pair[0])), pair[0]))
+    return tuple(pairs)
+
+
 def _block(rho: GaloisParams, sigma: DiamondWeight) -> tuple:
-    """d0_factors' block of sigma: compatible mu, in-range evaluation."""
+    """d0_factors' block of sigma: the skeleton's in-range evaluations."""
     par = rho.params
-    mu_base = mu_of_lambda(sigma.lam, rho.reducible)
     out = []
-    for mu in compatible_Imu(mu_base):
-        comp = compose_tuples(mu, sigma.lam)
+    for mu, comp in _skeleton(sigma.lam, rho.reducible):
         vals = eval_tuple(comp, rho.r, par.p)
         if not in_weight_range(vals, par.p):
             continue
         tw = e_of_lambda(comp, rho.r, par.p) + rho.twist
         out.append(D0Factor(sigma, mu, comp, Weight(par, vals, tw)))
-    out.sort(key=lambda fac: (len(S_of_mu(fac.mu)), fac.mu))
     return tuple(out)
 
 
@@ -175,25 +184,38 @@ def d0_all(rho: GaloisParams) -> dict:
     return {dw: _block(rho, dw) for dw in _weight_set(rho)}
 
 
+class _Record:
+    """The blocks of one parameter, with delta and xi filled in as asked.
+
+    blocks is d0_all(rho); by_weight maps a factor's weight to its (block,
+    factor) occurrences; delta and xi map (sigma, factor) to delta_data's
+    and xi_and_J's answers.  A check that raises stores nothing.
+    """
+
+    __slots__ = ("blocks", "sigmas", "by_weight", "delta", "xi")
+
+    def __init__(self, blocks: dict):
+        self.blocks = blocks
+        self.sigmas = tuple(blocks)
+        self.by_weight = {}
+        for dw, facs in blocks.items():
+            for fac in facs:
+                self.by_weight[fac.weight] = self.by_weight.get(fac.weight, ()) + ((dw, fac),)
+        self.delta = {}
+        self.xi = {}
+
+
 # every caller finishes one parameter before it starts the next, so a record
 # is never read again once a few others have been built
 @lru_cache(maxsize=4)
-def _blocks(rho: GaloisParams) -> tuple:
-    """The blocks of rho, built once: (d0_all(rho), by_weight).
-
-    by_weight maps a factor's weight to its (block, factor) occurrences.
-    """
-    blocks = d0_all(rho)
-    by_weight: dict = {}
-    for dw, facs in blocks.items():
-        for fac in facs:
-            by_weight[fac.weight] = by_weight.get(fac.weight, ()) + ((dw, fac),)
-    return blocks, by_weight
+def _blocks(rho: GaloisParams) -> _Record:
+    """The blocks of rho, built once."""
+    return _Record(d0_all(rho))
 
 
 def diamond_set(rho: GaloisParams) -> tuple:
     """The 2^f weights of a generic parameter, ordered by their subset bitmask."""
-    return tuple(_blocks(rho)[0])
+    return _blocks(rho).sigmas
 
 
 def diamond_by_subset(rho: GaloisParams, S) -> DiamondWeight:
@@ -213,15 +235,14 @@ def weight_in_diamond(rho: GaloisParams, w: Weight):
 
 def d0_factors(rho: GaloisParams, sigma: DiamondWeight) -> tuple:
     """Factors of the block with socle sigma, ordered by level, then mu."""
-    blocks, _ = _blocks(rho)
+    blocks = _blocks(rho).blocks
     if sigma not in blocks:
         raise DomainError(f"{sigma} is not in the weight set of {rho}")
     return blocks[sigma]
 
 
 def d0_is_multiplicity_free(rho: GaloisParams) -> bool:
-    _, by_weight = _blocks(rho)
-    return all(len(hits) == 1 for hits in by_weight.values())
+    return all(len(hits) == 1 for hits in _blocks(rho).by_weight.values())
 
 
 def ell_decomposition(rho: GaloisParams) -> dict:
@@ -274,18 +295,22 @@ class DeltaResult:
 
 def delta_data(rho: GaloisParams, sigma: DiamondWeight, factor: D0Factor) -> DeltaResult:
     """Locate tau^[s] across the blocks and compare with the subset formula."""
-    if not factor.lifts:
-        raise DomainError("delta is defined for factors with lifted invariants")
-    target_w = sigma_s(factor.weight)
-    _, by_weight = _blocks(rho)
-    hits = by_weight.get(target_w, ())
-    if len(hits) != 1:
-        raise AssertionError(
-            f"tau^[s] = {target_w} found {len(hits)} times across the blocks of {rho}"
-        )
-    dw, fac = hits[0]
-    pred = delta_subset_prediction(rho, sigma, factor)
-    return DeltaResult(dw, fac, pred, pred == dw.S)
+    rec = _blocks(rho)
+    key = (sigma, factor)
+    res = rec.delta.get(key)
+    if res is None:
+        if not factor.lifts:
+            raise DomainError("delta is defined for factors with lifted invariants")
+        target_w = sigma_s(factor.weight)
+        hits = rec.by_weight.get(target_w, ())
+        if len(hits) != 1:
+            raise AssertionError(
+                f"tau^[s] = {target_w} found {len(hits)} times across the blocks of {rho}"
+            )
+        dw, fac = hits[0]
+        pred = delta_subset_prediction(rho, sigma, factor)
+        res = rec.delta[key] = DeltaResult(dw, fac, pred, pred == dw.S)
+    return res
 
 
 def delta_of_tau(rho: GaloisParams, sigma: DiamondWeight, factor: D0Factor) -> DiamondWeight:
@@ -299,20 +324,19 @@ def xi_and_J(rho: GaloisParams, sigma: DiamondWeight, factor: D0Factor) -> tuple
     that induction and consistent records the agreement of J(xi) with the two
     equivalent descriptions through the mirror factor's mu-tuple.
     """
-    return _xi_and_J_of_delta(rho, factor, delta_data(rho, sigma, factor))
-
-
-def _xi_and_J_of_delta(rho: GaloisParams, factor: D0Factor, res: DeltaResult) -> tuple:
-    """xi_and_J for a factor whose delta_data is already at hand."""
-    chi_tau = chi_of_weight(factor.weight)
-    xi, J = factor_of_weight(conjugate_char(chi_tau), res.target.weight)
-    theta = res.mirror.mu
-    f = rho.params.f
-    j_from_theta = frozenset(i for i in range(f) if theta[i] in (Y, YP1))
-    s_theta = S_of_mu(theta)
-    j_from_s = frozenset(i for i in range(f) if (i + 1) % f not in s_theta)
-    consistent = J == j_from_theta == j_from_s
-    return xi, J, consistent
+    rec = _blocks(rho)
+    key = (sigma, factor)
+    out = rec.xi.get(key)
+    if out is None:
+        res = rec.delta.get(key) or delta_data(rho, sigma, factor)
+        xi, J = factor_of_weight(conjugate_char(chi_of_weight(factor.weight)), res.target.weight)
+        theta = res.mirror.mu
+        f = rho.params.f
+        j_from_theta = frozenset(i for i in range(f) if theta[i] in (Y, YP1))
+        s_theta = S_of_mu(theta)
+        j_from_s = frozenset(i for i in range(f) if (i + 1) % f not in s_theta)
+        out = rec.xi[key] = (xi, J, J == j_from_theta == j_from_s)
+    return out
 
 
 def lifting_factors(rho: GaloisParams, sigma: DiamondWeight) -> list:
@@ -415,8 +439,8 @@ def verify_combination(rho: GaloisParams, sigma: DiamondWeight, j: int) -> Combi
         add("s-theta-off", ok, tag)
         add("s-theta-flip", (jm1 in st1) != (jm1 in st2), tag)
 
-        xi1, J1, c1 = _xi_and_J_of_delta(rho, tau1, d1)
-        xi2, J2, c2 = _xi_and_J_of_delta(rho, tau2, d2)
+        xi1, J1, c1 = xi_and_J(rho, sigma, tau1)
+        xi2, J2, c2 = xi_and_J(rho, sigma, tau2)
         add("xi-consistent", c1 and c2, tag)
         ok = all((i in J1) == (i in J2) for i in range(f) if i != jm2)
         add("J-xi-off", ok, tag)

@@ -2,19 +2,22 @@
 brute-force references.
 
 `delta_data` looks the companion weight up in the record of the blocks
-built once per parameter, `d0_factors` walks a cached list of compatible
-mu-tuples, and `jh_of_induced` and `factor_of_weight` read one evaluation
-of the P-family per digit vector.  Each is compared here with the direct computation it
-replaced (the whole-family build of an induction and a linear scan of its
-factors), over random characters and random generic parameters with f <= 5
-and a few at f = 6.  Every clause of the couple comparisons is checked over
-random generic parameters with 2 <= f <= 4.
+built once per parameter, and keeps its answer there, as `xi_and_J` does;
+each block evaluates a skeleton of (mu, mu o lam) pairs shared by every
+parameter; and `jh_of_induced` and `factor_of_weight` read one evaluation
+of the P-family per digit vector.  Each is compared here with the direct
+computation it replaced (a block composed tuple by tuple, the whole-family
+build of an induction and a linear scan of its factors), over random
+characters and random generic parameters with f <= 5 and a few at f = 6.
+Every clause of the couple comparisons is checked over random generic
+parameters with 2 <= f <= 4.
 """
 
 import re
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gl2diamond import diamond, principal
@@ -31,11 +34,13 @@ from gl2diamond.core import (
 from gl2diamond.diamond import (
     D0Factor,
     GaloisParams,
+    d0_all,
     d0_factors,
     Y,
     YP1,
     d0_is_multiplicity_free,
     delta_data,
+    delta_of_tau,
     diamond_set,
     is_generic,
     lifting_factors,
@@ -47,6 +52,7 @@ from gl2diamond.tuples import (
     J_of_lambda,
     S_of_mu,
     compatible,
+    compatible_Imu,
     compose_tuples,
     e_of_lambda,
     enumerate_Imu,
@@ -70,6 +76,22 @@ def generic_parameters(draw, min_f=1, max_f=5):
     if not is_generic(rho):  # only the two constant reducible vectors
         rho = GaloisParams(Params(p, f), False, (1,) * f, twist)
     return rho
+
+
+def composed_block(rho, sigma):
+    """The block of sigma composed mu by mu for this parameter, then sorted."""
+    par = rho.params
+    mu_base = mu_of_lambda(sigma.lam, rho.reducible)
+    out = []
+    for mu in compatible_Imu(mu_base):
+        comp = compose_tuples(mu, sigma.lam)
+        vals = eval_tuple(comp, rho.r, par.p)
+        if not in_weight_range(vals, par.p):
+            continue
+        tw = e_of_lambda(comp, rho.r, par.p) + rho.twist
+        out.append(D0Factor(sigma, mu, comp, Weight(par, vals, tw)))
+    out.sort(key=lambda fac: (len(S_of_mu(fac.mu)), fac.mu))
+    return tuple(out)
 
 
 def brute_force_delta(rho, factor):
@@ -170,7 +192,8 @@ def test_block_index_at_f6(p, reducible, r):
 
 
 def test_delta_guard_survives_the_index(monkeypatch):
-    """A weight repeated across two blocks makes delta_data refuse, not pick one."""
+    """A weight repeated across two blocks makes delta_data refuse, not pick
+    one, on every call: a refusal is not stored in the record."""
     rho = GaloisParams(Params(7, 3), False, (2, 1, 3), 0)
     sigma = diamond_set(rho)[0]
     tau = lifting_factors(rho, sigma)[1]
@@ -186,10 +209,101 @@ def test_delta_guard_survives_the_index(monkeypatch):
     diamond._blocks.cache_clear()
     monkeypatch.setattr(diamond, "_block", patched)
     try:
-        with pytest.raises(AssertionError, match="found 2 times"):
-            delta_data(rho, sigma, tau)
+        for _ in range(3):
+            with pytest.raises(AssertionError, match="found 2 times"):
+                delta_data(rho, sigma, tau)
+            with pytest.raises(AssertionError, match="found 2 times"):
+                xi_and_J(rho, sigma, tau)
+        rec = diamond._blocks(rho)
+        assert len(rec.by_weight[mirror.mirror.weight]) == 2
+        assert not rec.delta and not rec.xi
     finally:
         diamond._blocks.cache_clear()
+
+
+@st.composite
+def small_generic_parameters(draw):
+    p = draw(st.sampled_from([5, 7, 11]))
+    f = draw(st.integers(1, 4))
+    reducible = draw(st.booleans())
+    twist = draw(st.integers(0, p ** f - 2))
+    lo = 0 if reducible else 1
+    hi = p - 3 if reducible or f == 1 else p - 2
+    r = (draw(st.integers(lo, hi)), *(draw(st.integers(0, p - 3)) for _ in range(f - 1)))
+    rho = GaloisParams(Params(p, f), reducible, r, twist)
+    assume(is_generic(rho))
+    return rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_generic_parameters())
+def test_blocks_from_the_skeleton_match_a_direct_build(rho):
+    direct = [(dw, composed_block(rho, dw)) for dw in diamond._weight_set(rho)]
+    assert list(d0_all(rho).items()) == direct
+
+
+def lifted_pairs(rho):
+    return [(dw, fac) for dw in diamond_set(rho) for fac in lifting_factors(rho, dw)]
+
+
+REC_RHO = GaloisParams(Params(5, 4), True, (1, 2, 1, 2), 3)
+
+
+def test_a_combination_sweep_finds_each_delta_and_xi_once(monkeypatch):
+    searches, solves = Counter(), Counter()
+    real_predict, real_factor = diamond.delta_subset_prediction, diamond.factor_of_weight
+
+    def predict(rho, sigma, factor):
+        searches[sigma, factor] += 1
+        return real_predict(rho, sigma, factor)
+
+    def factor(chi, w):
+        solves[chi, w] += 1
+        return real_factor(chi, w)
+
+    diamond._blocks.cache_clear()
+    monkeypatch.setattr(diamond, "delta_subset_prediction", predict)
+    monkeypatch.setattr(diamond, "factor_of_weight", factor)
+    try:
+        couples = 0
+        for sigma in diamond_set(REC_RHO):
+            for j in range(REC_RHO.params.f):
+                rep = verify_combination(REC_RHO, sigma, j)
+                assert rep.passed
+                couples += len(rep.couples)
+        # the sweep meets a factor in several couples, yet searches once
+        assert 2 * couples > len(searches) > 0
+        assert set(searches.values()) == {1}
+        assert set(solves.values()) == {1}
+        rec = diamond._blocks(REC_RHO)
+        assert set(rec.delta) == set(searches) == set(rec.xi)
+        assert set(rec.delta) <= set(lifted_pairs(REC_RHO))
+        # every lifted factor of the parameter, through the public entry points
+        for sigma, fac in lifted_pairs(REC_RHO):
+            delta_of_tau(REC_RHO, sigma, fac)
+            xi_and_J(REC_RHO, sigma, fac)
+        assert set(searches.values()) == {1} and set(solves.values()) == {1}
+        assert len(searches) == len(lifted_pairs(REC_RHO))
+    finally:
+        diamond._blocks.cache_clear()
+
+
+def test_the_stored_delta_and_xi_equal_a_fresh_computation():
+    diamond._blocks.cache_clear()
+    for sigma in diamond_set(REC_RHO):
+        for j in range(REC_RHO.params.f):
+            verify_combination(REC_RHO, sigma, j)
+    rec = diamond._blocks(REC_RHO)
+    stored_delta, stored_xi = dict(rec.delta), dict(rec.xi)
+    assert stored_delta and stored_xi
+    diamond._blocks.cache_clear()
+    for (sigma, fac), res in stored_delta.items():
+        fresh = delta_data(REC_RHO, sigma, fac)
+        assert fresh is not res and fresh == res
+        assert brute_force_delta(REC_RHO, fac) == [(res.target, res.mirror)]
+    for (sigma, fac), out in stored_xi.items():
+        assert xi_and_J(REC_RHO, sigma, fac) == out == reference_xi_and_J(REC_RHO, sigma, fac)
+    diamond._blocks.cache_clear()
 
 
 @st.composite

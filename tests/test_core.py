@@ -40,6 +40,18 @@ def test_weight_validation():
         Weight(par, (5, 0), 0)
     with pytest.raises(DomainError):
         Weight(par, (1,), 0)
+    # the length is checked first, and a message shows the digits as given
+    with pytest.raises(DomainError, match=r"^digit vector has length 1, expected f=2$"):
+        Weight(par, [7], 0)
+    with pytest.raises(DomainError, match=r"^digits out of range \[0, p-1\]: \[1, -1\]$"):
+        Weight(par, [1, -1], 0)
+    with pytest.raises(DomainError):
+        Weight(par, (-0.5, 0), 0)
+    with pytest.raises(TypeError):
+        Weight(par, ("1", 0), 0)
+    # digits in range are stored as ints
+    w = Weight(par, [4.0, True], -1)
+    assert w.r == (4, 1) and all(type(ri) is int for ri in w.r) and w.twist == 23
 
 
 def test_chi_of_weight_examples():

@@ -5,8 +5,9 @@ A golden file is regenerated with
     PYTHONPATH=src python -m gl2diamond.cli ARGV > tests/golden/NAME.json
 and should change only when a check itself is meant to change.  The
 combination sweep at p = 5, f = 3 is 1.4 MB, so only its sha256 is kept.
-tests/golden/verify-womega-p5-f3.json takes about 15 s, so it is compared
-in CI only (.github/workflows/tier1.yml), not here.
+tests/golden/verify-womega-p5-f3.json takes about 15 s and the counts sweep
+at p = 5, f = 5 about 9 s, so they are compared in CI only
+(.github/workflows/tier1.yml), not here; the latter by its sha256.
 """
 
 import hashlib
@@ -35,6 +36,8 @@ COMMANDS = {
     "verify-uplus-p5-f2": ["verify", "--suite", "uplus", "--p", "5", "--f", "2", "--format", "json"],
     "verify-calculH-p5-f1-seed3": ["verify", "--suite", "calculH", "--p", "5", "--f", "1", "--seed", "3", "--format", "json"],
     "verify-counts-p5-f2-all-generic": ["verify", "--suite", "counts", "--p", "5", "--f", "2", "--case", "all-generic", "--format", "json"],
+    "verify-counts-p5-f4-all-generic": ["verify", "--suite", "counts", "--p", "5", "--f", "4", "--case", "all-generic", "--format", "json"],
+    "verify-combination-p5-f4-r1-2-1-2": ["verify", "--suite", "combination", "--p", "5", "--f", "4", "--r", "1,2,1,2", "--format", "json"],
     "verify-dimension-p5-f2": ["verify", "--suite", "dimension", "--p", "5", "--f", "2", "--format", "json"],
     "verify-witt-p5-f3": ["verify", "--suite", "witt", "--p", "5", "--f", "3", "--format", "json"],
     "verify-indej-p5-f3": ["verify", "--suite", "indej", "--p", "5", "--f", "3", "--format", "json"],
@@ -51,6 +54,8 @@ COMMANDS = {
 
 COMBINATION_P5_F3 = ["verify", "--suite", "combination", "--p", "5", "--f", "3", "--format", "json"]
 COMBINATION_P5_F3_SHA256 = "523c6a3557b19f6b044568f5d0a128d6db342dde93a9759343fe0b12232d702b"
+# verify --suite counts --p 5 --f 5 --case all-generic --format json, checked in CI only
+COUNTS_P5_F5_SHA256 = "e3a0a59cab62f73f38b02adbe771e9d8fdb414b67660ebce3f375886f87b473f"
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
