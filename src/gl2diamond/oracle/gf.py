@@ -12,11 +12,13 @@ is exact while f k (p-1)^2 < 2^53 (k the inner dimension); past that bound
 it is refused before anything is gathered.  The defining polynomial is the
 monic irreducible of degree f with the smallest encoded coefficient vector,
 so every run is reproducible.
-Echelon work (subspaces, nullspaces, inverses, spins) runs on the tables in
-one whole-matrix elimination, ``rref``, which also names the rows it pivots
-on.  A subspace grows in place: the new residues are echeloned once, and its
-old rows are cleared at the new pivot columns by one product.  A spin grows
-its subspace once per round of images and stops at the full space.
+Echelon work (subspaces, nullspaces, inverses, spins) runs in one
+Gauss-Jordan elimination, ``rref``, which also names the rows it pivots on.
+It eliminates 16 columns at a time on the tables and updates the columns
+right of them by one product.  A subspace grows in place: the new residues
+are echeloned once, and its old rows are cleared at the new pivot columns by
+one product.  A spin reduces several generators' images at once, grows its
+subspace once per round and stops at the full space.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ TABLE_BYTES_LIMIT = 2 * 1024 ** 3
 # many float64 entries (32 MiB) runs in row blocks, so a tall left operand's
 # transient memory stays bounded
 MATMUL_BLOCK_ENTRIES = 2 ** 22
+# ``rref`` eliminates this many columns at a time before one product updates the rest
+PANEL = 16
 
 
 def _trim(a):
@@ -271,33 +275,66 @@ def get_gf(p: int, f: int) -> GF:
 def rref(gf: GF, A):
     """Reduced row echelon form of A, its pivot columns and the rows of A used.
 
-    Gauss-Jordan, one pivot column at a time and with no row swaps: the
-    lowest row not yet pivoted on that is nonzero in the column is scaled
-    to 1, then one gather clears the column in every other row.  Returns the
-    nonzero rows of the form (a new array), the pivot columns and the rows
-    of A pivoted on, in pivot order.  Each of those rows is independent of
-    the rows above it, so sorted they are what sequential insertion keeps.
+    Gauss-Jordan with no row swaps: at each pivot column, the lowest row not
+    yet pivoted on that is nonzero there is scaled to 1, then one gather
+    clears the column in every other row.  Returns the nonzero rows of the
+    form (a new array), the pivot columns and the rows of A pivoted on, in
+    pivot order.  Each of those rows is independent of the rows above it, so
+    sorted they are what sequential insertion keeps.
+
+    Columns go in panels of ``PANEL``.  A panel is eliminated alone, next to
+    an m x ``PANEL`` block that gets a 1 at (r, j) when row r becomes the
+    panel's j-th pivot, so it ends holding T, the panel's row operations as
+    combinations of its k pivot rows U.  The trailing columns then take one
+    product, M = T @ (the trailing columns of U): rows of U become M, the
+    others gain it.  Once fewer than three panels' width of columns remain,
+    or m < ``PANEL``, the rest is eliminated column by column in place.
     """
     R = np.array(A, dtype=np.int64, ndmin=2)
     m, n = R.shape
     free = np.ones(m, dtype=bool)
     pivots, used = [], []
-    for c in range(n):
+    c0 = 0
+    while m >= PANEL and n - c0 >= 3 * PANEL and len(used) < m:
+        c1 = c0 + PANEL
+        W = np.hstack([R[:, c0:c1], np.zeros((m, PANEL), dtype=np.int64)])
+        k0 = len(used)
+        _eliminate(gf, W, PANEL, free, pivots, used, c0, panel=True)
+        R[:, c0:c1] = W[:, :PANEL]
+        U = used[k0:]
+        if U:
+            M = gf.matmul(W[:, PANEL:PANEL + len(U)], R[U, c1:])
+            R[U, c1:] = 0
+            R[:, c1:] = gf.add_t[R[:, c1:], M]
+        c0 = c1
+    _eliminate(gf, R[:, c0:], n - c0, free, pivots, used, c0)
+    return R[used], pivots, used
+
+
+def _eliminate(gf: GF, W, width: int, free, pivots: list, used: list, offset: int, panel: bool = False):
+    """The pivot steps of ``rref`` on the first ``width`` columns of W, in
+    place; column c of W is column c + offset of the matrix.  For a panel,
+    W[:, width:] is its transform block."""
+    m = W.shape[0]
+    k0 = len(used)
+    for c in range(width):
         if len(used) == m:
             break
-        hot = np.flatnonzero(R[:, c])
+        hot = np.nonzero(W[:, c])[0]
         lowest = hot[free[hot]]
         if lowest.size == 0:
             continue
         r = int(lowest[0])
         free[r] = False
-        R[r, c:] = gf.mul_t[gf.inv_t[R[r, c]], R[r, c:]]
+        if panel:
+            W[r, width + len(used) - k0] = 1
+        if W[r, c] != 1:
+            W[r, c:] = gf.mul_t[gf.inv_t[W[r, c]], W[r, c:]]
         hot = hot[hot != r]
         if hot.size:
-            R[hot, c:] = gf.sub(R[hot, c:], gf.mul_t[R[hot, c, None], R[r, None, c:]])
-        pivots.append(c)
+            W[hot, c:] = gf.add_t[W[hot, c:], gf.mul_t[gf.neg_t[W[hot, c, None]], W[r, None, c:]]]
+        pivots.append(c + offset)
         used.append(r)
-    return R[used], pivots, used
 
 
 class Subspace:
@@ -400,11 +437,12 @@ def spin(gf: GF, mats, seeds) -> Subspace:
     """Closure of the span of the seed rows under left action by the matrices.
 
     One round reduces every generator's images of the frontier against the
-    basis and grows the basis once by the nonzero residues; the residues it
-    pivots on are the next frontier.  At most n residue rows (n the ambient
-    dimension) are held: when the next generator's block would pass n, the
-    held rows are merged first and the block is reduced again.  The spin
-    stops at the full space, which is closed."""
+    basis, n // |frontier| generators (at least one) in one ``reduce``, and
+    grows the basis once by the nonzero residues; the residues it pivots on
+    are the next frontier.  At most n residue rows (n the ambient dimension)
+    are held: when the next group's residues would pass n, the held rows are
+    merged first and the group is reduced again.  The spin stops at the full
+    space, which is closed."""
     mats = [np.asarray(M, dtype=np.int64) for M in mats]
     sub = Subspace(gf, seeds)
     n = sub.n
@@ -416,8 +454,9 @@ def spin(gf: GF, mats, seeds) -> Subspace:
     frontier = sub.basis
     while frontier.shape[0] and sub.dim < n:
         held, grown = [], []
-        for M in mats:
-            res = residues(gf.matmul(frontier, M.T))
+        step = max(1, n // len(frontier))
+        for s in range(0, len(mats), step):
+            res = residues(np.vstack([gf.matmul(frontier, M.T) for M in mats[s:s + step]]))
             if sum(map(len, held)) + len(res) > n:
                 grown.append((held := np.vstack(held))[sub._grow(held)])
                 held = []

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from gl2diamond.core import DomainError, Params, Weight, chi_of_weight
 from gl2diamond.oracle import gf as gf_module
 from gl2diamond.oracle.gf import (
-    GF, TABLE_BYTES_LIMIT, Subspace, _defining_poly, _table_plan, get_gf, inverse, nullspace, reduced_powers, rref, spin,
+    GF, PANEL, TABLE_BYTES_LIMIT, Subspace, _defining_poly, _table_plan, get_gf, inverse, nullspace, reduced_powers, rref,
+    spin,
 )
 from gl2diamond.oracle.gr import get_gr
 from gl2diamond.oracle.groups import get_context
@@ -442,6 +443,63 @@ def test_rref_and_insert_match_row_at_a_time_reference(gf_A, seed):
     assert (sub.basis == ref.basis).all() and sub.pivots == ref.pivots
 
 
+def _per_column_rref(gf, A):
+    """Reference: the unblocked Gauss-Jordan that ``rref`` replaced, one pivot
+    column at a time over the whole matrix."""
+    R = np.array(A, dtype=np.int64, ndmin=2)
+    m, n = R.shape
+    free = np.ones(m, dtype=bool)
+    pivots, used = [], []
+    for c in range(n):
+        if len(used) == m:
+            break
+        hot = np.flatnonzero(R[:, c])
+        lowest = hot[free[hot]]
+        if lowest.size == 0:
+            continue
+        r = int(lowest[0])
+        free[r] = False
+        R[r, c:] = gf.mul_t[gf.inv_t[R[r, c]], R[r, c:]]
+        hot = hot[hot != r]
+        if hot.size:
+            R[hot, c:] = gf.sub(R[hot, c:], gf.mul_t[R[hot, c, None], R[r, None, c:]])
+        pivots.append(c)
+        used.append(r)
+    return R[used], pivots, used
+
+
+@st.composite
+def panel_matrices(draw):
+    """(gf, A) for A from ``_draw_matrix`` with shapes on both sides of the
+    panel threshold (m >= PANEL rows and 3 PANEL columns left)."""
+    gf = get_gf(*draw(st.sampled_from(FIELDS)))
+    return gf, _draw_matrix(draw, gf, draw(st.integers(0, 130)), draw(st.integers(1, 120)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(panel_matrices())
+def test_blocked_rref_matches_per_column_reference(gf_A):
+    gf, A = gf_A
+    R, pivots, used = rref(gf, A)
+    want_R, want_pivots, want_used = _per_column_rref(gf, A)
+    assert R.shape == want_R.shape and (R == want_R).all()
+    assert pivots == want_pivots and all(type(c) is int for c in pivots)
+    assert used == want_used
+
+
+@pytest.mark.parametrize("size,products", [(100, (100 - 3 * PANEL) // PANEL + 1), (26, 0)])
+def test_rref_takes_one_product_per_panel(monkeypatch, size, products):
+    gf = get_gf(5, 2)
+    A = np.random.default_rng(size).integers(0, gf.q, (size, size))
+    want = _per_column_rref(gf, A)
+    calls = []
+    matmul = GF.matmul
+    monkeypatch.setattr(GF, "matmul", lambda self, *args: calls.append(1) or matmul(self, *args))
+    R, pivots, used = rref(gf, A)
+    assert len(calls) == products
+    assert (R == want[0]).all() and pivots == want[1] and used == want[2]
+
+
 @st.composite
 def insert_chains(draw):
     """(gf, blocks): successive blocks of rows of one length over one field."""
@@ -540,6 +598,20 @@ def test_spin_holds_at_most_n_residue_rows(monkeypatch):
     monkeypatch.setattr(gf_module, "rref", counting_rref)
     assert spin(ctx.gf, mod.gen_mats("K"), seed).dim == mod.dim
     assert seen and max(seen) <= mod.dim
+
+
+def test_spin_reduces_a_one_row_frontier_once_per_round(monkeypatch):
+    # each round's frontier is the one basis vector e_k: the shift sends it
+    # to e_(k+1), the identity and zero to the span, so every round holds
+    # all three generators' images in one reduce
+    gf = get_gf(5, 1)
+    n = 6
+    mats = [np.roll(np.eye(n, dtype=np.int64), 1, axis=0), np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)]
+    seen = []
+    reduce = Subspace.reduce
+    monkeypatch.setattr(Subspace, "reduce", lambda self, rows: seen.append(np.shape(rows)) or reduce(self, rows))
+    assert spin(gf, mats, np.eye(n, dtype=np.int64)[:1]).dim == n
+    assert seen == [(len(mats), n)] * (n - 1)
 
 
 def test_growing_insert_runs_one_elimination(monkeypatch):
