@@ -42,7 +42,7 @@ from ..core import (
     weight_dim,
     weights_of_char,
 )
-from .gf import TABLE_BYTES_LIMIT, Subspace, inverse, nullspace, rref
+from .gf import MATMUL_BLOCK_ENTRIES, TABLE_BYTES_LIMIT, Subspace, inverse, nullspace, rref
 from .groups import GroupContext, get_context
 
 LEVELS = ("K1", "K2", "I2")
@@ -138,14 +138,15 @@ def _sym_power(gf, a, b, c, d, r):
     n = np.arange(r + 1)
     binom = np.array([[comb(i, j) % gf.p for j in n] for i in n])
     k, t = n[:, None], n[None, :]
-
-    def powers(x):
-        return np.stack([gf.pow_vec(x, e) for e in n], axis=-1)
+    # x^0 .. x^r of a, b, c, d in one log/exp gather (log_t[0] = -1 indexes
+    # harmlessly); 0^e is 0 for e > 0 and 1 for e = 0
+    abcd = np.stack([a, b, c, d])[..., None]
+    pa, pb, pc, pd = np.where((abcd == 0) & (n > 0), 0, gf.exp_t[(gf.log_t[abcd] * n) % (gf.q - 1)])
 
     # u[..., k, t1] = C(r-k,t1) a^(r-k-t1) c^t1 and v[..., k, t2] = C(k,t2) b^(k-t2) d^t2;
     # exponents past the degree meet a zero binomial and are clipped to 0
-    u = gf.mul_t[binom[r - k, t], gf.mul_t[powers(a)[..., np.maximum(r - k - t, 0)], powers(c)[..., t]]]
-    v = gf.mul_t[binom[k, t], gf.mul_t[powers(b)[..., np.maximum(k - t, 0)], powers(d)[..., t]]]
+    u = gf.mul_t[binom[r - k, t], gf.mul_t[pa[..., np.maximum(r - k - t, 0)], pc[..., t]]]
+    v = gf.mul_t[binom[k, t], gf.mul_t[pb[..., np.maximum(k - t, 0)], pd[..., t]]]
     digits = gf.dig[gf.mul_t[u[..., :, :, None], v[..., :, None, :]]]  # (..., k, t1, t2, f)
     onto = (n[:, None, None] + n[None, :, None] == n[None, None, :]).astype(np.int64)  # t1 + t2 = t
     sums = np.einsum("...kabf,abt->...tkf", digits, onto)
@@ -345,7 +346,10 @@ def h_eigen_split(mod: ExplicitModule, rows) -> list:
     B, k = sub.basis, sub.dim
     # row-convention action on coordinates
     A = np.hstack([sub.express(gf.matmul(B, M.T)) for M in mod.gen_mats("H")])
-    S1, S2 = _projector_sums(gf, A[:, :k]), _projector_sums(gf, A[:, k:])
+    # both generators' sums from one chain on diag(A1, A2), whose sums are block diagonal
+    zero = np.zeros((k, k), dtype=np.int64)
+    S = _projector_sums(gf, np.block([[A[:, :k], zero], [zero, A[:, k:]]]))
+    S1, S2 = S[:, :k, :k], S[:, k:, k:]
     out = []
     S2_all = gf.prepare(np.hstack(S2))
     for e1 in np.flatnonzero(S1.reshape(n, -1).any(axis=1)):
@@ -378,7 +382,9 @@ def _digit_words(params: Params, r: tuple):
     h . (translate i) = sum_j c[i][j] (translate j); an identity generator's
     constants are the identity (one shared array).  The BFS tries only the
     other generators, since an identity generator's candidate is its
-    parent, which greedy insertion never keeps.
+    parent, which greedy insertion never keeps.  A level is inserted a
+    slice of parents at a time; sequential insertion keeps the same rows,
+    so the tree is that of one insert per level.
     """
     ctx = get_context(params)
     gf, gr = ctx.gf, ctx.gr
@@ -387,21 +393,34 @@ def _digit_words(params: Params, r: tuple):
     gmats = W.gen_mats("K")
     ident = W.identity_positions()
     moving = [k for k in range(len(gmats)) if k not in ident]
-    V = np.eye(1, W.dim, dtype=np.int64)  # the pro-p fixed line
+    d = W.dim
+    # a product takes at most d // |frontier| generators (at most d candidates,
+    # as in ``spin``) whose digit planes fit the product budget; an insert takes
+    # whole parents, at most d rows within the budget
+    planes = MATMUL_BLOCK_ENTRIES // (gf.f * d * d)
+    step = max(1, min(d, MATMUL_BLOCK_ENTRIES // (gf.f * d)) // max(1, len(moving))) * len(moving)
+    V = np.eye(1, d, dtype=np.int64)  # the pro-p fixed line
     sub = Subspace(gf, V)
     tree = []
     frontier = [0]
-    while frontier and len(V) < W.dim:
+    while frontier and len(V) < d:
         # candidates of one BFS level in (parent, k) order
-        cands = np.stack([gf.matmul(V[frontier], gmats[k].T) for k in moving], axis=1).reshape(-1, W.dim)
-        grew = sub.insert(cands)
+        group = max(1, min(d // len(frontier), planes))
+        cands = np.hstack([gf.matmul(V[frontier], np.hstack([gmats[k].T for k in moving[s:s + group]]))
+                           for s in range(0, len(moving), group)]).reshape(-1, d)
+        grew = []
+        for s in range(0, len(cands), step):
+            grew += [s + i for i in sub.insert(cands[s:s + step])]
+            if sub.dim == d:
+                break
         tree += [(frontier[i // len(moving)], moving[i % len(moving)]) for i in grew]
         frontier = list(range(len(V), len(V) + len(grew)))
         V = np.vstack([V, cands[grew]])
-    if len(V) != W.dim:
+        del cands  # not held through later products
+    if len(V) != d:
         raise AssertionError(f"weight {sigma} not cyclic from its fixed vector")
     V_inv = gf.prepare(inverse(gf, V))
-    eye = gf.eye(W.dim)
+    eye = gf.eye(d)
     struct = [eye if k in ident else gf.matmul(gf.matmul(V, gm.T), V_inv) for k, gm in enumerate(gmats)]
     res = gr.reduce_p(np.stack(ctx.gens("K")))
     gen_logs = gf.log_t[gf.sub(gf.mul_t[res[:, 0, 0], res[:, 1, 1]], gf.mul_t[res[:, 0, 1], res[:, 1, 0]])]

@@ -435,6 +435,74 @@ def test_rescaled_words_match_a_direct_build_of_the_twisted_weight(pf, data):
     assert fixed == weight_module(ctx, sigma).identity_positions()
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3)]), st.data())
+def test_words_built_one_generator_and_one_parent_at_a_time_match_a_direct_build(pf, data):
+    # with no product budget, each product takes one generator and each insert
+    # one parent's candidates; sequential insertion keeps the same rows, so the
+    # tree and constants are those of one insert of every level
+    from gl2diamond.oracle import modules
+
+    p, f = pf
+    ctx = get_context(Params(p, f))
+    r = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
+    inserted, insert = [], Subspace.insert
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modules, "MATMUL_BLOCK_ENTRIES", 1)
+        mp.setattr(Subspace, "insert", lambda sub, rows: inserted.append(len(rows)) or insert(sub, rows))
+        modules._digit_words.cache_clear()
+        try:
+            tree, struct, ident, _, _ = modules._digit_words(ctx.params, r)
+        finally:
+            modules._digit_words.cache_clear()
+    moving = len(ctx.gens("K")) - len(ident)
+    assert set(inserted) <= {moving}
+    want_tree, want_struct = _direct_weight_words(ctx, Weight(ctx.params, r, 0))
+    assert tree == want_tree
+    assert all((c == w).all() for c, w in zip(struct, want_struct, strict=True))
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 2), (3, 3)])
+def test_words_of_a_weight_no_generator_moves(p, f):
+    # Sym^0 x ... x Sym^0: no BFS level and no group of moving generators
+    from gl2diamond.oracle.modules import _digit_words, _weight_words
+
+    ctx = get_context(Params(p, f))
+    n = len(ctx.gens("K"))
+    tree, struct, ident, _, word_logs = _digit_words(ctx.params, (0,) * f)
+    assert tree == () and ident == frozenset(range(n)) and list(word_logs) == [0]
+    assert all((c == 1).all() and c.shape == (1, 1) for c in struct)
+    for t in range(ctx.gf.q - 1):
+        sigma = Weight(ctx.params, (0,) * f, t)
+        W = weight_module(ctx, sigma)
+        tree, struct, still = _weight_words(ctx.params, sigma)
+        assert tree == () and still == W.identity_positions()
+        assert all((c == M).all() for c, M in zip(struct, W.gen_mats("K"), strict=True))
+        for mod, count in ((W, 1), (direct_sum(W, W), 2)):
+            maps = hom_from_weight(mod, sigma, _eigen_rows(mod, sigma))
+            assert len(maps) == count and all(m.shape == (1, mod.dim) for m in maps)
+
+
+def test_steinberg_words_peak_below_one_insert_per_level():
+    # the Steinberg weight at p = 7, f = 3 (dim 343) peaked at 66.3 MiB under
+    # tracemalloc, in a whole level's insert, when each level was one insert
+    import tracemalloc
+
+    from gl2diamond.oracle import modules
+
+    params = Params(7, 3)
+    get_context(params).k_gens()  # built outside the traced span
+    modules._digit_words.cache_clear()
+    tracemalloc.start()
+    try:
+        modules._digit_words(params, (6, 6, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        modules._digit_words.cache_clear()
+    assert peak <= 66 * 2 ** 20
+
+
 def _oracle_answers(ctx, chi):
     """socle_series, hom_from_weight images, spins and invariants of the
     inductions of chi, E_0(chi) and its normalizer twist."""
@@ -769,3 +837,62 @@ def test_h_eigen_split_of_a_unipotent_torus_raises(ctx52):
     mod = ExplicitModule(ctx52, 2, "I", "K1", "unipotent", derive=lambda: [unipotent] * len(ctx52.gens("I")))
     with pytest.raises(AssertionError, match="H-semisimple"):
         h_eigen_split(mod, np.eye(2, dtype=np.int64))
+
+
+def _h_eigen_split_two_chains(mod, rows):
+    """The split before the two torus generators shared one projector chain:
+    ``_projector_sums`` of each generator's matrix alone."""
+    from gl2diamond.core import ICharacter
+    from gl2diamond.oracle.modules import _projector_sums
+
+    gf = mod.gf
+    n = gf.q - 1
+    sub = Subspace(gf, np.atleast_2d(np.asarray(rows, dtype=np.int64)))
+    if sub.dim == 0:
+        return []
+    B, k = sub.basis, sub.dim
+    A = np.hstack([sub.express(gf.matmul(B, M.T)) for M in mod.gen_mats("H")])
+    S1, S2 = _projector_sums(gf, A[:, :k]), _projector_sums(gf, A[:, k:])
+    out = []
+    S2_all = gf.prepare(np.hstack(S2))
+    for e1 in np.flatnonzero(S1.reshape(n, -1).any(axis=1)):
+        joint = gf.matmul(S1[e1], S2_all).reshape(k, n, k).transpose(1, 0, 2)
+        for e2 in np.flatnonzero(joint.reshape(n, -1).any(axis=1)):
+            V = Subspace(gf, joint[e2]).basis
+            if not (gf.matmul(V, A) == np.hstack([gf.mul(gf.exp_t[e], V) for e in (e1, e2)])).all():
+                raise AssertionError("subspace is not H-semisimple with eigenvalues in F_q")
+            out.append((ICharacter(mod.ctx.params, int(e1), int(e2)), gf.matmul(V, B)))
+    if sum(v.shape[0] for _, v in out) != k:
+        raise AssertionError("subspace is not H-semisimple with eigenvalues in F_q")
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]), st.integers(0, 2 ** 32 - 1))
+def test_h_eigen_split_matches_two_projector_chains(pf, seed):
+    # random H-stable subspaces of inductions: the H-spans of random rows
+    p, f = pf
+    ctx = get_context(Params(p, f))
+    gf = ctx.gf
+    rng = np.random.default_rng(seed)
+    r = tuple(int(x) for x in rng.integers(0, p, f))
+    chi = chi_of_weight(Weight(ctx.params, r, int(rng.integers(0, gf.q - 1))))
+    for mod in (induce(character_module(ctx, chi)), induce(ej_module(ctx, chi, int(rng.integers(0, f))))):
+        seeds = rng.integers(0, gf.q, (int(rng.integers(1, 4)), mod.dim))
+        rows = spin(gf, mod.gen_mats("H"), seeds).basis
+        got, want = h_eigen_split(mod, rows), _h_eigen_split_two_chains(mod, rows)
+        assert [ch for ch, _ in got] == [ch for ch, _ in want]
+        assert all((g == w).all() for (_, g), (_, w) in zip(got, want))
+
+
+@pytest.mark.parametrize("split", [h_eigen_split, _h_eigen_split_two_chains])
+def test_h_eigen_split_refusals_match_two_projector_chains(ctx52, split):
+    from gl2diamond.oracle.modules import ExplicitModule
+
+    unipotent = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    mod = ExplicitModule(ctx52, 2, "I", "K1", "unipotent", derive=lambda: [unipotent] * len(ctx52.gens("I")))
+    with pytest.raises(AssertionError, match="H-semisimple"):
+        split(mod, np.eye(2, dtype=np.int64))
+    E = ej_module(ctx52, chi_of_weight(Weight(ctx52.params, (2, 1), 0)), 0)
+    with pytest.raises(ValueError):
+        split(E, np.array([1, 1]))
