@@ -20,8 +20,8 @@ holds the check record that every verification routine fills.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 
 class DomainError(ValueError):
@@ -61,47 +61,56 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Params:
     """Base parameters: an odd prime p and the residue degree f; q = p^f."""
 
     p: int
     f: int
+    q: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _is_prime(self.p) or self.p < 3:
             raise DomainError(f"p must be an odd prime, got {self.p}")
         if self.f < 1:
             raise DomainError(f"f must be >= 1, got {self.f}")
+        object.__setattr__(self, "q", self.p ** self.f)
+        object.__setattr__(self, "_hash", hash((self.p, self.f)))
 
-    @cached_property
-    def q(self) -> int:
-        return self.p ** self.f
+    # the generated hash, computed once: every weight and block key hashes its Params
+    def __hash__(self):
+        return self._hash
 
     def mod_qm1(self, k: int) -> int:
         return k % (self.q - 1)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Weight:
     """Irreducible GL2(F_q)-weight (r_0,...,r_{f-1}) tensor det^twist."""
 
     params: Params
     r: tuple
     twist: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        par = self.params
-        if len(self.r) != par.f:
-            raise DomainError(f"digit vector has length {len(self.r)}, expected f={par.f}")
-        top = par.p - 1
-        digits = []
-        for ri in self.r:
-            if not 0 <= ri <= top:
-                raise DomainError(f"digits out of range [0, p-1]: {self.r}")
-            digits.append(int(ri))
-        object.__setattr__(self, "r", tuple(digits))
-        object.__setattr__(self, "twist", self.twist % (par.q - 1))
+        par, r = self.params, self.r
+        if len(r) != par.f:
+            raise DomainError(f"digit vector has length {len(r)}, expected f={par.f}")
+        # compared as given, so -0.5 is out of range and "1" a TypeError
+        if min(r) < 0 or max(r) > par.p - 1:
+            raise DomainError(f"digits out of range [0, p-1]: {r}")
+        r = tuple(map(int, r))
+        twist = self.twist % (par.q - 1)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "_hash", hash((par, r, twist)))
+
+    # equal to the generated hash, which fixes the iteration order of weight sets
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         body = "(" + ",".join(str(ri) for ri in self.r) + ")"
@@ -178,7 +187,11 @@ def weight_of_char(chi: ICharacter) -> Weight:
 
 
 def weights_of_char(chi: ICharacter) -> set:
-    """All weights sigma with chi_sigma = chi; two of them exactly when a = b."""
+    """All weights sigma with chi_sigma = chi; two of them exactly when a = b.
+
+    Callers iterate this set, so its order (set by Weight's hash) is the
+    order of the socle Counters printed in the golden jh and womega reports.
+    """
     par = chi.params
     out = {weight_of_char(chi)}
     if chi.a == chi.b:

@@ -12,6 +12,7 @@ Both templates are cyclic in j and require f >= 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ne
 
 from .core import DomainError, Weight, require_slot
 
@@ -56,18 +57,30 @@ def minus_one_partner(sigma: Weight, j: int) -> Weight:
 
 
 def couple_type(sigma: Weight, tau: Weight):
-    """Match tau against both templates over all slots; None when nothing fits."""
+    """Match tau against both templates over all slots; None when nothing fits.
+
+    The templates are compared digit by digit, without building the partner
+    weights.  Both need r_{j-1} <= p-2 and put p-2-r_{j-1} at slot j-1, which
+    differs from r_{j-1} as p is odd; both move r_j by one.  So a match moves
+    exactly two slots.
+    """
     par = sigma.params
     if par.f < 2:
         raise DomainError("couples need f >= 2")
     if par != tau.params:
         raise DomainError("weights live over different parameters")
-    for j in range(par.f):
-        jm1 = (j - 1) % par.f
-        if sigma.r[jm1] <= par.p - 2 and sigma.r[j] <= par.p - 2:
-            if plus_one_partner(sigma, j) == tau:
-                return CoupleType(+1, j)
-        if sigma.r[jm1] <= par.p - 2 and sigma.r[j] >= 1:
-            if minus_one_partner(sigma, j) == tau:
-                return CoupleType(-1, j)
+    p, f, n = par.p, par.f, par.q - 1
+    r, s = sigma.r, tau.r
+    if sum(map(ne, r, s)) != 2:
+        return None
+    for j in range(f):
+        jm1 = (j - 1) % f
+        a = r[jm1]
+        if a > p - 2 or s[jm1] != p - 2 - a:
+            continue
+        tw = sigma.twist + p ** jm1 * (a + 1)
+        if r[j] <= p - 2 and s[j] == r[j] + 1 and tau.twist == (tw - p ** j) % n:
+            return CoupleType(+1, j)
+        if r[j] >= 1 and s[j] == r[j] - 1 and tau.twist == tw % n:
+            return CoupleType(-1, j)
     return None

@@ -15,8 +15,8 @@ whose agreement is tracked on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .core import DomainError, Params, Weight, chi_of_weight, conjugate_char, sigma_s
 from .couples import CoupleType, couple_type
@@ -28,14 +28,13 @@ from .tuples import (
     Sym,
     S_of_mu,
     compatible_Imu,
+    compile_tuple,
     compose_tuples,
     delta_irr,
     delta_red,
-    e_of_lambda,
     enumerate_ID,
     enumerate_RD,
-    eval_tuple,
-    in_weight_range,
+    evaluate_forms,
     mu_of_lambda,
 )
 
@@ -44,6 +43,7 @@ YM1 = Sym(1, -1)
 YP1 = Sym(1, 1)
 
 LIFT_SYMBOLS = (P2MX, P1MX, Y, YP1)
+_LIFT_SET = frozenset(LIFT_SYMBOLS)
 
 # Membership sets for the S^-/S^+ rules, as composed expressions in the
 # previous slot's variable.  Two constraints pin these sets: the socle
@@ -58,7 +58,7 @@ SMINUS_SET_IRR1 = (Sym(1, -1), Sym(1, 0), Sym(-1, 0))     # x-1, x, p-x
 SPLUS_SET_IRR1 = (Sym(-1, -2), Sym(-1, -1), Sym(1, 1))    # p-2-x, p-1-x, x+1
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class GaloisParams:
     """Parameters of a semisimple two-dimensional mod-p Galois representation."""
 
@@ -66,6 +66,7 @@ class GaloisParams:
     reducible: bool
     r: tuple
     twist: int = 0
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         par = self.params
@@ -84,6 +85,11 @@ class GaloisParams:
                 raise DomainError(f"irreducible case needs 0 <= r_0 <= p-1, got {r}")
             if any(not (-1 <= x <= par.p - 2) for x in r[1:]):
                 raise DomainError(f"irreducible case needs -1 <= r_i <= p-2 for i>0, got {r}")
+        object.__setattr__(self, "_hash", hash((par, self.reducible, r, self.twist)))
+
+    # the generated hash, computed once: every read of the block cache hashes it
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         kind = "red" if self.reducible else "irr"
@@ -102,11 +108,19 @@ def is_generic(rho: GaloisParams) -> bool:
     return all(0 <= x <= p - 3 for x in r[1:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiamondWeight:
     weight: Weight
     lam: tuple
     S: frozenset
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.weight, self.lam, self.S)))
+
+    # the generated hash, computed once: each block key and record key hashes it
+    def __hash__(self):
+        return self._hash
 
     @property
     def ell(self) -> int:
@@ -116,20 +130,28 @@ class DiamondWeight:
         return f"{self.weight} [S={sorted(self.S)}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class D0Factor:
     base: DiamondWeight
     mu: tuple
     composed: tuple
     weight: Weight
+    lifts: bool = field(init=False, repr=False, compare=False)
+    is_socle: bool = field(init=False, repr=False, compare=False)
+    _hash: int = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
-    def lifts(self) -> bool:
-        return all(s in LIFT_SYMBOLS for s in self.mu)
+    def __post_init__(self):
+        object.__setattr__(self, "lifts", _LIFT_SET.issuperset(self.mu))
+        object.__setattr__(self, "is_socle", self.mu.count(Y) == len(self.mu))
 
-    @cached_property
-    def is_socle(self) -> bool:
-        return all(s == Y for s in self.mu)
+    # the generated hash, computed on first use: the record keys hash a
+    # factor many times, a counts sweep never
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.base, self.mu, self.composed, self.weight))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 def _require_generic(rho: GaloisParams):
@@ -137,18 +159,23 @@ def _require_generic(rho: GaloisParams):
         raise DomainError(f"{rho} is not generic")
 
 
+@lru_cache(maxsize=None)
+def _family_forms(reducible: bool, p: int, f: int) -> tuple:
+    """The compiled forms at p of the RD- (resp. ID-) tuples, in family order."""
+    return tuple(compile_tuple(lam, p) for lam in (enumerate_RD(f) if reducible else enumerate_ID(f)))
+
+
 def _weight_set(rho: GaloisParams) -> tuple:
     """diamond_set's weights, built from the RD- or ID-tuples."""
     _require_generic(rho)
     par = rho.params
     fam = enumerate_RD(par.f) if rho.reducible else enumerate_ID(par.f)
+    evs = evaluate_forms(_family_forms(rho.reducible, par.p, par.f), rho.r, par.p)
     out = []
-    for lam in fam:
-        vals = eval_tuple(lam, rho.r, par.p)
-        if not in_weight_range(vals, par.p):
+    for lam, ev in zip(fam, evs):
+        if ev is None:
             raise AssertionError(f"generic parameter dropped a tuple: {lam} at {rho.r}")
-        tw = e_of_lambda(lam, rho.r, par.p) + rho.twist
-        out.append(DiamondWeight(Weight(par, vals, tw), lam, S_of_mu(lam)))
+        out.append(DiamondWeight(Weight(par, ev[0], ev[1] + rho.twist), lam, S_of_mu(lam)))
     if len({dw.S for dw in out}) != len(out):
         raise AssertionError("subset identification failed to separate the weight set")
     out.sort(key=lambda dw: sum(1 << i for i in dw.S))
@@ -167,17 +194,22 @@ def _skeleton(lam: tuple, reducible: bool) -> tuple:
     return tuple(pairs)
 
 
+@lru_cache(maxsize=None)
+def _skeleton_forms(lam: tuple, reducible: bool, p: int) -> tuple:
+    """The compiled forms at p of the skeleton's composed tuples, in its order."""
+    return tuple(compile_tuple(comp, p) for _, comp in _skeleton(lam, reducible))
+
+
 def _block(rho: GaloisParams, sigma: DiamondWeight) -> tuple:
     """d0_factors' block of sigma: the skeleton's in-range evaluations."""
     par = rho.params
-    out = []
-    for mu, comp in _skeleton(sigma.lam, rho.reducible):
-        vals = eval_tuple(comp, rho.r, par.p)
-        if not in_weight_range(vals, par.p):
-            continue
-        tw = e_of_lambda(comp, rho.r, par.p) + rho.twist
-        out.append(D0Factor(sigma, mu, comp, Weight(par, vals, tw)))
-    return tuple(out)
+    skeleton = _skeleton(sigma.lam, rho.reducible)
+    evs = evaluate_forms(_skeleton_forms(sigma.lam, rho.reducible, par.p), rho.r, par.p)
+    return tuple(
+        D0Factor(sigma, mu, comp, Weight(par, ev[0], ev[1] + rho.twist))
+        for (mu, comp), ev in zip(skeleton, evs)
+        if ev is not None
+    )
 
 
 def d0_all(rho: GaloisParams) -> dict:
@@ -285,7 +317,7 @@ def delta_subset_prediction(rho: GaloisParams, sigma: DiamondWeight, factor: D0F
     return delta_red(moved, f) if rho.reducible else delta_irr(moved, f)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeltaResult:
     target: DiamondWeight          # the block owning tau^[s]
     mirror: D0Factor               # tau^[s] as a factor of that block
@@ -373,7 +405,7 @@ def plus_one_couples(rho: GaloisParams, sigma: DiamondWeight, j: int) -> list:
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class ClauseReport:
     name: str
     passed: bool
@@ -417,9 +449,8 @@ def verify_combination(rho: GaloisParams, sigma: DiamondWeight, j: int) -> Combi
         d2 = delta_data(rho, sigma, tau2)
         add("delta-formula", d1.formula_agrees and d2.formula_agrees, tag)
 
-        # theta value relations, read off the mirror factors in the delta blocks
-        th1 = [d1.mirror.composed[i].value(rho.r[i], par.p) for i in range(f)]
-        th2 = [d2.mirror.composed[i].value(rho.r[i], par.p) for i in range(f)]
+        # theta value relations: the digits of the mirror factors in the delta blocks
+        th1, th2 = d1.mirror.weight.r, d2.mirror.weight.r
         ok = all(th1[i] == th2[i] for i in range(f) if i not in (jm1, j))
         add("theta-off-slots", ok, tag)
         add("theta-at-j", th1[j] == th2[j] + 1, tag)

@@ -33,7 +33,7 @@ from .core import (
     conjugate_char,
     weight_dim,
 )
-from .tuples import J_of_lambda, e_of_lambda, enumerate_P, eval_tuple
+from .tuples import J_of_lambda, compile_tuple, enumerate_P, evaluate_forms
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,11 @@ class InducedJH:
 
 
 @lru_cache(maxsize=None)
-def _P_with_J(f: int) -> tuple:
-    """The P-family with each tuple's J, shared by every evaluation at this f."""
-    return tuple((lam, J_of_lambda(lam)) for lam in enumerate_P(f))
+def _P_with_J(p: int, f: int) -> tuple:
+    """The P-family as pairs (lam, J) and, in the same order, the compiled
+    forms at p, shared by every evaluation at this p and f."""
+    fam = enumerate_P(f)
+    return tuple((lam, J_of_lambda(lam)) for lam in fam), tuple(compile_tuple(lam, p) for lam in fam)
 
 
 # an entry is about 4 KB at f = 4 and 8 KB at f = 5, so the cache stays a few
@@ -90,16 +92,18 @@ def _evaluate_P(params: Params, digits: tuple) -> tuple:
     shifts every e by the same amount, so the induction is multiplicity free
     exactly when the keys are distinct.
     """
+    pairs, forms = _P_with_J(params.p, params.f)
+    n = params.q - 1
     index, dropped = {}, []
-    for lam, J in _P_with_J(params.f):
-        vals = eval_tuple(lam, digits, params.p)
-        if any(v < 0 for v in vals):
-            dropped.append(lam)
+    # every P-symbol is at most p-1 on a digit, so only a negative value is out of range
+    for pair, ev in zip(pairs, evaluate_forms(forms, digits, params.p)):
+        if ev is None:
+            dropped.append(pair[0])
             continue
-        key = (vals, params.mod_qm1(e_of_lambda(lam, digits, params.p)))
+        key = (ev[0], ev[1] % n)
         if key in index:
             raise AssertionError(f"induced module at digits {digits} (p={params.p}) is not multiplicity free")
-        index[key] = (lam, J)
+        index[key] = pair
     return index, tuple(dropped)
 
 

@@ -12,6 +12,11 @@ A symbol is an expression  x + c  or  (p + c) - x  with a small constant c,
 encoded p-independently as Sym(sign, c).  Tuples are stored symbolically and
 evaluated later at a digit vector, so one enumeration serves all parameters.
 
+Evaluation at a fixed p runs on compiled forms: ``compile_tuple`` turns a
+tuple into integer vectors once, and ``evaluate_forms`` evaluates a batch of
+them at a digit vector.  ``eval_tuple``, ``in_weight_range`` and
+``e_of_lambda`` are the symbol-by-symbol definitions the forms reproduce.
+
 A family is its per-slot alphabets (P_ALPHABET^f, RD_ALPHABET^f,
 P_ALPHABET x RD_ALPHABET^(f-1), MU_ALPHABET^f) under one cyclic successor
 rule: the symbol after one with positive x-coefficient lies in STAY = (x,
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import add, mul
 from typing import NamedTuple
 
 from .core import DomainError
@@ -166,6 +172,40 @@ def e_of_lambda(tpl: tuple, r, p: int) -> int:
     if total % 2 != 0:
         raise AssertionError(f"odd normalizing bracket for tuple {tpl} at {tuple(r)}")
     return total // 2
+
+
+def compile_tuple(tpl: tuple, p: int) -> tuple:
+    """The integer form (consts, signs, weights, K) of tpl at the prime p.
+
+    Slot i evaluates to consts[i] + signs[i] * r_i, and the normalizing
+    exponent is sum(weights[i] * r_i) + K, where weights[i] is p^i on the
+    slots of negative sign and 0 elsewhere.  Each such slot contributes
+    2 p^i r_i to e_of_lambda's bracket, so the bracket's parity does not
+    depend on r and an odd one is refused here, once per tuple.
+    """
+    consts = tuple(s.c if s.sign > 0 else p + s.c for s in tpl)
+    signs, weights = _sign_vectors(tuple(1 if s.sign > 0 else -1 for s in tpl), p)
+    bracket = (p ** len(tpl) - 1 if tpl[-1].sign < 0 else 0) - sum(p ** i * c for i, c in enumerate(consts))
+    if bracket % 2 != 0:
+        raise AssertionError(f"odd normalizing bracket for tuple {tpl} at p={p}")
+    return consts, signs, weights, bracket // 2
+
+
+# one copy per sign pattern: the skeletons at f = 6 compile 8192 tuples over 64 patterns
+@lru_cache(maxsize=None)
+def _sign_vectors(signs: tuple, p: int) -> tuple:
+    return signs, tuple(p ** i if sign < 0 else 0 for i, sign in enumerate(signs))
+
+
+def evaluate_forms(forms, r, p: int) -> list:
+    """Each compiled form at the digit vector r, in order: (values, e), or
+    None where a value leaves [0, p-1]."""
+    in_range = frozenset(range(p)).issuperset
+    out = []
+    for consts, signs, weights, K in forms:
+        vals = tuple(map(add, consts, map(mul, signs, r)))
+        out.append((vals, sum(map(mul, weights, r)) + K) if in_range(vals) else None)
+    return out
 
 
 def compose_tuples(outer: tuple, inner: tuple) -> tuple:

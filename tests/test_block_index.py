@@ -370,6 +370,8 @@ def test_a_repeated_weight_is_refused(monkeypatch):
     chi = chi_of_weight(Weight(Params(5, 2), (2, 1), 0))
     fam = enumerate_P(2)
 
+    # _P_with_J also holds the family's compiled forms, so clearing it makes
+    # the patched enumerate_P feed the evaluation
     def caches():
         for fn in (principal._P_with_J, principal._evaluate_P):
             fn.cache_clear()

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl2diamond.core import (
     DomainError,
@@ -201,3 +203,27 @@ def test_ext1_dim_I():
         assert d_k1[0] <= d_z1[0]
         if d_k1[0] == 1:
             assert d_z1 == d_k1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_params_and_weight_hash_once_as_generated(data):
+    """The cached hash is the generated one, hash((fields compared)): the
+    iteration order of weights_of_char, hence of the socles in the golden
+    reports, depends on it."""
+    par = Params(data.draw(st.sampled_from([3, 5, 7])), data.draw(st.integers(1, 3)))
+    assert hash(par) == hash((par.p, par.f))
+    assert repr(par) == f"Params(p={par.p}, f={par.f})" and par.q == par.p ** par.f
+    digits = st.lists(st.integers(0, par.p - 1), min_size=par.f, max_size=par.f)
+    r, twist = data.draw(digits), data.draw(st.integers(-3 * par.q, 3 * par.q))
+    w = Weight(par, r, twist)
+    assert hash(w) == hash((par, tuple(r), twist % (par.q - 1)))
+    assert w == Weight(par, tuple(r), twist + par.q - 1) and hash(w) == hash(Weight(par, r, twist - par.q + 1))
+    assert repr(w) == f"Weight(params={par!r}, r={tuple(r)!r}, twist={twist % (par.q - 1)})"
+    assert not hasattr(par, "__dict__") and not hasattr(w, "__dict__")
+    # eq and order are those of the compared fields
+    w2 = Weight(par, data.draw(digits), data.draw(st.integers(0, par.q - 2)))
+    key = lambda x: (x.params.p, x.params.f, x.r, x.twist)  # noqa: E731
+    assert (w == w2) == (key(w) == key(w2)) and (w < w2) == (key(w) < key(w2))
+    other = Params(data.draw(st.sampled_from([3, 5, 7])), data.draw(st.integers(1, 3)))
+    assert (par < other) == ((par.p, par.f) < (other.p, other.f)) and (par == other) == ((par.p, par.f) == (other.p, other.f))

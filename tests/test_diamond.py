@@ -1,10 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl2diamond.core import DomainError, Params, Weight, chi_of_weight, sigma_s
-from gl2diamond.couples import CoupleType, couple_type
+from gl2diamond.couples import CoupleType, couple_type, minus_one_partner, plus_one_partner
 from gl2diamond.diamond import (
+    LIFT_SYMBOLS,
+    Y,
     GaloisParams,
     d0_factors,
     d0_is_multiplicity_free,
@@ -223,3 +227,86 @@ def test_xi_and_J_identity_factor(par72):
     xi, J, consistent = xi_and_J(rho3, sp, socle)
     assert consistent
     assert J == frozenset(range(3))
+
+
+def test_block_objects_hash_once_as_generated():
+    """DiamondWeight and D0Factor keep the generated hash of their compared
+    fields, carry no __dict__, and compare as before; lifts and is_socle are
+    plain attributes read off mu."""
+    rho = GaloisParams(Params(5, 3), False, (2, 1, 1), 4)
+    assert hash(rho) == hash((rho.params, rho.reducible, rho.r, rho.twist))
+    for dw in diamond_set(rho):
+        assert hash(dw) == hash((dw.weight, dw.lam, dw.S)) and not hasattr(dw, "__dict__")
+        assert dw == type(dw)(dw.weight, dw.lam, dw.S)
+        for fac in d0_factors(rho, dw):
+            assert hash(fac) == hash((fac.base, fac.mu, fac.composed, fac.weight))
+            assert not hasattr(fac, "__dict__")
+            copy = type(fac)(fac.base, fac.mu, fac.composed, fac.weight)
+            assert copy == fac and hash(copy) == hash(fac)
+            assert fac.lifts == all(s in LIFT_SYMBOLS for s in fac.mu)
+            assert fac.is_socle == all(s == Y for s in fac.mu)
+            assert repr(fac).endswith(f"weight={fac.weight!r})")
+    res = delta_data(rho, diamond_set(rho)[0], lifting_factors(rho, diamond_set(rho)[0])[0])
+    assert not hasattr(res, "__dict__")
+    assert not hasattr(verify_combination(rho, diamond_set(rho)[0], 0).clauses[0], "__dict__")
+
+
+def reference_couple_type(sigma, tau):
+    """couple_type through the partner weights, slot by slot."""
+    par = sigma.params
+    for j in range(par.f):
+        jm1 = (j - 1) % par.f
+        if sigma.r[jm1] <= par.p - 2 and sigma.r[j] <= par.p - 2 and plus_one_partner(sigma, j) == tau:
+            return CoupleType(+1, j)
+        if sigma.r[jm1] <= par.p - 2 and sigma.r[j] >= 1 and minus_one_partner(sigma, j) == tau:
+            return CoupleType(-1, j)
+    return None
+
+
+@st.composite
+def weight_pairs(draw):
+    """(sigma, tau) with digits weighted towards 0 and p-1; tau is a random
+    weight, a partner of sigma, or a partner with one digit or the twist moved."""
+    par = Params(draw(st.sampled_from([3, 5, 7])), draw(st.integers(2, 4)))
+    digit = st.one_of(st.sampled_from([0, par.p - 1]), st.integers(0, par.p - 1))
+    twist = st.integers(0, par.q - 2)
+
+    def weight():
+        return Weight(par, tuple(draw(digit) for _ in range(par.f)), draw(twist))
+
+    sigma = weight()
+    partners = []
+    for partner in (plus_one_partner, minus_one_partner):
+        for j in range(par.f):
+            try:
+                partners.append(partner(sigma, j))
+            except DomainError:  # the template leaves [0, p-1] at this slot
+                pass
+    kind = draw(st.sampled_from(["random", "partner", "moved"] if partners else ["random"]))
+    if kind == "random":
+        return sigma, weight()
+    tau = draw(st.sampled_from(partners))
+    if kind == "moved":
+        i = draw(st.integers(0, par.f))
+        if i == par.f:
+            tau = Weight(par, tau.r, tau.twist + draw(st.integers(1, par.q - 2)))
+        else:
+            r = list(tau.r)
+            r[i] = draw(digit)
+            tau = Weight(par, tuple(r), tau.twist)
+    return sigma, tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_pairs())
+def test_couple_type_matches_the_partner_templates(pair):
+    sigma, tau = pair
+    assert couple_type(sigma, tau) == reference_couple_type(sigma, tau)
+
+
+def test_couple_type_refusals():
+    par = Params(5, 1)
+    with pytest.raises(DomainError, match="f >= 2"):
+        couple_type(Weight(par, (1,), 0), Weight(par, (2,), 0))
+    with pytest.raises(DomainError, match="different parameters"):
+        couple_type(Weight(Params(5, 2), (1, 1), 0), Weight(Params(7, 2), (1, 1), 0))

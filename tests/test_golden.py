@@ -5,9 +5,10 @@ A golden file is regenerated with
     PYTHONPATH=src python -m gl2diamond.cli ARGV > tests/golden/NAME.json
 and should change only when a check itself is meant to change.  The
 combination sweep at p = 5, f = 3 is 1.4 MB, so only its sha256 is kept.
-tests/golden/verify-womega-p5-f3.json takes about 15 s and the counts sweep
-at p = 5, f = 5 about 9 s, so they are compared in CI only
-(.github/workflows/tier1.yml), not here; the latter by its sha256.
+tests/golden/verify-womega-p5-f3.json takes about 15 s, the counts sweep at
+p = 5, f = 5 about 9 s and the combination sweep at p = 5, f = 4 (34.7 MB)
+about 3 s, so they are compared in CI only (.github/workflows/tier1.yml),
+not here; the two sweeps by their sha256.
 """
 
 import hashlib
@@ -56,6 +57,9 @@ COMBINATION_P5_F3 = ["verify", "--suite", "combination", "--p", "5", "--f", "3",
 COMBINATION_P5_F3_SHA256 = "523c6a3557b19f6b044568f5d0a128d6db342dde93a9759343fe0b12232d702b"
 # verify --suite counts --p 5 --f 5 --case all-generic --format json, checked in CI only
 COUNTS_P5_F5_SHA256 = "e3a0a59cab62f73f38b02adbe771e9d8fdb414b67660ebce3f375886f87b473f"
+# verify --suite combination --p 5 --f 4 --case all-generic --format json, checked in CI only;
+# the sweep whose parameters the combinatorics-f4 benchmark samples
+COMBINATION_P5_F4_SHA256 = "1581e82cec70cd51adef9a03c0dcd25bb94e506bf1547e007a63544234dec868"
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

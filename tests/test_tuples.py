@@ -2,6 +2,8 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl2diamond.core import DomainError
 from gl2diamond.tuples import (
@@ -19,6 +21,7 @@ from gl2diamond.tuples import (
     S_of_mu,
     all_candidate_tuples,
     compatible,
+    compile_tuple,
     compose_tuples,
     delta_irr,
     delta_red,
@@ -28,7 +31,9 @@ from gl2diamond.tuples import (
     enumerate_P,
     enumerate_RD,
     eval_tuple,
+    evaluate_forms,
     family_alphabets,
+    in_weight_range,
     is_valid,
     lambda_of_S,
     mu_of_lambda,
@@ -192,3 +197,38 @@ def test_compose_tuples():
         vals = eval_tuple(comp, r, p)
         direct = tuple(m.value(l.value(x, p), p) for m, l, x in zip(mu, lam, r))
         assert vals == direct
+
+
+ENUMERATE = {"P": enumerate_P, "RD": enumerate_RD, "ID": enumerate_ID, "IMU": enumerate_Imu}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compiled_forms_match_the_symbolic_evaluation(data):
+    """Every family tuple at p in {3, 5, 7} and f <= 4: the compiled form
+    gives eval_tuple's values, in_weight_range's verdict and e_of_lambda's
+    exponent, at digits one beyond [0, p-1] on each side too."""
+    p, f = data.draw(st.sampled_from([3, 5, 7])), data.draw(st.integers(1, 4))
+    family = data.draw(st.sampled_from(sorted(ENUMERATE)))
+    r = tuple(data.draw(st.integers(-1, p)) for _ in range(f))
+    fam = ENUMERATE[family](f)
+    forms = [compile_tuple(tpl, p) for tpl in fam]
+    n = p ** f - 1
+    for tpl, (consts, signs, weights, K), ev in zip(fam, forms, evaluate_forms(forms, r, p)):
+        vals = eval_tuple(tpl, r, p)
+        e = e_of_lambda(tpl, r, p)
+        assert tuple(c + s * x for c, s, x in zip(consts, signs, r)) == vals
+        assert sum(w * x for w, x in zip(weights, r)) + K == e
+        assert (ev is not None) == in_weight_range(vals, p)
+        if ev is not None:
+            assert ev[0] == vals and ev[1] % n == e % n
+
+
+def test_compile_refuses_an_odd_bracket():
+    """The bracket's parity does not depend on the digits, so a tuple outside
+    the families is refused once, when compiled, as e_of_lambda refuses it."""
+    with pytest.raises(AssertionError, match="odd normalizing bracket"):
+        compile_tuple((XP1,), 5)
+    for r in range(5):
+        with pytest.raises(AssertionError, match="odd normalizing bracket"):
+            e_of_lambda((XP1,), (r,), 5)
