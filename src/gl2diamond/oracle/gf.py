@@ -12,7 +12,7 @@ is exact while f k (p-1)^2 < 2^53 (k the inner dimension); past that bound
 it is refused before anything is gathered.  The defining polynomial is the
 monic irreducible of degree f with the smallest encoded coefficient vector,
 so every run is reproducible.
-Echelon work (subspaces, nullspaces, inverses, spins) runs in one
+Echelon work (subspaces, nullspaces, spins) runs in one
 Gauss-Jordan elimination, ``rref``, which also names the rows it pivots on.
 It eliminates 16 columns at a time on the tables and updates the columns
 right of them by one product.  A subspace grows in place: the new residues
@@ -260,8 +260,9 @@ class GF:
     def _matmul_rows(self, A, B: Prepared):
         m, k = A.shape
         f, n = self.f, B.shape[1]
-        digits = self.xplanes.take(A, axis=1).reshape(f * m, k * f) @ B.planes
-        return (self.pows @ (digits.astype(np.int64) % self.p).reshape(f, m * n)).reshape(m, n)
+        digits = (self.xplanes.take(A, axis=1).reshape(f * m, k * f) @ B.planes).astype(np.int64)
+        digits %= self.p  # in place: no third f m n temporary
+        return (self.pows @ digits.reshape(f, m * n)).reshape(m, n)
 
     def eye(self, n):
         return np.eye(n, dtype=np.int64)
@@ -419,18 +420,6 @@ def nullspace(gf: GF, A) -> np.ndarray:
     out[:, free] = gf.eye(len(free))
     out[:, pivots] = gf.neg_t[R[:, free]].T
     return out
-
-
-def inverse(gf: GF, A) -> np.ndarray:
-    """Inverse of a square matrix, read off rref([A | I]); ValueError if singular."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError(f"matrix of shape {A.shape} is not square")
-    R, pivots, _ = rref(gf, np.hstack([A, gf.eye(n)]))
-    if pivots != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return R[:, n:]
 
 
 def spin(gf: GF, mats, seeds) -> Subspace:

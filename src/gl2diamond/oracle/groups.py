@@ -8,19 +8,37 @@ lift of a residue-field basis and p times that lift, plus diagonal units,
 with I's generators first; every subgroup kind is a tuple of positions in
 it.  For a local ring these generate the corresponding subgroups mod p^2.
 The q+1 cosets of I in K are represented by ([lambda], 1; 1, 0) for lambda
-in F_q together with the identity, in that order.
+in F_q together with the identity, in that order; a breadth-first tree of
+words in the generators reaches each of them once from the identity coset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from ..core import ICharacter, Params
 from .gf import get_gf
 from .gr import get_gr
+
+
+class CosetTree(NamedTuple):
+    """Spanning tree of the cosets of I in K (``GroupContext.coset_tree``).
+
+    Node 0 is the identity coset with the identity word; node i >= 1 has
+    word_i = k_gens()[k] word_parent and lies in coset ``cosets[i]``.
+    ``levels`` holds, level by level, one step (k, nodes, parents) per
+    generator; the nodes of a level follow those of the levels before it,
+    so a walk along it meets every parent before its children.
+    ``det_logs[i]`` is the discrete log of det(word_i) mod p."""
+
+    words: np.ndarray
+    cosets: np.ndarray
+    det_logs: np.ndarray
+    levels: tuple
 
 
 @dataclass(frozen=True)
@@ -115,6 +133,41 @@ class GroupContext:
         ]
         reps.append(gr.mat_eye())
         return tuple(reps)
+
+    @lru_cache(maxsize=None)
+    def coset_tree(self) -> CosetTree:
+        """Breadth-first tree of the q+1 cosets from the identity coset.
+
+        Each generator permutes the cosets, and those in K1 (the identity mod
+        p) fix them all, so one table of the targets of the other generators
+        on every coset drives the search: a level's candidates are taken in
+        (parent, generator) order, and each coset no earlier node reached
+        keeps its first candidate.  A level's words are one product."""
+        gf, gr = self.gf, self.gr
+        q = gf.q
+        gens = np.stack(self.k_gens())
+        moving = np.flatnonzero((gr.reduce_p(gens) != gr.reduce_p(gr.mat_eye())).any(axis=(1, 2)))
+        targets, _ = self.coset_decompose(gr.mat_mul(gens[moving, None], np.stack(self.coset_reps())[None]))
+        cosets = np.full(q + 1, q)
+        words = np.empty((q + 1,) + gens.shape[1:], dtype=np.int64)
+        words[0] = gr.mat_eye()
+        seen = np.arange(q + 1) == q
+        levels, frontier, size = [], np.array([0]), 1
+        while True:
+            cands = targets[:, cosets[frontier]].T.ravel()
+            first = np.full(q + 1, len(cands))
+            np.minimum.at(first, cands, np.arange(len(cands)))
+            first = np.sort(first[(first < len(cands)) & ~seen])
+            if not len(first):
+                break
+            parents, ks = frontier[first // len(moving)], moving[first % len(moving)]
+            frontier, size = np.arange(size, size + len(first)), size + len(first)
+            seen[cands[first]] = True
+            cosets[frontier], words[frontier] = cands[first], gr.mat_mul(gens[ks], words[parents])
+            levels.append(tuple((k, frontier[ks == k], parents[ks == k]) for k in sorted(set(ks.tolist()))))
+        if size != q + 1:
+            raise AssertionError(f"the generators reach {size} of the {q + 1} cosets")
+        return CosetTree(words, cosets, gf.log_t[gr.reduce_p(gr.mat_det(words))], tuple(levels))
 
     def coset_decompose(self, g) -> tuple:
         """g = rep * i with i in I, for one matrix or a stack of them; returns

@@ -13,23 +13,23 @@ one call and an induced module evaluates all q+1 cosets of a whole stack
 in one call of its base.  Submodules, quotients and direct sums transform
 the matrices of their parts once.  A module notes which generators act as
 the identity (read from the matrices, not from the level tag), and nothing
-is multiplied by them: spins, invariants, radicals, derived modules and the
-weight words skip them.
+is multiplied by them: spins, invariants, radicals and derived modules skip
+them.
 
 Socles are computed from first principles: any irreducible subobject is
-generated by a pro-p-fixed eigenvector, and a weight embeds through such a
-vector exactly when the images of a recorded spanning set of group words
-satisfy the weight's structure constants.  Those words are built once per
-digit vector; a determinant twist only rescales the translates.  Iterating
-over quotients gives socle series, Jordan-Hoelder multisets and, as the
-socle of the transposed action, cosocles.  Everything is exact; any
-mismatch raises.
+generated by a pro-p-fixed eigenvector w, and by Frobenius reciprocity a
+weight sigma embeds through w exactly when w, walked along the words of a
+spanning tree of the cosets of I in K, satisfies the relations among the
+same words applied to sigma's fixed vector.  Those relations come from a
+closed form of that walk, once per digit vector; a determinant twist only
+scales them.  Iterating over quotients gives socle series, Jordan-Hoelder
+multisets and, as the socle of the transposed action, cosocles.  Everything
+is exact; any mismatch raises.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from functools import lru_cache
+from collections import Counter, OrderedDict
 from math import comb
 
 import numpy as np
@@ -37,13 +37,12 @@ import numpy as np
 from ..core import (
     DomainError,
     ICharacter,
-    Params,
     Weight,
     weight_dim,
     weights_of_char,
 )
-from .gf import MATMUL_BLOCK_ENTRIES, TABLE_BYTES_LIMIT, Subspace, inverse, nullspace, rref
-from .groups import GroupContext, get_context
+from .gf import TABLE_BYTES_LIMIT, Subspace, nullspace, rref
+from .groups import GroupContext
 
 LEVELS = ("K1", "K2", "I2")
 
@@ -365,157 +364,115 @@ def h_eigen_split(mod: ExplicitModule, rows) -> list:
     return out
 
 
-# one entry per digit vector: all of them fit up to q = 125 (11 MB at p = 5, f = 3)
-WORDS_CACHE = 128
+def _weight_walk(ctx: GroupContext, r: tuple, twist: int = 0) -> np.ndarray:
+    """sigma(word_i) v0 for the words of the coset tree, as rows (q+1, d), for
+    the weight sigma with digits r and that twist and its fixed vector v0:
+    det(word_i)^twist times the tensor product over the digits of the
+    Frobenius twists of the first column of ``_sym_power``, the image
+    (C(r, t) a^(r-t) c^t)_t of x^r.  No weight module is built."""
+    gf = ctx.gf
+    tree = ctx.coset_tree()
+    ac = ctx.gr.reduce_p(tree.words[:, :, 0])[..., None]
+    walk = np.ones((len(tree.words), 1), dtype=np.int64)
+    for ri in r:
+        n = np.arange(ri + 1)
+        pa, pc = np.where((ac == 0) & (n > 0), 0, gf.exp_t[(gf.log_t[ac] * n) % (gf.q - 1)]).transpose(1, 0, 2)
+        col = gf.mul_t[[comb(ri, t) % gf.p for t in n], gf.mul_t[pa[:, ri - n], pc]]
+        walk = gf.mul_t[walk[:, :, None], col[:, None, :]].reshape(len(walk), -1)
+        ac = gf.frob_t[ac]
+    return gf.mul_t[gf.exp_t[(twist * tree.det_logs) % (gf.q - 1)][:, None], walk]
 
 
-@lru_cache(maxsize=WORDS_CACHE)
-def _digit_words(params: Params, r: tuple):
-    """Spanning tree of translates of the fixed vector v0 of the untwisted
-    weight with digits r, its structure constants, the positions of the
-    K-generators acting as the identity on it, and the discrete logs of the
-    determinants of each generator and of each translate's word.
-
-    Translate 0 is v0; translate i >= 1 is K-generator k applied to
-    translate ``parent``, where tree[i - 1] = (parent, k).  The translates
-    form a basis of the weight, and struct[h] holds the coefficients c with
-    h . (translate i) = sum_j c[i][j] (translate j); an identity generator's
-    constants are the identity (one shared array).  The BFS tries only the
-    other generators, since an identity generator's candidate is its
-    parent, which greedy insertion never keeps.  A level is inserted a
-    slice of parents at a time; sequential insertion keeps the same rows,
-    so the tree is that of one insert per level.
-    """
-    ctx = get_context(params)
-    gf, gr = ctx.gf, ctx.gr
-    sigma = Weight(params, r, 0)
-    W = weight_module(ctx, sigma)
-    gmats = W.gen_mats("K")
-    ident = W.identity_positions()
-    moving = [k for k in range(len(gmats)) if k not in ident]
-    d = W.dim
-    # a product takes at most d // |frontier| generators (at most d candidates,
-    # as in ``spin``) whose digit planes fit the product budget; an insert takes
-    # whole parents, at most d rows within the budget
-    planes = MATMUL_BLOCK_ENTRIES // (gf.f * d * d)
-    step = max(1, min(d, MATMUL_BLOCK_ENTRIES // (gf.f * d)) // max(1, len(moving))) * len(moving)
-    V = np.eye(1, d, dtype=np.int64)  # the pro-p fixed line
-    sub = Subspace(gf, V)
-    tree = []
-    frontier = [0]
-    while frontier and len(V) < d:
-        # candidates of one BFS level in (parent, k) order
-        group = max(1, min(d // len(frontier), planes))
-        cands = np.hstack([gf.matmul(V[frontier], np.hstack([gmats[k].T for k in moving[s:s + group]]))
-                           for s in range(0, len(moving), group)]).reshape(-1, d)
-        grew = []
-        for s in range(0, len(cands), step):
-            grew += [s + i for i in sub.insert(cands[s:s + step])]
-            if sub.dim == d:
-                break
-        tree += [(frontier[i // len(moving)], moving[i % len(moving)]) for i in grew]
-        frontier = list(range(len(V), len(V) + len(grew)))
-        V = np.vstack([V, cands[grew]])
-        del cands  # not held through later products
-    if len(V) != d:
-        raise AssertionError(f"weight {sigma} not cyclic from its fixed vector")
-    V_inv = gf.prepare(inverse(gf, V))
-    eye = gf.eye(d)
-    struct = [eye if k in ident else gf.matmul(gf.matmul(V, gm.T), V_inv) for k, gm in enumerate(gmats)]
-    res = gr.reduce_p(np.stack(ctx.gens("K")))
-    gen_logs = gf.log_t[gf.sub(gf.mul_t[res[:, 0, 0], res[:, 1, 1]], gf.mul_t[res[:, 0, 1], res[:, 1, 0]])]
-    word_logs = [0]
-    for parent, k in tree:
-        word_logs.append(word_logs[parent] + gen_logs[k])
-    return tuple(tree), struct, ident, gen_logs, np.array(word_logs)
+# bytes of relations ``_weight_relations`` keeps: every digit vector up to q = 125,
+# and at q = 625 at least the 20 largest (at most (q+1)^2 / 4 entries of 2 bytes)
+RELATIONS_BYTES = 2 ** 22
+_RELATIONS: OrderedDict = OrderedDict()
 
 
-def _weight_words(params: Params, sigma: Weight):
-    """(tree, struct, identity positions) of a weight, from the words of its
-    digit vector (``_digit_words``).
-
-    The twist t keeps the tree and rescales the translates: translate i of
-    sigma is D_i times that of the untwisted weight, D_i = det(word_i)^t, so
-    struct_t[h] = det(h)^t D struct_0[h] D^(-1).  A generator stays the
-    identity exactly when it is one untwisted and det(h)^t = 1.
-    """
-    tree, struct, ident, gen_logs, word_logs = _digit_words(params, sigma.r)
-    gf = get_context(params).gf
-    n = gf.q - 1
-    t = sigma.twist % n
-    if t == 0:
-        return tree, struct, ident
-    ratio = t * (word_logs[:, None] - word_logs[None, :])  # log of D_i / D_j
-    twisted, still = [], set()
-    for k, c_h in enumerate(struct):
-        scale = gf.exp_t[(t * gen_logs[k]) % n]
-        if k not in ident:
-            twisted.append(gf.mul_t[c_h, gf.exp_t[(ratio + t * gen_logs[k]) % n]])
-        elif scale == 1:
-            twisted.append(c_h)
-            still.add(k)
-        else:
-            twisted.append(gf.mul_t[scale, c_h])
-    return tree, twisted, frozenset(still)
+def _weight_relations(ctx: GroupContext, r: tuple) -> tuple:
+    """(E, free, nodes, cuts) for the untwisted weight with digits r, from one
+    ``rref`` of the transpose of its walk S (``_weight_walk``): nodes are the
+    d tree nodes whose rows of S are independent, node 0 (the identity word)
+    first, free the other q+1-d, and S[free] = E S[nodes].  So the rows of
+    C = [I | -E] (columns free, then nodes) span the left kernel of S.  After
+    tree level l, the first cuts[l] = (f, k) free nodes and nodes are walked.
+    E is kept as int16 (entries are below q < 2^15), and the least recently
+    used digit vectors are dropped past ``RELATIONS_BYTES``."""
+    key = (ctx.params, r)
+    if key in _RELATIONS:
+        _RELATIONS.move_to_end(key)
+        return _RELATIONS[key]
+    S = _weight_walk(ctx, r)
+    R, nodes, _ = rref(ctx.gf, S.T)
+    if len(nodes) != S.shape[1]:
+        raise AssertionError(f"the walk of the weight with digits {r} spans {len(nodes)} of {S.shape[1]} dimensions")
+    free = np.delete(np.arange(len(S)), nodes)
+    ends = 1 + np.cumsum([sum(len(kids) for _, kids, _ in level) for level in ctx.coset_tree().levels])
+    cuts = list(zip(np.searchsorted(free, ends).tolist(), np.searchsorted(nodes, ends).tolist()))
+    _RELATIONS[key] = R[:, free].T.astype(np.int16), free, np.array(nodes), cuts
+    while sum(rel[0].nbytes for rel in _RELATIONS.values()) > RELATIONS_BYTES and len(_RELATIONS) > 1:
+        _RELATIONS.popitem(last=False)
+    return _RELATIONS[key]
 
 
 def hom_from_weight(mod: ExplicitModule, sigma: Weight, rows) -> list:
     """Basis of equivariant maps from the weight into a K-module.
 
     ``rows`` span the chi_sigma-eigenspace of the module's pro-p invariants
-    (an entry of ``h_eigen_split``), where the weight's fixed vector must go.
-    Returns a list of image bases (rows), one per independent map; a map is
-    determined by the image w of the fixed vector, constrained by the
-    weight's structure constants applied to the translates of w.  The
-    candidates are narrowed one generator at a time to the kernel of its
-    constraints, and the maps are given in the basis ``nullspace`` gives
-    for the whole system: the echelon basis of the kernel read from its last
-    coordinate.
+    (an entry of ``h_eigen_split``), where the weight's fixed vector v0 must
+    go.  By Frobenius reciprocity, w there gives the map Ind chi_sigma -> M
+    sending word . e to word . w, and sigma is the quotient of Ind chi_sigma
+    by the kernel of e -> v0.  So w is the image of v0 under a map from sigma
+    exactly when sum_i c_i word_i . w = 0 for each relation c among the
+    sigma(word_i) v0 over the coset tree's words (``_weight_relations``).
+    The twist t scales the relations, C_t = C_0 diag(det(word_i)^(-t)); with
+    its rows rescaled to keep the identity block, E_t[i, j] is E_0[i, j]
+    times det(word_free[i])^t det(word_nodes[j])^(-t).
+
+    The candidates are walked along the tree, one product per level and
+    generator.  The relation of a free node involves only earlier nodes, so
+    after each level the candidates are cut down to the kernel of the
+    relations it completed, and an empty kernel returns at once.  Returns a
+    list of image bases (rows), one per independent map, in the basis the
+    echelon form of the kernel read from its last coordinate gives; a map's
+    rows are its images of the words at the independent nodes, the first
+    being w.
     """
-    gf = mod.gf
-    m = rows.shape[0]
-    tree, struct, idle = _weight_words(mod.ctx.params, sigma)
+    ctx, gf = mod.ctx, mod.gf
+    tree = ctx.coset_tree()
+    E, free, nodes, cuts = _weight_relations(ctx, sigma.r)
+    t = sigma.twist % (gf.q - 1)
+    if t:
+        logs = tree.det_logs
+        E = gf.mul_t[E, gf.exp_t[(t * (logs[free, None] - logs[nodes])) % (gf.q - 1)]]
+    m, n = rows.shape
     gmats = mod.gen_mats("K")
-    # a generator acting as the identity on both sides imposes nothing
-    idle = idle & mod.identity_positions()
-    dimw = len(tree) + 1
-    # translates of each candidate basis vector, along the weight's spanning
-    # tree: one product per (BFS level, generator), since a node's parent
-    # lies on an earlier level
-    trans = np.zeros((m, dimw, mod.dim), dtype=np.int64)
-    trans[:, 0] = rows
-    level = [0]
-    steps = defaultdict(list)
-    for i, (parent, k) in enumerate(tree, 1):
-        level.append(level[parent] + 1)
-        steps[level[i], k].append((i, parent))
-    for (_, k), pairs in sorted(steps.items()):
-        nodes, parents = [i for i, _ in pairs], [j for _, j in pairs]
-        images = gf.matmul(trans[:, parents].reshape(-1, mod.dim), gmats[k].T)
-        trans[:, nodes] = images.reshape(m, len(nodes), mod.dim)
-    flat = trans.reshape(m, dimw * mod.dim)
-    coeffs, cur, by_slot = None, trans, None  # coeffs None: every candidate so far
-    for h, (gm, c_h) in enumerate(zip(gmats, struct)):
-        if h in idle:
+    walk = np.zeros((m, len(tree.words), n), dtype=np.int64)
+    walk[:, 0] = rows
+    coeffs = None  # the candidates left, in those given; None while all are
+    checked = 0  # free nodes whose relations hold
+    for level, (done, known) in zip(tree.levels, cuts):
+        for k, kids, parents in level:
+            walk[:, kids] = gf.matmul(walk[:, parents].reshape(-1, n), gmats[k].T).reshape(m, len(kids), n)
+        if done == checked:
             continue
-        k = len(cur)
-        if by_slot is None:
-            by_slot = gf.prepare(cur.transpose(1, 0, 2).reshape(dimw, k * mod.dim))
-        # act(h) trans_i - sum_j c[i][j] trans_j must vanish, for every i
-        lhs = gf.matmul(cur.reshape(-1, mod.dim), gm.T).reshape(k, dimw * mod.dim)
-        combo = gf.matmul(c_h, by_slot).reshape(dimw, k, mod.dim).transpose(1, 0, 2)
-        block = gf.sub(lhs, combo.reshape(k, dimw * mod.dim))
-        if not block.any():
+        # C . walk on the new relations: one row per (relation, coordinate), one column per candidate
+        at_nodes = walk[:, nodes[:known]].transpose(1, 0, 2).reshape(known, m * n)
+        at_free = walk[:, free[checked:done]].transpose(1, 0, 2).reshape(-1, m * n)
+        rel = gf.sub(at_free, gf.matmul(E[checked:done, :known], at_nodes))
+        checked = done
+        if not rel.any():
             continue
-        ker = nullspace(gf, block.T)  # columns indexed by the candidates
+        ker = nullspace(gf, rel.reshape(-1, m, n).transpose(0, 2, 1).reshape(-1, m))
         if not len(ker):
             return []
         coeffs = ker if coeffs is None else gf.matmul(ker, coeffs)
-        cur, by_slot = gf.matmul(coeffs, flat).reshape(-1, dimw, mod.dim), None
-    if coeffs is None:
-        return list(trans)
-    canon = rref(gf, coeffs[:, ::-1])[0][::-1, ::-1]
-    return list(gf.matmul(canon, flat).reshape(-1, dimw, mod.dim))
+        walk, m = gf.matmul(ker, walk.reshape(m, -1)).reshape(len(ker), -1, n), len(ker)
+    if coeffs is not None:
+        # T coeffs is the echelon basis read from the last coordinate: rref([coeffs reversed | I]) = [T0 coeffs reversed | T0]
+        T = rref(gf, np.hstack([coeffs[:, ::-1], gf.eye(m)]))[0][::-1, -m:]
+        walk = gf.matmul(T, walk.reshape(m, -1)).reshape(m, -1, n)
+    return list(walk[:, nodes])
 
 
 def socle_components(mod: ExplicitModule) -> list:

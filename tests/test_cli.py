@@ -284,9 +284,14 @@ def test_verify_refuses_oversized_field(capsys):
 # every parameter of the sweep, or the report encoded as one string, exceed it
 SWEEP_PEAK_MB = 100
 # bound on the peak RSS of the default jh sweep at p = 5, f = 3, which reads
-# about 51 MB on the same host; multiplying by the generators that act as the
-# identity, with words cached per twisted weight and unbounded, reads 77 MB
+# about 40 MB on the same host, and 47 MB when the Hom search built and cached
+# each weight's words and structure constants
 JH_PEAK_MB = 64
+# bound on the peak RSS of one jh character at p = 5, f = 4 (the trivial one,
+# whose socle holds the Steinberg weight of dimension 625): about 185 MB on
+# the same host, and 307 MB when the Hom search built the Steinberg weight's
+# words and structure constants
+JH_P5_F4_PEAK_MB = 250
 
 
 def _child_exit_and_peak_mb(argv) -> tuple:
@@ -322,3 +327,12 @@ def test_the_jh_sweep_at_f3_stays_under_its_peak_memory_bound(tmp_path):
     code, peak_mb = _child_exit_and_peak_mb(argv)
     assert code == "0"
     assert peak_mb <= JH_PEAK_MB, f"peak RSS {peak_mb} MB"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_one_jh_character_at_f4_stays_under_its_peak_memory_bound(tmp_path):
+    argv = ["verify", "--suite", "jh", "--p", "5", "--f", "4", "--r", "0,0,0,0", "--format", "json",
+            "--out", str(tmp_path / "jh.json")]
+    code, peak_mb = _child_exit_and_peak_mb(argv)
+    assert code == "0"
+    assert peak_mb <= JH_P5_F4_PEAK_MB, f"peak RSS {peak_mb} MB"

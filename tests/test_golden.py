@@ -43,6 +43,7 @@ COMMANDS = {
     "verify-witt-p5-f3": ["verify", "--suite", "witt", "--p", "5", "--f", "3", "--format", "json"],
     "verify-indej-p5-f3": ["verify", "--suite", "indej", "--p", "5", "--f", "3", "--format", "json"],
     "verify-jh-p7-f3-r2-3-4": ["verify", "--suite", "jh", "--p", "7", "--f", "3", "--r", "2,3,4", "--format", "json"],
+    "verify-jh-p5-f4-r0-0-0-0": ["verify", "--suite", "jh", "--p", "5", "--f", "4", "--r", "0,0,0,0", "--format", "json"],
     "d0-p7-f3-r2-1-3": ["d0", "--p", "7", "--f", "3", "--r", "2,1,3", "--format", "json"],
     "d0-p5-f1-r1": ["d0", "--p", "5", "--f", "1", "--r", "1", "--format", "json"],
     "d0-p7-f1-reducible-r2": ["d0", "--p", "7", "--f", "1", "--case", "reducible", "--r", "2", "--format", "json"],

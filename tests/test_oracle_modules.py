@@ -16,7 +16,7 @@ from gl2diamond.core import (
     weight_dual,
 )
 from gl2diamond.principal import jh_of_induced, socle_of_induced
-from gl2diamond.oracle.gf import Subspace, spin
+from gl2diamond.oracle.gf import Subspace, nullspace, rref, spin
 from gl2diamond.oracle.groups import get_context
 from gl2diamond.oracle.modules import (
     character_module,
@@ -312,33 +312,61 @@ def test_direct_sum_hom_additive(ctx51):
     assert socle_weights(DS) == Counter({sigma: 2})
 
 
+def _direct_weight_words(ctx, sigma):
+    """Reference: a spanning tree of translates of the weight's fixed vector
+    and its structure constants, twist included, built from the weight itself
+    with every K-generator; V^(-1) is read off rref([V | I])."""
+    gf = ctx.gf
+    W = weight_module(ctx, sigma)
+    gmats = W.gen_mats("K")
+    V = np.eye(1, W.dim, dtype=np.int64)
+    sub = Subspace(gf, V)
+    tree, frontier = [], [0]
+    while frontier:
+        cands = np.stack([gf.matmul(V[frontier], gm.T) for gm in gmats], axis=1).reshape(-1, W.dim)
+        grew = sub.insert(cands)
+        tree += [(frontier[i // len(gmats)], i % len(gmats)) for i in grew]
+        frontier = list(range(len(V), len(V) + len(grew)))
+        V = np.vstack([V, cands[grew]])
+    R, pivots, _ = rref(gf, np.hstack([V, gf.eye(len(V))]))
+    assert pivots == list(range(len(V)))
+    V_inv = R[:, len(V):]
+    return tuple(tree), [gf.matmul(gf.matmul(V, gm.T), V_inv) for gm in gmats]
+
+
 def _hom_from_weight_per_translate(mod, sigma, rows):
-    """Reference: hom_from_weight with two small products per (generator,
-    translate) pair, and each image summed on its own."""
-    from gl2diamond.oracle.gf import nullspace
-    from gl2diamond.oracle.modules import _weight_words
-
+    """Reference: the Hom solver by structure constants.  The translates of
+    the candidates along the weight's spanning tree (``_direct_weight_words``)
+    must satisfy h . trans_i = sum_j c_h[i][j] trans_j for every generator h
+    and translate i: one stacked system, one nullspace.  Each map's rows are
+    its images of the translates, the first being its image of the fixed
+    vector."""
     gf = mod.gf
-
-    def sum_axis(arr, axis):
-        return (gf.dig[arr].sum(axis=axis) % gf.p) @ gf.pows
-
-    m = rows.shape[0]
-    tree, struct, _ = _weight_words(mod.ctx.params, sigma)
+    m, n = rows.shape
+    tree, struct = _direct_weight_words(mod.ctx, sigma)
     gmats = mod.gen_mats("K")
     dimw = len(tree) + 1
-    trans = np.zeros((m, dimw, mod.dim), dtype=np.int64)
-    trans[:, 0] = rows
+    trans = np.zeros((dimw, m, n), dtype=np.int64)
+    trans[0] = rows
     for i, (parent, k) in enumerate(tree, 1):
-        trans[:, i] = gf.matmul(trans[:, parent], gmats[k].T)
+        trans[i] = gf.matmul(trans[parent], gmats[k].T)
+    by_slot = gf.prepare(trans.reshape(dimw, m * n))
     constraints = []
     for gm, c_h in zip(gmats, struct):
-        for i in range(dimw):
-            lhs = gf.matmul(trans[:, i], gm.T)
-            combo = sum_axis(gf.mul_t[c_h[i][None, :, None], trans], axis=1)
-            constraints.append(gf.sub(lhs, combo).T)
+        lhs = gf.matmul(trans.reshape(-1, n), gm.T).reshape(dimw, m * n)
+        block = gf.sub(lhs, gf.matmul(c_h, by_slot)).reshape(dimw, m, n)
+        constraints.append(block.transpose(0, 2, 1).reshape(-1, m))
     ker = nullspace(gf, np.vstack(constraints))
-    return [sum_axis(gf.mul_t[coeffs[:, None, None], trans], axis=0) for coeffs in ker]
+    return list(gf.matmul(ker, trans.transpose(1, 0, 2).reshape(m, dimw * n)).reshape(-1, dimw, n))
+
+
+def _assert_same_maps(gf, got, want, n):
+    """The same number of maps, the same image of the fixed vector under
+    each, and the same image of each map."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g[0] == w[0]).all()
+        assert (_span_basis(gf, g, n) == _span_basis(gf, w, n)).all()
 
 
 @pytest.mark.parametrize("p,f,r", [(5, 1, (2,)), (3, 2, (1, 0)), (5, 2, (2, 1))])
@@ -353,24 +381,68 @@ def test_blocked_hom_from_weight_matches_per_translate_loop(p, f, r):
         for ch, rows in h_eigen_split(M, invariants(M)):
             for sigma in sorted(weights_of_char(ch), key=str):
                 got = hom_from_weight(M, sigma, rows)
-                want = _hom_from_weight_per_translate(M, sigma, rows)
-                assert len(got) == len(want)
-                assert all((g == w).all() for g, w in zip(got, want))
+                _assert_same_maps(ctx.gf, got, _hom_from_weight_per_translate(M, sigma, rows), M.dim)
+                assert all(len(img) == weight_dim(sigma) for img in got)
                 found += len(got)
     assert found  # the socle weights embed
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (3, 2)])
+def test_hom_from_weight_narrows_mixed_candidates(p, f):
+    # Sym^0 and the Steinberg weight share the trivial character, so in their
+    # direct sum each candidate row mixes the two fixed vectors; each weight
+    # keeps one combination, and the maps come in the reference's basis
+    ctx = get_context(Params(p, f))
+    gf = ctx.gf
+    one, st = Weight(ctx.params, (0,) * f, 0), Weight(ctx.params, (p - 1,) * f, 0)
+    M = direct_sum(weight_module(ctx, st), weight_module(ctx, one))
+    v_st, v_one = gf.eye(M.dim)[0], gf.eye(M.dim)[-1]
+    rows = np.stack([gf.add(v_st, v_one), gf.add(v_st, gf.mul(2, v_one))])
+    for sigma, fixed in ((one, v_one), (st, v_st)):
+        got = hom_from_weight(M, sigma, rows)
+        _assert_same_maps(gf, got, _hom_from_weight_per_translate(M, sigma, rows), M.dim)
+        assert len(got) == 1 and (_span_basis(gf, got[0][:1], M.dim) == _span_basis(gf, fixed, M.dim)).all()
 
 
 def _span_basis(gf, rows, n):
     return Subspace(gf, np.reshape(rows, (-1, n)), ambient=n).basis
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3)]), st.data())
+def test_hom_from_weight_matches_the_words_reference(pf, data):
+    # inductions of a character and of an extension E_j, their quotients by
+    # their socles, and a direct sum (two candidates per character) of the
+    # first (for a character) or the second (for E_j) up to dimension 700,
+    # where the reference takes about a second per weight
+    from gl2diamond.core import weights_of_char
+    from gl2diamond.oracle.modules import socle_data
+
+    p, f = pf
+    ctx = get_context(Params(p, f))
+    gf = ctx.gf
+    r = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
+    chi = chi_of_weight(Weight(ctx.params, r, data.draw(st.integers(0, gf.q - 2))))
+    base = data.draw(st.sampled_from(["char", "ej"]))
+    mod = induce(character_module(ctx, chi) if base == "char" else ej_module(ctx, chi, data.draw(st.integers(0, f - 1))))
+    top = quotient_module(mod, socle_data(mod)[1])
+    summand = mod if base == "char" else top
+    mods = [mod, top] + ([direct_sum(summand, summand)] if 0 < summand.dim <= 350 else [])
+    for M in filter(lambda M: M.dim, mods):
+        for ch, rows in h_eigen_split(M, invariants(M)):
+            for w in weights_of_char(ch):
+                if weight_dim(w) <= M.dim:
+                    want = _hom_from_weight_per_translate(M, w, rows)
+                    _assert_same_maps(gf, hom_from_weight(M, w, rows), want, M.dim)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2)]), st.data())
 def test_narrowed_kernels_match_the_stacked_systems(pf, data):
-    # invariants and hom_from_weight narrow their kernel one generator at a
-    # time; the stacked systems of all generators must give the same spaces
+    # invariants narrow their kernel one generator at a time, and
+    # hom_from_weight walks the coset tree; the stacked systems of all
+    # generators must give the same spaces
     from gl2diamond.core import weights_of_char
-    from gl2diamond.oracle.gf import nullspace
     from gl2diamond.oracle.modules import socle_data
 
     p, f = pf
@@ -396,111 +468,87 @@ def test_narrowed_kernels_match_the_stacked_systems(pf, data):
                     assert (_span_basis(gf, got, mod.dim) == _span_basis(gf, want, mod.dim)).all(), (mod, w)
 
 
-def _direct_weight_words(ctx, sigma):
-    """Reference: the spanning tree and structure constants of one weight,
-    twist included, built from the weight itself with every K-generator."""
-    from gl2diamond.oracle.gf import inverse
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3)]))
+def test_coset_tree_reaches_each_coset_once(pf):
+    p, f = pf
+    ctx = get_context(Params(p, f))
+    gf, gr = ctx.gf, ctx.gr
+    tree = ctx.coset_tree()
+    q = gf.q
+    assert sorted(tree.cosets.tolist()) == list(range(q + 1)) and tree.cosets[0] == q
+    assert (tree.words[0] == gr.mat_eye()).all()
+    # a level's nodes follow those before it and its parents lie on the level
+    # before; each node is made once, with word_i = g_k word_parent
+    gens = np.stack(ctx.k_gens())
+    previous, end = [0], 1
+    for level in tree.levels:
+        made = sorted(np.concatenate([kids for _, kids, _ in level]).tolist())
+        assert made == list(range(end, end + len(made)))
+        for k, kids, parents in level:
+            assert set(parents.tolist()) <= set(previous)
+            assert (tree.words[kids] == gr.mat_mul(gens[k], tree.words[parents])).all()
+        previous, end = made, end + len(made)
+    assert end == q + 1
+    assert (ctx.coset_decompose(tree.words)[0] == tree.cosets).all()
+    assert (gf.exp_t[tree.det_logs] == gr.reduce_p(gr.mat_det(tree.words))).all()
 
-    gf = ctx.gf
-    W = weight_module(ctx, sigma)
-    gmats = W.gen_mats("K")
-    V = np.eye(1, W.dim, dtype=np.int64)
-    sub = Subspace(gf, V)
-    tree, frontier = [], [0]
-    while frontier:
-        cands = np.stack([gf.matmul(V[frontier], gm.T) for gm in gmats], axis=1).reshape(-1, W.dim)
-        grew = sub.insert(cands)
-        tree += [(frontier[i // len(gmats)], i % len(gmats)) for i in grew]
-        frontier = list(range(len(V), len(V) + len(grew)))
-        V = np.vstack([V, cands[grew]])
-    V_inv = inverse(gf, V)
-    return tuple(tree), [gf.matmul(gf.matmul(V, gm.T), V_inv) for gm in gmats]
 
-
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3)]), st.data())
-def test_rescaled_words_match_a_direct_build_of_the_twisted_weight(pf, data):
-    # the words are built once per digit vector and the twist is applied by
-    # rescaling: struct_t[h] = det(h)^t D struct_0[h] D^-1, D_i = det(word_i)^t
-    from gl2diamond.oracle.modules import _weight_words
+def test_weight_walk_is_the_first_column_of_the_weight(pf, data):
+    # sigma(word_i) v0 in closed form, against the weight module's evaluator
+    from gl2diamond.oracle.modules import _weight_walk
 
     p, f = pf
     ctx = get_context(Params(p, f))
-    r = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
-    sigma = Weight(ctx.params, r, data.draw(st.integers(0, ctx.gf.q - 2)))
-    tree, struct, fixed = _weight_words(ctx.params, sigma)
-    want_tree, want_struct = _direct_weight_words(ctx, sigma)
-    assert tree == want_tree
-    assert all((c == w).all() for c, w in zip(struct, want_struct, strict=True))
-    assert fixed == weight_module(ctx, sigma).identity_positions()
+    words = ctx.coset_tree().words
+    drawn = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
+    for r in ((0,) * f, (p - 1,) * f, drawn):
+        for t in {0, 1, data.draw(st.integers(0, ctx.gf.q - 2))}:
+            W = weight_module(ctx, Weight(ctx.params, r, t))
+            want = np.vstack([W.evaluate(words[s:s + 16])[:, :, 0] for s in range(0, len(words), 16)])
+            assert (_weight_walk(ctx, r, t) == want).all(), (r, t)
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3)]), st.data())
-def test_words_built_one_generator_and_one_parent_at_a_time_match_a_direct_build(pf, data):
-    # with no product budget, each product takes one generator and each insert
-    # one parent's candidates; sequential insertion keeps the same rows, so the
-    # tree and constants are those of one insert of every level
+def test_relations_are_kept_per_digit_vector_within_their_byte_bound(monkeypatch):
+    from collections import OrderedDict
+
     from gl2diamond.oracle import modules
 
-    p, f = pf
-    ctx = get_context(Params(p, f))
-    r = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
-    inserted, insert = [], Subspace.insert
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modules, "MATMUL_BLOCK_ENTRIES", 1)
-        mp.setattr(Subspace, "insert", lambda sub, rows: inserted.append(len(rows)) or insert(sub, rows))
-        modules._digit_words.cache_clear()
-        try:
-            tree, struct, ident, _, _ = modules._digit_words(ctx.params, r)
-        finally:
-            modules._digit_words.cache_clear()
-    moving = len(ctx.gens("K")) - len(ident)
-    assert set(inserted) <= {moving}
-    want_tree, want_struct = _direct_weight_words(ctx, Weight(ctx.params, r, 0))
-    assert tree == want_tree
-    assert all((c == w).all() for c, w in zip(struct, want_struct, strict=True))
+    ctx = get_context(Params(5, 2))
+    sigmas = [Weight(ctx.params, r, t) for r in [(2, 1), (1, 3), (4, 0), (0, 0)] for t in (0, 1)]
+    mods = [induce(character_module(ctx, chi_of_weight(s))) for s in sigmas]
+    rows = [_eigen_rows(mod, s) for mod, s in zip(mods, sigmas)]
+    monkeypatch.setattr(modules, "_RELATIONS", OrderedDict())
+    want = [hom_from_weight(mod, s, v) for mod, s, v in zip(mods, sigmas, rows)]
+    # one entry per digit vector, whatever the twist
+    assert list(modules._RELATIONS) == [(ctx.params, r) for r in [(2, 1), (1, 3), (4, 0), (0, 0)]]
+    sizes = [rel[0].nbytes for rel in modules._RELATIONS.values()]
+    monkeypatch.setattr(modules, "RELATIONS_BYTES", max(sizes))
+    modules._RELATIONS.clear()
+    for mod, s, v, w in zip(mods, sigmas, rows, want):
+        got = hom_from_weight(mod, s, v)
+        assert len(got) == len(w) and all((g == x).all() for g, x in zip(got, w))
+        held = [rel[0].nbytes for rel in modules._RELATIONS.values()]
+        assert sum(held) <= max(sizes) or len(held) == 1
 
 
 @pytest.mark.parametrize("p,f", [(3, 1), (5, 2), (3, 3)])
 def test_words_of_a_weight_no_generator_moves(p, f):
-    # Sym^0 x ... x Sym^0: no BFS level and no group of moving generators
-    from gl2diamond.oracle.modules import _digit_words, _weight_words
+    # Sym^0 x ... x Sym^0 twisted by det^t: every word's image of v0 is
+    # det(word)^t, and the Hom from it counts the candidate rows
+    from gl2diamond.oracle.modules import _weight_walk
 
     ctx = get_context(Params(p, f))
-    n = len(ctx.gens("K"))
-    tree, struct, ident, _, word_logs = _digit_words(ctx.params, (0,) * f)
-    assert tree == () and ident == frozenset(range(n)) and list(word_logs) == [0]
-    assert all((c == 1).all() and c.shape == (1, 1) for c in struct)
+    tree = ctx.coset_tree()
     for t in range(ctx.gf.q - 1):
         sigma = Weight(ctx.params, (0,) * f, t)
+        assert (_weight_walk(ctx, sigma.r, t)[:, 0] == ctx.gf.exp_t[(t * tree.det_logs) % (ctx.gf.q - 1)]).all()
         W = weight_module(ctx, sigma)
-        tree, struct, still = _weight_words(ctx.params, sigma)
-        assert tree == () and still == W.identity_positions()
-        assert all((c == M).all() for c, M in zip(struct, W.gen_mats("K"), strict=True))
         for mod, count in ((W, 1), (direct_sum(W, W), 2)):
             maps = hom_from_weight(mod, sigma, _eigen_rows(mod, sigma))
             assert len(maps) == count and all(m.shape == (1, mod.dim) for m in maps)
-
-
-def test_steinberg_words_peak_below_one_insert_per_level():
-    # the Steinberg weight at p = 7, f = 3 (dim 343) peaked at 66.3 MiB under
-    # tracemalloc, in a whole level's insert, when each level was one insert
-    import tracemalloc
-
-    from gl2diamond.oracle import modules
-
-    params = Params(7, 3)
-    get_context(params).k_gens()  # built outside the traced span
-    modules._digit_words.cache_clear()
-    tracemalloc.start()
-    try:
-        modules._digit_words(params, (6, 6, 6))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        modules._digit_words.cache_clear()
-    assert peak <= 66 * 2 ** 20
 
 
 def _oracle_answers(ctx, chi):
@@ -527,18 +575,13 @@ def test_skipping_identity_generators_matches_multiplying_by_all(ctx52, monkeypa
     from gl2diamond.oracle import modules
 
     chi = chi_of_weight(Weight(ctx52.params, (2, 1), 0))
-    modules._digit_words.cache_clear()
     got = _oracle_answers(ctx52, chi)
     # positions 2-5 and 8-11 lie in K1, which Ind chi and Ind E_0 do not see;
     # every generator moves the induction of the twisted extension
     assert [ident for ident, *_ in got] == [frozenset({2, 3, 4, 5, 8, 9, 10, 11})] * 2 + [frozenset()]
     # reference: no image is taken for the identity, so every generator is multiplied
     monkeypatch.setattr(modules, "_is_identity", lambda M: False)
-    modules._digit_words.cache_clear()
-    try:
-        want = _oracle_answers(ctx52, chi)
-    finally:
-        modules._digit_words.cache_clear()
+    want = _oracle_answers(ctx52, chi)
     for (_, *a), (ident, *b) in zip(got, want, strict=True):
         assert ident == frozenset()
         layers, inv, homs, spins = a
