@@ -26,61 +26,60 @@ class CoupleType:
         return f"({'+' if self.sign > 0 else '-'}1,{self.j})"
 
 
-def plus_one_partner(sigma: Weight, j: int) -> Weight:
-    """The type (+1, j) partner of sigma; requires r_{j-1} <= p-2 and r_j <= p-2."""
+def _template(sigma: Weight, sign: int, j: int):
+    """(digits, twist) of the type (sign, j) template applied to sigma, the
+    twist not reduced; None when r_{j-1} > p-2 or r_j + sign leaves [0, p-1]."""
+    p, r = sigma.params.p, sigma.r
+    jm1 = (j - 1) % sigma.params.f
+    if r[jm1] > p - 2 or not 0 <= r[j] + sign <= p - 1:
+        return None
+    s = list(r)
+    s[jm1], s[j] = p - 2 - r[jm1], r[j] + sign
+    return tuple(s), sigma.twist + p ** jm1 * (r[jm1] + 1) - (p ** j if sign > 0 else 0)
+
+
+def _partner(sigma: Weight, sign: int, j: int) -> Weight:
     par = sigma.params
     if par.f < 2:
         raise DomainError("couples need f >= 2")
     require_slot(par, j)
-    jm1 = (j - 1) % par.f
-    r = list(sigma.r)
-    if r[jm1] > par.p - 2 or r[j] > par.p - 2:
-        raise DomainError(f"(+1,{j}) partner of {sigma} is out of range")
-    r[jm1], r[j] = par.p - 2 - r[jm1], r[j] + 1
-    tw = sigma.twist + par.p ** jm1 * (sigma.r[jm1] + 1) - par.p ** j
-    return Weight(par, tuple(r), tw)
+    found = _template(sigma, sign, j)
+    if found is None:
+        raise DomainError(f"{CoupleType(sign, j)} partner of {sigma} is out of range")
+    return Weight(par, *found)
+
+
+def plus_one_partner(sigma: Weight, j: int) -> Weight:
+    """The type (+1, j) partner of sigma; requires r_{j-1} <= p-2 and r_j <= p-2."""
+    return _partner(sigma, +1, j)
 
 
 def minus_one_partner(sigma: Weight, j: int) -> Weight:
     """The type (-1, j) partner; requires r_{j-1} <= p-2 and r_j >= 1."""
-    par = sigma.params
-    if par.f < 2:
-        raise DomainError("couples need f >= 2")
-    require_slot(par, j)
-    jm1 = (j - 1) % par.f
-    r = list(sigma.r)
-    if r[jm1] > par.p - 2 or r[j] < 1:
-        raise DomainError(f"(-1,{j}) partner of {sigma} is out of range")
-    r[jm1], r[j] = par.p - 2 - r[jm1], r[j] - 1
-    tw = sigma.twist + par.p ** jm1 * (sigma.r[jm1] + 1)
-    return Weight(par, tuple(r), tw)
+    return _partner(sigma, -1, j)
 
 
 def couple_type(sigma: Weight, tau: Weight):
     """Match tau against both templates over all slots; None when nothing fits.
 
-    The templates are compared digit by digit, without building the partner
+    The templates are compared as digit tuples, without building the partner
     weights.  Both need r_{j-1} <= p-2 and put p-2-r_{j-1} at slot j-1, which
     differs from r_{j-1} as p is odd; both move r_j by one.  So a match moves
-    exactly two slots.
+    exactly slots j-1 and j, and only such a j is tried.
     """
     par = sigma.params
     if par.f < 2:
         raise DomainError("couples need f >= 2")
     if par != tau.params:
         raise DomainError("weights live over different parameters")
-    p, f, n = par.p, par.f, par.q - 1
     r, s = sigma.r, tau.r
     if sum(map(ne, r, s)) != 2:
         return None
-    for j in range(f):
-        jm1 = (j - 1) % f
-        a = r[jm1]
-        if a > p - 2 or s[jm1] != p - 2 - a:
+    for j in range(par.f):
+        if r[j - 1] == s[j - 1] or r[j] == s[j]:
             continue
-        tw = sigma.twist + p ** jm1 * (a + 1)
-        if r[j] <= p - 2 and s[j] == r[j] + 1 and tau.twist == (tw - p ** j) % n:
-            return CoupleType(+1, j)
-        if r[j] >= 1 and s[j] == r[j] - 1 and tau.twist == tw % n:
-            return CoupleType(-1, j)
+        for sign in (+1, -1):
+            found = _template(sigma, sign, j)
+            if found is not None and found[0] == s and tau.twist == found[1] % (par.q - 1):
+                return CoupleType(sign, j)
     return None

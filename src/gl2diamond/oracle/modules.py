@@ -12,19 +12,22 @@ stack of their images (..., d, d), so a module's generator matrices are
 one call and an induced module evaluates all q+1 cosets of a whole stack
 in one call of its base.  Submodules, quotients and direct sums transform
 the matrices of their parts once.  A module notes which generators act as
-the identity (read from the matrices, not from the level tag), and nothing
-is multiplied by them: spins, invariants, radicals and derived modules skip
-them.
+the identity (read from the matrices, not from the level tag); spins,
+invariants, radicals and derived modules skip them.  Only the walk of
+``hom_from_weight`` along the coset tree, whose words are fixed, multiplies
+by every generator.
 
 Socles are computed from first principles: any irreducible subobject is
-generated by a pro-p-fixed eigenvector w, and by Frobenius reciprocity a
+generated by a pro-p-fixed eigenvector w.  For an Iwahori module that is
+all: I1 is pro-p, so its irreducibles are characters, and the socle is the
+invariants split into eigenlines.  For a K-module, by Frobenius reciprocity a
 weight sigma embeds through w exactly when w, walked along the words of a
 spanning tree of the cosets of I in K, satisfies the relations among the
 same words applied to sigma's fixed vector.  Those relations come from a
 closed form of that walk, once per digit vector; a determinant twist only
-scales them.  Iterating over quotients gives socle series, Jordan-Hoelder
-multisets and, as the socle of the transposed action, cosocles.  Everything
-is exact; any mismatch raises.
+scales them.  One socle record per module, iterated over quotients, gives
+socle series of both kinds, Jordan-Hoelder multisets and, as the socle of
+the transposed action, cosocles.  Everything is exact; any mismatch raises.
 """
 
 from __future__ import annotations
@@ -51,11 +54,12 @@ class ExplicitModule:
     """One list of matrices: the images of the generators of its group
     (``ctx.gens(group)``), built once, on first use, together with the set
     of positions whose image is the identity; likewise the record of its
-    socle (``socle_data``).
+    socle (``socle_data``) and its socle series (``socle_series``).
 
-    Built by ``derive()`` when given (derived modules), else by one
-    ``evaluate`` of the stacked generators; an evaluator given with
-    ``derive`` is kept for check_module only.  ``gen_mats(kind)`` selects the
+    A module has either an evaluator (base modules and inductions, whose
+    list is one ``evaluate`` of the stacked generators) or ``derive()``
+    (submodules, quotients, sums), which builds the list from its parts'
+    lists.  ``gen_mats(kind)`` selects the
     positions of a subgroup kind, which serve I- and K-modules alike, and
     ``moving_mats(kind)`` only those whose image is not the identity.
     """
@@ -77,6 +81,7 @@ class ExplicitModule:
         self._mats = None
         self._identities = None
         self._socle = None
+        self._layers = None
 
     def _positions(self, kind: str) -> tuple:
         """The positions of a subgroup kind, with the generator images built."""
@@ -476,9 +481,14 @@ def hom_from_weight(mod: ExplicitModule, sigma: Weight, rows) -> list:
 
 
 def socle_components(mod: ExplicitModule) -> list:
-    """Irreducible subobjects as (Weight, image rows), one entry per embedding."""
+    """Irreducible subobjects as (irreducible, image rows), one entry per
+    embedding: (Weight, rows) for a K-module, (ICharacter, one row) for an
+    I-module, whose irreducibles are the eigenlines of its invariants."""
     out = []
     for chi, rows in h_eigen_split(mod, invariants(mod)):
+        if mod.group == "I":
+            out.extend((chi, row[None]) for row in rows)
+            continue
         for w in weights_of_char(chi):
             if weight_dim(w) > mod.dim:
                 continue
@@ -488,9 +498,9 @@ def socle_components(mod: ExplicitModule) -> list:
 
 
 def socle_data(mod: ExplicitModule):
-    """(weight multiset of the socle, subspace spanned by it), searched once
-    per module.  Each call gets its own copy of the multiset; the subspace is
-    the module's record and is not to be grown."""
+    """(multiset of the socle's irreducibles, subspace spanned by it), searched
+    once per module.  Each call gets its own copy of the multiset; the
+    subspace is the module's record and is not to be grown."""
     if mod._socle is None:
         found, rows = Counter(), []
         for w, img in socle_components(mod):
@@ -502,27 +512,30 @@ def socle_data(mod: ExplicitModule):
 
 
 def socle_series(mod: ExplicitModule) -> list:
-    """Socle filtration as a list of weight Counters, bottom first."""
-    layers = []
-    cur = mod
-    guard = 0
-    while cur.dim > 0:
-        found, soc = socle_data(cur)
-        if soc.dim == 0:
-            raise AssertionError("nonzero module with zero socle")
-        layers.append(found)
-        cur = quotient_module(cur, soc)
-        guard += 1
-        if guard > mod.dim:
-            raise AssertionError("socle series did not terminate")
-    return layers
+    """Socle filtration as a list of Counters of irreducibles (``socle_data``),
+    bottom first, computed once per module.  Each call gets its own copies."""
+    if mod._layers is None:
+        layers = []
+        cur = mod
+        while cur.dim > 0:
+            found, soc = socle_data(cur)
+            if soc.dim == 0:
+                raise AssertionError("nonzero module with zero socle")
+            layers.append(found)
+            cur = quotient_module(cur, soc)
+            if len(layers) > mod.dim:
+                raise AssertionError("socle series did not terminate")
+        mod._layers = layers
+    return [Counter(layer) for layer in mod._layers]
 
 
-def jh_multiset(mod: ExplicitModule, layers: list | None = None) -> Counter:
-    """Jordan-Hoelder multiset: the sum of the module's socle layers (its
-    socle_series unless given), checked against the module's dimension."""
+def jh_multiset(mod: ExplicitModule) -> Counter:
+    """Jordan-Hoelder multiset of a K-module: the sum of its socle layers,
+    checked against its dimension."""
+    if mod.group != "K":
+        raise DomainError(f"Jordan-Hoelder weights need a K-module, not {mod}")
     total = Counter()
-    for layer in socle_series(mod) if layers is None else layers:
+    for layer in socle_series(mod):
         total.update(layer)
     dims = sum(weight_dim(w) * k for w, k in total.items())
     if dims != mod.dim:
@@ -568,22 +581,6 @@ def restricted_loewy(mod: ExplicitModule, kind: str) -> int:
         if length > mod.dim + 1:
             raise AssertionError("radical series did not terminate")
     return length
-
-
-def i_socle_series_chars(mod: ExplicitModule) -> list:
-    """Iwahori socle filtration of an I-module: characters layer by layer."""
-    layers = []
-    cur = mod
-    while cur.dim > 0:
-        inv = invariants(cur)
-        if inv.shape[0] == 0:
-            raise AssertionError("nonzero module with no pro-p invariants")
-        chars = []
-        for chi, rows in h_eigen_split(cur, inv):
-            chars.extend([chi] * rows.shape[0])
-        layers.append(sorted(chars, key=lambda c: (c.a, c.b)))
-        cur = quotient_module(cur, Subspace(cur.gf, inv))
-    return layers
 
 
 def check_module(mod: ExplicitModule, rng, samples: int = 20) -> None:

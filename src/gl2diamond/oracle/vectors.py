@@ -21,12 +21,13 @@ from ..core import (
     CheckReport,
     DomainError,
     ICharacter,
-    Weight,
     char_normal_form,
     char_times_alpha_power,
     chi_of_weight,
     conjugate_char,
+    sigma_s,
     weight_dim,
+    weight_of_char,
 )
 from ..filtration import epsilon_generator, w_contains_U
 from ..principal import U_contents, jh_of_induced
@@ -39,7 +40,6 @@ from .modules import (
     direct_sum,
     ej_module,
     h_eigen_split,
-    i_socle_series_chars,
     induce,
     invariants,
     jh_multiset,
@@ -48,6 +48,7 @@ from .modules import (
     radical_subspace,
     restricted_loewy,
     socle_components,
+    socle_series,
     sub_module,
 )
 
@@ -197,30 +198,22 @@ def verify_calcul_H(ctx: GroupContext, chi: ICharacter, j: int, a_coeffs: dict, 
 
 def verify_uplus(ctx: GroupContext, chi: ICharacter, j: int, k: int) -> CheckReport:
     """Basis of the unipotent span of f_k; membership bound for F_k."""
-    par = ctx.params
     gf = ctx.gf
     bundle = TwistedExtensionInduction(ctx, chi, j)
     rep = CheckReport("uplus", f"chi=({chi.a},{chi.b}),j={j},k={k}")
-    digits = [(k // par.p ** i) % par.p for i in range(par.f)]
+    dig = gf.dig  # base-p digits of 0 .. q-1
 
     span_f = spin(gf, bundle.W.moving_mats("U+"), bundle.f_vec(k))
-    expected = []
-    for kp in range(gf.q):
-        dig = [(kp // par.p ** i) % par.p for i in range(par.f)]
-        if all(d <= digits[i] for i, d in enumerate(dig)):
-            expected.append(kp)
+    expected = np.flatnonzero((dig <= dig[k]).all(axis=1)).tolist()
     rep.add("span dimension", span_f.dim == len(expected), len(expected), span_f.dim)
     rep.add("stated basis inside", span_f.contains([bundle.f_vec(kp) for kp in expected]))
     stable = all(span_f.contains(gf.matmul(span_f.basis, M.T)) for M in bundle.W.moving_mats("I"))
     rep.add("Iwahori stable", stable)
 
     span_F = spin(gf, bundle.W.moving_mats("U+"), bundle.F_vec(k))
-    jm1 = (j - 1) % par.f
-    want = []
-    for kp in range(gf.q):
-        dig = [(kp // par.p ** i) % par.p for i in range(par.f)]
-        if all(d <= digits[i] for i, d in enumerate(dig) if i != jm1):
-            want.append(kp)
+    f = ctx.params.f
+    others = np.arange(f) != (j - 1) % f  # every slot but j-1
+    want = np.flatnonzero((dig[:, others] <= dig[k, others]).all(axis=1)).tolist()
     rep.add(
         "F-span membership",
         span_F.contains([bundle.f_vec(kp) for kp in want]),
@@ -247,7 +240,7 @@ def verify_ej_chain(ctx: GroupContext, chi: ICharacter, j: int, s: int) -> Check
     rep = CheckReport("chain", f"chi=({chi.a},{chi.b}),j={j},s={s}")
     mod = ej_chain_module(ctx, chi, j, s)
     rep.add("dimension", mod.dim == s + 1, s + 1, mod.dim)
-    layers = i_socle_series_chars(mod)
+    layers = [sorted(layer.elements(), key=lambda c: (c.a, c.b)) for layer in socle_series(mod)]
     expected = [[char_times_alpha_power(chi, j, -i)] for i in range(s + 1)]
     rep.add("uniserial ladder", layers == expected,
             [str(c[0]) for c in expected], [[str(x) for x in l] for l in layers])
@@ -307,13 +300,12 @@ def verify_e_two_char(ctx: GroupContext, chi: ICharacter, chi2: ICharacter, j: i
     rep = CheckReport("two-char", f"chi=({chi.a},{chi.b}),chi2=({chi2.a},{chi2.b}),j={j},s+1={s_plus_1}")
     mod = e_two_char_module(ctx, chi, chi2, j, s_plus_1)
     rep.add("dimension", mod.dim == s + 3, s + 3, mod.dim)
-    layers = i_socle_series_chars(mod)
+    got = [sorted(layer.elements(), key=lambda c: (c.a, c.b)) for layer in socle_series(mod)]
     jm1 = (j - 1) % par.f
     want = [sorted([chi, chi2], key=lambda c: (c.a, c.b))]
     want += [[char_times_alpha_power(chi, jm1, -i)] for i in range(1, s + 2)]
-    got = [sorted(l, key=lambda c: (c.a, c.b)) for l in layers]
     rep.add("socle ladder", got == want)
-    chars = [c for l in layers for c in l]
+    chars = [c for l in got for c in l]
     rep.add("multiplicity one", len(set(chars)) == len(chars))
     rep.add("unipotent Loewy length", restricted_loewy(mod, "U+") == s + 2, s + 2)
     return rep
@@ -366,9 +358,9 @@ def verify_ind_ej(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     par = ctx.params
     gf = ctx.gf
     psi = char_times_alpha_power(chi, j, -1)
-    digits, t = char_normal_form(psi)
+    base = weight_of_char(psi)
     rep = CheckReport("ind-ej", f"chi=({chi.a},{chi.b}),j={j}")
-    if digits[j] > par.p - 2:
+    if base.r[j] > par.p - 2:
         raise DomainError("slot-j digit of the twisted character must be at most p-2")
     mod = induce(ej_module(ctx, chi, j))
     R0 = coset_sum_vector(ctx, 2, np.array([0, 1]), 0)
@@ -378,13 +370,9 @@ def verify_ind_ej(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     gen0 = R0
     if psi == conjugate_char(chi):
         corr = identity_coset_vector(ctx, 2, np.array([1, 0]))
-        gen0 = gf.add(R0, gf.mul(int(gf.neg_t[minus_one_to(t, gf)]), corr))
+        gen0 = gf.add(R0, gf.mul(int(gf.neg_t[minus_one_to(base.twist, gf)]), corr))
     span0 = spin(gf, mod.moving_mats("K"), gen0)
-    target = Weight(
-        par,
-        tuple(par.p - 1 - d for d in digits),
-        sum(par.p ** i * d for i, d in enumerate(digits)) + t,
-    )
+    target = sigma_s(base)
     rep.add("span dimension", span0.dim == weight_dim(target), weight_dim(target), span0.dim)
     sm = sub_module(mod, span0)
     inv = invariants(sm)

@@ -125,7 +125,7 @@ def suite_jh(config: RunConfig) -> Iterator[CheckReport]:
     from collections import Counter
 
     from .oracle.groups import get_context
-    from .oracle.modules import character_module, induce, jh_multiset, socle_series
+    from .oracle.modules import character_module, induce, jh_multiset, socle_weights
 
     from .principal import socle_of_induced
 
@@ -138,11 +138,10 @@ def suite_jh(config: RunConfig) -> Iterator[CheckReport]:
     for chi in chars:
         rep = CheckReport("jh", f"p={params.p},f={params.f},chi=({chi.a},{chi.b})")
         mod = induce(character_module(ctx, conjugate_char(chi)))
-        layers = socle_series(mod)
-        got = jh_multiset(mod, layers)
+        got = jh_multiset(mod)
         want = Counter(jh_of_induced(conjugate_char(chi)).weights())
         rep.add("multiset", got == want, dict(want), dict(got))
-        soc = layers[0]
+        soc = socle_weights(mod)
         want_soc = Counter(socle_of_induced(conjugate_char(chi)))
         rep.add("socle", soc == want_soc, dict(want_soc), dict(soc))
         yield rep

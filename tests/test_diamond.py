@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -251,14 +252,35 @@ def test_block_objects_hash_once_as_generated():
     assert not hasattr(verify_combination(rho, diamond_set(rho)[0], 0).clauses[0], "__dict__")
 
 
-def reference_couple_type(sigma, tau):
-    """couple_type through the partner weights, slot by slot."""
+def _plus_one_reference(sigma, j):
+    """The (+1, j) template written out: slots j-1, j become p-2-r_{j-1},
+    r_j+1 and the twist gains p^{j-1}(r_{j-1}+1) - p^j; None out of range."""
     par = sigma.params
-    for j in range(par.f):
-        jm1 = (j - 1) % par.f
-        if sigma.r[jm1] <= par.p - 2 and sigma.r[j] <= par.p - 2 and plus_one_partner(sigma, j) == tau:
+    jm1 = (j - 1) % par.f
+    r = list(sigma.r)
+    if r[jm1] > par.p - 2 or r[j] > par.p - 2:
+        return None
+    r[jm1], r[j] = par.p - 2 - r[jm1], r[j] + 1
+    return Weight(par, tuple(r), sigma.twist + par.p ** jm1 * (sigma.r[jm1] + 1) - par.p ** j)
+
+
+def _minus_one_reference(sigma, j):
+    """The (-1, j) template: p-2-r_{j-1}, r_j-1 and the twist p^{j-1}(r_{j-1}+1)."""
+    par = sigma.params
+    jm1 = (j - 1) % par.f
+    r = list(sigma.r)
+    if r[jm1] > par.p - 2 or r[j] < 1:
+        return None
+    r[jm1], r[j] = par.p - 2 - r[jm1], r[j] - 1
+    return Weight(par, tuple(r), sigma.twist + par.p ** jm1 * (sigma.r[jm1] + 1))
+
+
+def reference_couple_type(sigma, tau):
+    """couple_type through the reference partner weights, slot by slot."""
+    for j in range(sigma.params.f):
+        if _plus_one_reference(sigma, j) == tau:
             return CoupleType(+1, j)
-        if sigma.r[jm1] <= par.p - 2 and sigma.r[j] >= 1 and minus_one_partner(sigma, j) == tau:
+        if _minus_one_reference(sigma, j) == tau:
             return CoupleType(-1, j)
     return None
 
@@ -302,6 +324,15 @@ def weight_pairs(draw):
 def test_couple_type_matches_the_partner_templates(pair):
     sigma, tau = pair
     assert couple_type(sigma, tau) == reference_couple_type(sigma, tau)
+    for build, reference, sign in ((plus_one_partner, _plus_one_reference, "+"),
+                                   (minus_one_partner, _minus_one_reference, "-")):
+        for j in range(sigma.params.f):
+            want = reference(sigma, j)
+            if want is None:
+                with pytest.raises(DomainError, match=re.escape(f"({sign}1,{j}) partner of {sigma} is out of range")):
+                    build(sigma, j)
+            else:
+                assert build(sigma, j) == want
 
 
 def test_couple_type_refusals():

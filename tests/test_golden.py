@@ -30,6 +30,7 @@ COMMANDS = {
     "verify-indej-p5-f2": ["verify", "--suite", "indej", "--p", "5", "--f", "2", "--format", "json"],
     "verify-indej-p7-f2": ["verify", "--suite", "indej", "--p", "7", "--f", "2", "--format", "json"],
     "verify-s1s2-p5-f2-r2-1": ["verify", "--suite", "s1s2", "--p", "5", "--f", "2", "--r", "2,1", "--format", "json"],
+    "verify-s1s2-p7-f2-r3-2": ["verify", "--suite", "s1s2", "--p", "7", "--f", "2", "--r", "3,2", "--format", "json"],
     "verify-special-p5-f3": ["verify", "--suite", "special", "--p", "5", "--f", "3", "--format", "json"],
     "verify-f2-p7-f2": ["verify", "--suite", "f2", "--p", "7", "--f", "2", "--format", "json"],
     "verify-witt-p5-f1": ["verify", "--suite", "witt", "--p", "5", "--f", "1", "--format", "json"],

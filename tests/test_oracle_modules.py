@@ -26,7 +26,6 @@ from gl2diamond.oracle.modules import (
     ej_module,
     h_eigen_split,
     hom_from_weight,
-    i_socle_series_chars,
     induce,
     invariants,
     jh_multiset,
@@ -198,12 +197,60 @@ def test_weight_invariants_char(ctx52):
         assert chi == chi_of_weight(sigma)
 
 
+def _i_socle_series_chars_reference(mod):
+    """The Iwahori socle filtration as a loop of its own: the pro-p
+    invariants split into characters, layer by layer, each layer sorted."""
+    layers = []
+    cur = mod
+    while cur.dim > 0:
+        inv = invariants(cur)
+        if inv.shape[0] == 0:
+            raise AssertionError("nonzero module with no pro-p invariants")
+        chars = []
+        for chi, rows in h_eigen_split(cur, inv):
+            chars.extend([chi] * rows.shape[0])
+        layers.append(sorted(chars, key=lambda c: (c.a, c.b)))
+        cur = quotient_module(cur, Subspace(cur.gf, inv))
+    return layers
+
+
+def _char_ladder(mod):
+    """socle_series of an I-module as sorted character lists."""
+    return [sorted(layer.elements(), key=lambda c: (c.a, c.b)) for layer in socle_series(mod)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3)]), st.data())
+def test_i_socle_series_matches_the_invariants_loop(pf, data):
+    from gl2diamond.core import char_times_alpha_power
+    from gl2diamond.oracle.vectors import e_two_char_module, ej_chain_module
+
+    p, f = pf
+    ctx = get_context(Params(p, f))
+    gf = ctx.gf
+    r = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
+    chi = chi_of_weight(Weight(ctx.params, r, data.draw(st.integers(0, gf.q - 2))))
+    j = data.draw(st.integers(0, f - 1))
+    mods = [ej_module(ctx, chi, j)]
+    mods += [ej_chain_module(ctx, chi, j, s) for s in range(min(3, p - 1) + 1)]
+    if f == 2:
+        s = data.draw(st.integers(0, p - 2))
+        # chi2 * alpha_j^(-1) = chi * alpha_(j-1)^(-(s+1)), the gluing condition
+        chi2 = char_times_alpha_power(char_times_alpha_power(chi, (j - 1) % 2, -(s + 1)), j, 1)
+        mods.append(e_two_char_module(ctx, chi, chi2, j, s + 1))
+    for base in (character_module(ctx, chi), ej_module(ctx, chi, j)):
+        ind = induce(base)
+        mods.append(sub_module(ind, Subspace(gf, gf.eye(ind.dim)), group="I"))
+    for mod in mods:
+        assert _char_ladder(mod) == _i_socle_series_chars_reference(mod), mod
+
+
 def test_ej_module_structure(ctx52):
     ctx = ctx52
     chi = chi_of_weight(Weight(ctx.params, (2, 1), 0))
     for j in (0, 1):
         E = ej_module(ctx, chi, j)
-        layers = i_socle_series_chars(E)
+        layers = _char_ladder(E)
         from gl2diamond.core import char_times_alpha_power
 
         assert layers == [[chi], [char_times_alpha_power(chi, j, -1)]]
@@ -636,14 +683,27 @@ def test_socle_is_searched_once_per_module(ctx52, monkeypatch):
     chi = chi_of_weight(Weight(ctx52.params, (2, 1), 0))
     mod = induce(character_module(ctx52, chi))
     want = Counter(socle_of_induced(chi))
-    assert jh_multiset(mod) == Counter(jh_of_induced(chi).weights())
+    layers = socle_series(mod)
     searched = len(calls)
-    assert searched
+    assert searched and layers[0] == want
+    # the series is kept: neither the JH multiset nor the socle searches again
+    assert jh_multiset(mod) == Counter(jh_of_induced(chi).weights())
+    assert len(calls) == searched
     soc = socle_weights(mod)
     assert soc == want and len(calls) == searched
-    # the caller's Counter is its own
+    # the caller's Counters are its own
     soc[next(iter(want))] += 3
-    assert socle_weights(mod) == want and len(calls) == searched
+    kept = [Counter(layer) for layer in layers]
+    layers[0][next(iter(want))] += 3
+    layers.append(Counter())
+    assert socle_weights(mod) == want and socle_series(mod) == kept and len(calls) == searched
+
+
+def test_jh_multiset_of_an_iwahori_module_is_refused(ctx52):
+    chi = chi_of_weight(Weight(ctx52.params, (2, 1), 0))
+    for mod in (character_module(ctx52, chi), ej_module(ctx52, chi, 1)):
+        with pytest.raises(DomainError, match="K-module"):
+            jh_multiset(mod)
 
 
 def test_chain_of_length_two_is_the_extension(ctx51):
@@ -655,8 +715,8 @@ def test_chain_of_length_two_is_the_extension(ctx51):
     ctx = ctx51
     chi = chi_of_weight(Weight(ctx.params, (2,), 0))
     E = ej_module(ctx, chi, 0)
-    ladder = i_socle_series_chars(E)
-    assert i_socle_series_chars(ej_chain_module(ctx, chi, 0, 1)) == ladder
+    ladder = _char_ladder(E)
+    assert _char_ladder(ej_chain_module(ctx, chi, 0, 1)) == ladder
     [[bottom], [top]] = ladder
     assert ext1_dim_I(top, bottom) == (1, -1, 0)
 
