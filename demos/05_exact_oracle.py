@@ -61,11 +61,11 @@ print(f"socle from intertwiners: {[str(w) for w in socle_weights(ind)]}")
 # the distinguished vectors in the induction of a twisted extension
 bundle = TwistedExtensionInduction(ctx, chi, j=0)
 print(f"\ntwisted-extension induction: dim {bundle.W.dim}")
-rep = verify_witt(ctx, chi, 0)
+rep = verify_witt(bundle)
 print(f"one-parameter matrix identities, all k: {rep.passed} ({len(rep.checks)} checks)")
-rep = verify_uplus(ctx, chi, 0, k=7)
+rep = verify_uplus(bundle, k=7)
 print(f"unipotent span of f_7 has the digit-product basis: {rep.passed}")
-rep = verify_w_omega(ctx, chi, 0)
+rep = verify_w_omega(bundle)
 print(f"every W_omega matches the subset criteria: {rep.passed}")
 
 # the three-step chain inside the image of one W_omega

@@ -290,8 +290,8 @@ class F2Tables:
     detail: str = ""
 
 
-def f2_tables(rho: GaloisParams) -> F2Tables:
-    """Closed-form weight table for f = 2 irreducible generic parameters."""
+def f2_sigmas(rho: GaloisParams) -> list:
+    """The four base weights of the f = 2 irreducible table, in closed form."""
     par = rho.params
     if par.f != 2 or rho.reducible:
         raise DomainError("the closed-form table is for f = 2 irreducible parameters")
@@ -300,12 +300,19 @@ def f2_tables(rho: GaloisParams) -> F2Tables:
     p = par.p
     r0, r1 = rho.r
     tw = rho.twist
-    sigmas = [
+    return [
         Weight(par, (r0, r1), tw),
         Weight(par, (r0 - 1, p - 2 - r1), p * (r1 + 1) + tw),
         Weight(par, (p - 1 - r0, p - 3 - r1), r0 + p * (r1 + 1) + tw),
         Weight(par, (p - 2 - r0, r1 + 1), r0 + p * (p - 1) + tw),
     ]
+
+
+def f2_tables(rho: GaloisParams) -> F2Tables:
+    """Closed-form weight table for f = 2 irreducible generic parameters."""
+    sigmas = f2_sigmas(rho)
+    p = rho.params.p
+    r0, r1 = rho.r
     middles = [
         ((p - 2 - r0, r1 - 1), (r0 + 1, p - 2 - r1)),
         ((r0 - 2, r1), (p - 1 - r0, p - 1 - r1)),
@@ -363,8 +370,7 @@ class V1S1:
 
 def v1_s1_filtrations(rho: GaloisParams) -> V1S1:
     """The two explicit filtrations attached to the f = 2 irreducible table."""
-    tables = f2_tables(rho)
-    s1w, s2w, s3w, s4w = tables.sigmas
+    s1w, s2w, s3w, s4w = f2_sigmas(rho)
     r0 = rho.r[0]
     taus = [s3w]
     for _ in range(r0):

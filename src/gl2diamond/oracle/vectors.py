@@ -101,8 +101,7 @@ class TwistedExtensionInduction:
         self.chi = chi
         self.j = j
         self.psi = char_times_alpha_power(chi, j, -1)
-        self.E = ej_module(ctx, chi, j)
-        self.W = induce(pi_twist(self.E))
+        self.W = induce(pi_twist(ej_module(ctx, chi, j)))
         q = ctx.gf.q
         rows = np.zeros((q + 1, self.W.dim), dtype=np.int64)
         for ell in range(q + 1):
@@ -126,14 +125,13 @@ class TwistedExtensionInduction:
         return canonical_generator(self.ctx, self.psi, np.array([0, 1]), factor)
 
 
-def verify_witt(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
+def verify_witt(bundle: TwistedExtensionInduction) -> CheckReport:
     """The three one-parameter matrix identities on the F_k, plus eigencharacters."""
+    ctx, chi, j, W = bundle.ctx, bundle.chi, bundle.j, bundle.W
     par = ctx.params
     gf, gr = ctx.gf, ctx.gr
     q = gf.q
     pj = par.p ** j
-    bundle = TwistedExtensionInduction(ctx, chi, j)
-    W = bundle.W
     rep = CheckReport("witt", f"p={par.p},f={par.f},chi=({chi.a},{chi.b}),j={j}")
 
     upper, lower_m, diag = W.evaluate(np.stack([
@@ -176,11 +174,10 @@ def verify_witt(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     return rep
 
 
-def verify_calcul_H(ctx: GroupContext, chi: ICharacter, j: int, a_coeffs: dict, b_coeffs: dict) -> CheckReport:
+def verify_calcul_H(bundle: TwistedExtensionInduction, a_coeffs: dict, b_coeffs: dict) -> CheckReport:
     """Spin an H-mixed combination under I and test the asserted memberships."""
-    gf = ctx.gf
-    bundle = TwistedExtensionInduction(ctx, chi, j)
-    rep = CheckReport("calcul-H", f"chi=({chi.a},{chi.b}),j={j},a={a_coeffs},b={b_coeffs}")
+    gf, chi = bundle.ctx.gf, bundle.chi
+    rep = CheckReport("calcul-H", f"chi=({chi.a},{chi.b}),j={bundle.j},a={a_coeffs},b={b_coeffs}")
     vec = np.zeros(bundle.W.dim, dtype=np.int64)
     for k, c in a_coeffs.items():
         vec = gf.add(vec, gf.mul(c % gf.p, bundle.F_vec(k)))
@@ -196,10 +193,10 @@ def verify_calcul_H(ctx: GroupContext, chi: ICharacter, j: int, a_coeffs: dict, 
     return rep
 
 
-def verify_uplus(ctx: GroupContext, chi: ICharacter, j: int, k: int) -> CheckReport:
+def verify_uplus(bundle: TwistedExtensionInduction, k: int) -> CheckReport:
     """Basis of the unipotent span of f_k; membership bound for F_k."""
+    ctx, chi, j = bundle.ctx, bundle.chi, bundle.j
     gf = ctx.gf
-    bundle = TwistedExtensionInduction(ctx, chi, j)
     rep = CheckReport("uplus", f"chi=({chi.a},{chi.b}),j={j},k={k}")
     dig = gf.dig  # base-p digits of 0 .. q-1
 
@@ -404,10 +401,9 @@ def verify_u_generators(ctx: GroupContext, chi: ICharacter) -> CheckReport:
     return rep
 
 
-def verify_w_omega(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
+def verify_w_omega(bundle: TwistedExtensionInduction) -> CheckReport:
     """Spin every W_omega and compare against the subset criteria and U-contents."""
-    gf = ctx.gf
-    bundle = TwistedExtensionInduction(ctx, chi, j)
+    gf, chi, j = bundle.ctx.gf, bundle.chi, bundle.j
     rep = CheckReport("w-omega", f"chi=({chi.a},{chi.b}),j={j}")
     quotient = quotient_module(bundle.W, bundle.lower)
     for omega in bundle.jh_upper.factors:
@@ -417,9 +413,9 @@ def verify_w_omega(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
         cos = cosocle_weights(smod)
         rep.add(f"cosocle W_({omega.weight})", cos == Counter([omega.weight]),
                 str(omega.weight), dict(cos))
-        # image modulo the lower layer is the unique sub with cosocle omega
-        comp = bundle.lower.complement_coords()
-        img = Subspace(gf, bundle.lower.reduce(wspan.basis)[:, comp])
+        # image modulo the lower layer (the even unit vectors), read off the
+        # odd coordinates: the unique sub with cosocle omega
+        img = Subspace(gf, wspan.basis[:, 1::2])
         got = jh_multiset(sub_module(quotient, img))
         want = Counter(fac.weight for fac in U_contents(omega, conjugate_char(bundle.psi)))
         rep.add(f"upper image of W_({omega.weight})", got == want, dict(want), dict(got))

@@ -38,7 +38,7 @@ from .diamond import (
     verify_combination,
     xi_and_J,
 )
-from .filtration import f2_tables, v1_s1_filtrations
+from .filtration import f2_sigmas, f2_tables, v1_s1_filtrations
 from .principal import jh_of_induced
 
 # "all-generic" sweeps the parameters of both cases, so it names no single parameter
@@ -159,7 +159,7 @@ def suite_dimension(config: RunConfig) -> Iterator[CheckReport]:
 
 def suite_witt(config: RunConfig) -> Iterator[CheckReport]:
     from .oracle.groups import get_context
-    from .oracle.vectors import verify_witt
+    from .oracle.vectors import TwistedExtensionInduction, verify_witt
 
     params = config.params
     ctx = get_context(params)
@@ -168,23 +168,24 @@ def suite_witt(config: RunConfig) -> Iterator[CheckReport]:
         Weight(params, mid, 0),
         Weight(params, tuple(params.p - 2 - m for m in reversed(mid)), 1),
     ])
-    yield from (verify_witt(ctx, chi_of_weight(w), j) for w in weights for j in range(params.f))
+    yield from (verify_witt(TwistedExtensionInduction(ctx, chi_of_weight(w), j)) for w in weights for j in range(params.f))
 
 
 def suite_uplus(config: RunConfig) -> Iterator[CheckReport]:
     from .oracle.groups import get_context
-    from .oracle.vectors import verify_uplus
+    from .oracle.vectors import TwistedExtensionInduction, verify_uplus
 
     params = config.params
     ctx = get_context(params)
     [w] = _weights(config, [Weight(params, _interior_r(params), config.twist)])
     chi = chi_of_weight(w)
-    yield from (verify_uplus(ctx, chi, j, k) for j in range(params.f) for k in range(params.q))
+    bundles = (TwistedExtensionInduction(ctx, chi, j) for j in range(params.f))
+    yield from (verify_uplus(bundle, k) for bundle in bundles for k in range(params.q))
 
 
 def suite_calculH(config: RunConfig) -> Iterator[CheckReport]:
     from .oracle.groups import get_context
-    from .oracle.vectors import verify_calcul_H
+    from .oracle.vectors import TwistedExtensionInduction, verify_calcul_H
 
     params = config.params
     ctx = get_context(params)
@@ -195,7 +196,8 @@ def suite_calculH(config: RunConfig) -> Iterator[CheckReport]:
     for _ in range(5):
         ks = rng.integers(0, params.q, 3)
         combos.append(({int(ks[0]): 1, int(ks[1]): 2}, {int(ks[2]): 3}))
-    yield from (verify_calcul_H(ctx, chi, j, a_c, b_c) for j in range(params.f) for a_c, b_c in combos)
+    bundles = (TwistedExtensionInduction(ctx, chi, j) for j in range(params.f))
+    yield from (verify_calcul_H(bundle, a_c, b_c) for bundle in bundles for a_c, b_c in combos)
 
 
 def suite_indej(config: RunConfig) -> Iterator[CheckReport]:
@@ -215,7 +217,7 @@ def suite_indej(config: RunConfig) -> Iterator[CheckReport]:
 
 def suite_womega(config: RunConfig) -> Iterator[CheckReport]:
     from .oracle.groups import get_context
-    from .oracle.vectors import verify_u_generators, verify_w_omega
+    from .oracle.vectors import TwistedExtensionInduction, verify_u_generators, verify_w_omega
 
     params = config.params
     ctx = get_context(params)
@@ -226,7 +228,7 @@ def suite_womega(config: RunConfig) -> Iterator[CheckReport]:
     for w in _weights(config, defaults):
         chi = chi_of_weight(w)
         yield verify_u_generators(ctx, chi)
-        yield from (verify_w_omega(ctx, chi, j) for j in range(params.f))
+        yield from (verify_w_omega(TwistedExtensionInduction(ctx, chi, j)) for j in range(params.f))
 
 
 def suite_combination(config: RunConfig) -> Iterator[CheckReport]:
@@ -315,8 +317,7 @@ def suite_s1s2(config: RunConfig) -> Iterator[CheckReport]:
         except DomainError:
             ok_gen = False
         if ok_gen:
-            tab = f2_tables(rho)
-            s1w, s2w = tab.sigmas[0], tab.sigmas[1]
+            s1w, s2w = f2_sigmas(rho)[:2]
             chi2 = chi_of_weight(s2w)
             chi1s = conjugate_char(chi_of_weight(s1w))
             r0 = rho.r[0]

@@ -156,7 +156,7 @@ def test_criterion_05_witt_identities():
         for j in (0, 1):
             bundle = TwistedExtensionInduction(ctx, chi, j)
             ok = ok and bundle.W.dim == 52
-            rep = verify_witt(ctx, chi, j)
+            rep = verify_witt(bundle)
             ok = ok and rep.passed
             pairs += 1
     report(5, ok and pairs >= 4, f"matrix identities exact for all k in {pairs} inductions of dim 52", t0)
@@ -169,8 +169,9 @@ def test_criterion_06_uplus_action():
     chi = chi_of_weight(Weight(par, (2, 1), 0))
     ok = True
     for j in (0, 1):
+        bundle = TwistedExtensionInduction(ctx, chi, j)
         for k in range(par.q):
-            rep = verify_uplus(ctx, chi, j, k)
+            rep = verify_uplus(bundle, k)
             ok = ok and rep.passed
     report(6, ok, f"unipotent span basis and membership for all k in [0,{par.q - 1}], both slots", t0)
 
@@ -220,12 +221,12 @@ def test_criterion_09_w_omega_agreement():
     chi = chi_of_weight(Weight(par, (2, 1), 0))
     ok = verify_u_generators(ctx, chi).passed
     for j in (0, 1):
-        ok = ok and verify_w_omega(ctx, chi, j).passed
+        ok = ok and verify_w_omega(TwistedExtensionInduction(ctx, chi, j)).passed
     par1 = Params(5, 1)
     ctx1 = get_context(par1)
     for r0 in (1, 2, 3, 4):
         chi1 = chi_of_weight(Weight(par1, (r0,), 0))
-        rep = verify_w_omega(ctx1, chi1, 0)
+        rep = verify_w_omega(TwistedExtensionInduction(ctx1, chi1, 0))
         memb = [c for c in rep.checks if c["name"].startswith("U(")]
         ok = ok and rep.passed and all(c["expected"] == "True" for c in memb)
     report(9, ok, "spun W_omega contents match the subset criteria; f=1 swallows everything", t0)

@@ -6,9 +6,10 @@ A golden file is regenerated with
 and should change only when a check itself is meant to change.  The
 combination sweep at p = 5, f = 3 is 1.4 MB, so only its sha256 is kept.
 tests/golden/verify-womega-p5-f3.json takes about 15 s, the counts sweep at
-p = 5, f = 5 about 9 s and the combination sweep at p = 5, f = 4 (34.7 MB)
-about 3 s, so they are compared in CI only (.github/workflows/tier1.yml),
-not here; the two sweeps by their sha256.
+p = 5, f = 5 about 9 s, the combination sweep at p = 5, f = 4 (34.7 MB)
+about 3 s, and the uplus and calculH sweeps at p = 5, f = 3 about 30 s and
+4 s, so they are compared in CI only (.github/workflows/tier1.yml), not
+here; the four sweeps by their sha256.
 """
 
 import hashlib
@@ -37,6 +38,7 @@ COMMANDS = {
     "verify-uplus-p5-f1": ["verify", "--suite", "uplus", "--p", "5", "--f", "1", "--format", "json"],
     "verify-uplus-p5-f2": ["verify", "--suite", "uplus", "--p", "5", "--f", "2", "--format", "json"],
     "verify-calculH-p5-f1-seed3": ["verify", "--suite", "calculH", "--p", "5", "--f", "1", "--seed", "3", "--format", "json"],
+    "verify-calculH-p7-f2": ["verify", "--suite", "calculH", "--p", "7", "--f", "2", "--format", "json"],
     "verify-counts-p5-f2-all-generic": ["verify", "--suite", "counts", "--p", "5", "--f", "2", "--case", "all-generic", "--format", "json"],
     "verify-counts-p5-f4-all-generic": ["verify", "--suite", "counts", "--p", "5", "--f", "4", "--case", "all-generic", "--format", "json"],
     "verify-combination-p5-f4-r1-2-1-2": ["verify", "--suite", "combination", "--p", "5", "--f", "4", "--r", "1,2,1,2", "--format", "json"],
@@ -62,6 +64,10 @@ COUNTS_P5_F5_SHA256 = "e3a0a59cab62f73f38b02adbe771e9d8fdb414b67660ebce3f375886f
 # verify --suite combination --p 5 --f 4 --case all-generic --format json, checked in CI only;
 # the sweep whose parameters the combinatorics-f4 benchmark samples
 COMBINATION_P5_F4_SHA256 = "1581e82cec70cd51adef9a03c0dcd25bb94e506bf1547e007a63544234dec868"
+# verify --suite uplus --p 5 --f 3 --format json, checked in CI only (about 30 s)
+UPLUS_P5_F3_SHA256 = "193493e0fed0b48e9a6711e6f37f11ac97f0952fa60a9e3f3d8c0ae2451a84fe"
+# verify --suite calculH --p 5 --f 3 --format json, checked in CI only
+CALCULH_P5_F3_SHA256 = "87a6158e14dec34f7bc7d7a64307322d0c3263ee73a28ca3f767f3085cb7b217"
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

@@ -61,36 +61,38 @@ def test_coset_sum_conventions(ctx51):
 
 def test_witt_identities_f1(ctx51):
     chi = chi_of_weight(Weight(ctx51.params, (2,), 0))
-    rep = verify_witt(ctx51, chi, 0)
+    rep = verify_witt(TwistedExtensionInduction(ctx51, chi, 0))
     assert rep.passed, rep.failures()[:3]
 
 
 def test_witt_wraparound_branch(ctx51):
     # k = q-1 forces the wrapped index in the lower and diagonal identities
     chi = chi_of_weight(Weight(ctx51.params, (1,), 2))
-    rep = verify_witt(ctx51, chi, 0)
+    rep = verify_witt(TwistedExtensionInduction(ctx51, chi, 0))
     assert rep.passed
 
 
 def test_calcul_H(ctx51):
     chi = chi_of_weight(Weight(ctx51.params, (2,), 0))
     q = ctx51.gf.q
-    rep = verify_calcul_H(ctx51, chi, 0, {0: 1, q - 1: 2}, {1: 1, 0: 3})
+    bundle = TwistedExtensionInduction(ctx51, chi, 0)
+    rep = verify_calcul_H(bundle, {0: 1, q - 1: 2}, {1: 1, 0: 3})
     assert rep.passed
-    rep = verify_calcul_H(ctx51, chi, 0, {}, {2: 1})
+    rep = verify_calcul_H(bundle, {}, {2: 1})
     assert rep.passed
 
 
 def test_uplus_digits(ctx52):
     chi = chi_of_weight(Weight(ctx52.params, (2, 1), 0))
+    bundle = TwistedExtensionInduction(ctx52, chi, 0)
     for k in (0, 3, 7, ctx52.gf.q - 1):
-        rep = verify_uplus(ctx52, chi, 0, k)
+        rep = verify_uplus(bundle, k)
         assert rep.passed, rep.failures()[:3]
 
 
 def test_uplus_trivial_span(ctx51):
     chi = chi_of_weight(Weight(ctx51.params, (2,), 0))
-    rep = verify_uplus(ctx51, chi, 0, 0)
+    rep = verify_uplus(TwistedExtensionInduction(ctx51, chi, 0), 0)
     assert rep.passed
     # k = 0 span is one-dimensional
     dims = [c for c in rep.checks if c["name"] == "span dimension"]
@@ -154,7 +156,7 @@ def test_u_generators_f1(ctx51):
 def test_w_omega_f1_full_containment(ctx51):
     for r0 in (1, 2, 3):
         chi = chi_of_weight(Weight(ctx51.params, (r0,), 0))
-        rep = verify_w_omega(ctx51, chi, 0)
+        rep = verify_w_omega(TwistedExtensionInduction(ctx51, chi, 0))
         assert rep.passed, rep.failures()[:3]
         memb = [c for c in rep.checks if c["name"].startswith("U(")]
         assert memb and all(c["expected"] == "True" for c in memb)
@@ -162,7 +164,7 @@ def test_w_omega_f1_full_containment(ctx51):
 
 def test_w_omega_f2_one_slot(ctx52):
     chi = chi_of_weight(Weight(ctx52.params, (2, 1), 0))
-    rep = verify_w_omega(ctx52, chi, 0)
+    rep = verify_w_omega(TwistedExtensionInduction(ctx52, chi, 0))
     assert rep.passed, rep.failures()[:3]
 
 
@@ -172,10 +174,10 @@ def test_w_omega_degenerate_branches(ctx52):
     # nonempty correction subset in the small-digit clause
     chi = chi_of_weight(Weight(ctx52.params, (1, 0), 0))
     assert J_prime(chi, 0) == frozenset({1})
-    assert verify_w_omega(ctx52, chi, 0).passed
+    assert verify_w_omega(TwistedExtensionInduction(ctx52, chi, 0)).passed
     # conjugation-fixed character: the split-bottom criteria
     chi0 = chi_of_weight(Weight(ctx52.params, (0, 0), 0))
-    assert verify_w_omega(ctx52, chi0, 0).passed
+    assert verify_w_omega(TwistedExtensionInduction(ctx52, chi0, 0)).passed
     assert verify_u_generators(ctx52, chi0).passed
 
 
@@ -190,6 +192,16 @@ def test_extension_induction_multiplicity_two(ctx52):
     expect.update(jh_of_induced(conjugate_char(bundle.psi)).weights())
     assert got == expect
     assert got[Weight(par, (par.p - 2, par.p - 1), 1)] == 2
+
+
+def test_upper_image_is_the_odd_coordinates(ctx52):
+    # verify_w_omega reads a vector's image modulo the lower layer as its odd
+    # coordinates, since the lower layer is spanned by the even unit vectors
+    chi = chi_of_weight(Weight(ctx52.params, (2, 1), 0))
+    bundle = TwistedExtensionInduction(ctx52, chi, 0)
+    rows = np.random.default_rng(0).integers(0, ctx52.gf.q, (6, bundle.W.dim))
+    reduced = bundle.lower.reduce(rows)[:, bundle.lower.complement_coords()]
+    assert (reduced == rows[:, 1::2]).all()
 
 
 def test_three_layer_image(ctx52):

@@ -1,6 +1,12 @@
+from pathlib import Path
+
 import pytest
 
+from gl2diamond import filtration, verify
+from gl2diamond.cli import main
 from gl2diamond.core import DomainError, Params, Weight, chi_of_weight
+from gl2diamond.diamond import GaloisParams
+from gl2diamond.oracle import vectors
 from gl2diamond.verify import RunConfig, generic_parameters, run_suite, sweep_characters
 
 
@@ -70,3 +76,48 @@ def test_s1s2_runs_each_chain_length_once_at_p3():
     assert all_pass(checks)
     rows = {(c["instance"], c["anchor"]) for c in checks}
     assert len(checks) == 6 and len(rows) == 6
+
+
+@pytest.mark.parametrize("suite", ["uplus", "calculH"])
+def test_vector_suites_build_one_induction_per_slot(suite, monkeypatch):
+    # every k and every combination of a slot share that slot's induction
+    built = []
+    real = vectors.TwistedExtensionInduction
+
+    def counting(ctx, chi, j):
+        built.append(j)
+        return real(ctx, chi, j)
+
+    monkeypatch.setattr(vectors, "TwistedExtensionInduction", counting)
+    checks = run_suite(RunConfig(p=5, f=2, suite=suite))
+    assert all_pass(checks)
+    assert built == [0, 1]
+
+
+def test_f2_filtrations_do_not_check_the_table_again(monkeypatch, capsys):
+    # the filtrations and the glued modules read the four base weights only
+    rhos = generic_parameters(Params(7, 2), "irreducible")
+    before = [filtration.v1_s1_filtrations(rho) for rho in rhos]
+
+    def refuse(rho):
+        raise AssertionError("the table is checked again")
+
+    monkeypatch.setattr(filtration, "f2_tables", refuse)
+    monkeypatch.setattr(verify, "f2_tables", refuse)
+    assert [filtration.v1_s1_filtrations(rho) for rho in rhos] == before
+    argv = ["verify", "--suite", "s1s2", "--p", "5", "--f", "2", "--r", "2,1", "--format", "json"]
+    assert main(argv) == 0
+    golden = Path(__file__).parent / "golden" / "verify-s1s2-p5-f2-r2-1.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
+def test_f2_sigmas_are_the_table_weights_and_refuse_alike():
+    par = Params(5, 2)
+    for rho in generic_parameters(par, "irreducible"):
+        assert filtration.f2_sigmas(rho) == filtration.f2_tables(rho).sigmas
+    for rho in (GaloisParams(par, True, (2, 1), 0), GaloisParams(par, False, (0, 0), 0)):
+        with pytest.raises(DomainError) as table:
+            filtration.f2_tables(rho)
+        with pytest.raises(DomainError) as sigmas:
+            filtration.f2_sigmas(rho)
+        assert str(sigmas.value) == str(table.value)
