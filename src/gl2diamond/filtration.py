@@ -274,18 +274,8 @@ def example1_explicit_weights(sigma: Weight, j: int) -> dict:
 
 
 @dataclass
-class F2Row:
-    base: Weight
-    middle_digits: tuple     # two digit vectors
-    tail_digits: tuple       # one digit vector
-    delta_target: int        # index (1-based) of the next base weight
-
-
-@dataclass
 class F2Tables:
-    rho: GaloisParams
     sigmas: list
-    rows: list
     matches_d0: bool
     detail: str = ""
 
@@ -328,11 +318,10 @@ def f2_tables(rho: GaloisParams) -> F2Tables:
 
     dws = [weight_in_diamond(rho, w) for w in sigmas]
     if any(dw is None for dw in dws):
-        return F2Tables(rho, sigmas, [], False, "a table weight is not in the weight set")
+        return F2Tables(sigmas, False, "a table weight is not in the weight set")
 
     ok = True
     detail = []
-    rows = []
     for idx, dw in enumerate(dws):
         facs = d0_factors(rho, dw)
         in_range = lambda v: all(0 <= x <= p - 1 for x in v)
@@ -354,8 +343,7 @@ def f2_tables(rho: GaloisParams) -> F2Tables:
         if delta.weight != target:
             ok = False
             detail.append(f"delta of base {idx+1} is {delta.weight}, expected {target}")
-        rows.append(F2Row(sigmas[idx], middles[idx], tails[idx], (idx + 1) % 4 + 1))
-    return F2Tables(rho, sigmas, rows, ok, "; ".join(detail))
+    return F2Tables(sigmas, ok, "; ".join(detail))
 
 
 @dataclass

@@ -173,8 +173,7 @@ class GF:
         if x != 1:
             raise AssertionError("generator order is not q-1")
         self.inv_t = np.zeros(q, dtype=np.int64)
-        nz = np.arange(1, q)
-        self.inv_t[nz] = self.exp_t[(-self.log_t[nz]) % (q - 1)]
+        self.inv_t[1:] = self.pow_vec(np.arange(1, q), -1)
         self.frob_t = self.pow_vec(np.arange(q), p)
 
     def encode(self, digarr) -> np.ndarray:
@@ -199,18 +198,15 @@ class GF:
             e >>= 1
         return result
 
-    def pow_vec(self, a, e: int):
-        """a^e elementwise, with 0^0 = 1; negative e requires no zeros."""
-        a = np.asarray(a, dtype=np.int64)
-        if e == 0:
-            return np.ones_like(a)
+    def pow_vec(self, a, e):
+        """a^e over the broadcast of the elements a and the integer exponents
+        e, with 0^0 = 1; a negative power of zero anywhere raises."""
+        a, e = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(e, dtype=np.int64))
         zero = a == 0
-        if zero.any() and e < 0:
+        if (zero & (e < 0)).any():
             raise ZeroDivisionError("negative power of zero")
-        out = np.zeros_like(a)
-        nz = ~zero
-        out[nz] = self.exp_t[(self.log_t[a[nz]] * e) % (self.q - 1)]
-        return out
+        # log_t[0] = -1 indexes harmlessly; zeros are overwritten
+        return np.where(zero, e == 0, self.exp_t[(self.log_t[a] * e) % (self.q - 1)])
 
     # -- vectorized operations on arrays of encoded elements --
 

@@ -7,8 +7,9 @@ q-th power of any lift.  Matrices are arrays of shape (2, 2, f).  Every
 operation broadcasts over leading axes (products, powers, unit inverses,
 matrix assembly, determinants, inverses, conjugation by the normalizer and
 residues), so a stack of elements (..., f) or of matrices (..., 2, 2, f) is
-one numpy call.  The only inverses ever needed are of matrices invertible
-mod p, obtained from the adjugate and a Newton step for the determinant.
+one numpy call, and one element or matrix is a stack with no leading axes.
+The only inverses ever needed are of matrices invertible mod p, obtained
+from the adjugate and a Newton step for the determinant.
 """
 
 from __future__ import annotations
@@ -76,10 +77,9 @@ class GR:
         return result
 
     def reduce_p(self, a):
-        """Image in the residue field, in the gf.py integer encoding: an int
-        for one element, an array over the leading axes of a stack."""
-        r = (np.asarray(a) % self.p) @ self.gf.pows
-        return int(r) if np.ndim(r) == 0 else r
+        """Image in the residue field, in the gf.py integer encoding: an
+        array over the leading axes of a stack (0-d for one element)."""
+        return np.asarray((np.asarray(a) % self.p) @ self.gf.pows)
 
     def divide_p(self, a):
         """a/p for a in p*R, as the canonical lift with coefficients below p."""

@@ -3,13 +3,16 @@
 The maximal compact K is GL2 of the ring; everything in scope is trivial on
 the second congruence subgroup, so K is used through matrices mod p^2.  The
 Iwahori subgroup I consists of the matrices that are upper triangular mod p.
-K's generators are one tuple of elementary matrices over a Teichmueller
+K's generators are one stack of elementary matrices over a Teichmueller
 lift of a residue-field basis and p times that lift, plus diagonal units,
 with I's generators first; every subgroup kind is a tuple of positions in
 it.  For a local ring these generate the corresponding subgroups mod p^2.
 The q+1 cosets of I in K are represented by ([lambda], 1; 1, 0) for lambda
 in F_q together with the identity, in that order; a breadth-first tree of
 words in the generators reaches each of them once from the identity coset.
+Everything takes and returns stacks: matrices (..., 2, 2, f) in, arrays
+over the leading axes out, one matrix being a stack with no leading axes.
+The generator and representative stacks are cached and read-only.
 """
 
 from __future__ import annotations
@@ -54,44 +57,24 @@ class GroupContext:
         return get_gr(self.params.p, self.params.f)
 
     @lru_cache(maxsize=None)
-    def _basis_teich(self):
-        """Teichmueller lifts of the monomial basis x^i of the residue field."""
-        p, f = self.params.p, self.params.f
-        return [self.gr.teichmuller(p ** i) for i in range(f)]
-
-    def _elem(self, pos: str, val):
-        gr = self.gr
-        m = gr.mat_eye()
-        i, j = (0, 1) if pos == "upper" else (1, 0)
-        m[i, j] = np.asarray(val) % gr.p2
-        return m
-
-    def _diag(self, a, d):
-        gr = self.gr
-        m = gr.mat_eye()
-        m[0, 0] = np.asarray(a) % gr.p2
-        m[1, 1] = np.asarray(d) % gr.p2
-        return m
-
-    @lru_cache(maxsize=None)
-    def k_gens(self) -> tuple:
-        """K's generators, I's first: the upper elementary matrices of the
-        lifts and of p times them (U+), the lower ones of p times the lifts
-        (U-), the two diagonal Teichmueller generators (H), the diagonal
-        1 + p*lift units, and last the unit lower elementary matrices."""
-        gr = self.gr
-        one = gr.one()
-        basis = self._basis_teich()
-        plift = [(self.params.p * t) % gr.p2 for t in basis]
-        g = gr.teichmuller(self.gf.gen)
-        out = [self._elem("upper", t) for t in basis + plift]
-        out += [self._elem("lower", t) for t in plift]
-        out += [self._diag(g, one), self._diag(one, g)]
-        for t in plift:
-            u = (one + t) % gr.p2
-            out += [self._diag(u, one), self._diag(one, u)]
-        out += [self._elem("lower", t) for t in basis]
-        return tuple(out)
+    def k_gens(self) -> np.ndarray:
+        """K's generators as one read-only stack (6f+2, 2, 2, f), I's first:
+        the upper elementary matrices of the Teichmueller lifts of the basis
+        x^i of the residue field and of p times them (U+), the lower ones of
+        p times the lifts (U-), the two diagonal Teichmueller generators (H),
+        the diagonal 1 + p*lift units, and last the unit lower elementary
+        matrices."""
+        gr, p, f = self.gr, self.params.p, self.params.f
+        lift = gr.teich[p ** np.arange(f)]
+        plift = (p * lift) % gr.p2
+        a, b = np.tile(gr.one(), (6 * f + 2, 1)), np.zeros((6 * f + 2, f), dtype=np.int64)
+        c, d = b.copy(), a.copy()
+        b[: 2 * f] = np.concatenate([lift, plift])
+        c[2 * f : 3 * f] = plift
+        units = np.concatenate([gr.teich[[self.gf.gen]], (gr.one() + plift) % gr.p2])
+        a[3 * f : 5 * f + 2 : 2] = d[3 * f + 1 : 5 * f + 2 : 2] = units
+        c[5 * f + 2 :] = lift
+        return _read_only(gr.mat(a, b, c, d))
 
     @lru_cache(maxsize=None)
     def kind_positions(self) -> dict:
@@ -107,32 +90,29 @@ class GroupContext:
             "H": i[3 * f : 3 * f + 2],
         }
 
-    def gens(self, kind: str) -> tuple:
-        k = self.k_gens()
-        return tuple(k[i] for i in self.kind_positions()[kind])
+    def gens(self, kind: str) -> np.ndarray:
+        """The stack of the generators of a subgroup kind (a new array)."""
+        return self.k_gens()[list(self.kind_positions()[kind])]
 
     @lru_cache(maxsize=None)
     def transpose_positions(self) -> tuple:
         """For each position in k_gens(), the position of its transpose: upper
         and lower elementary matrices swap, diagonal ones stay."""
         gens = self.k_gens()
-        hits = [[i for i, h in enumerate(gens) if (h == g.swapaxes(0, 1)).all()] for g in gens]
-        if any(len(h) != 1 for h in hits):
+        # hits[i, j]: generator i is the transpose of generator j
+        hits = (gens[:, None] == gens[None].swapaxes(2, 3)).all(axis=(2, 3, 4))
+        if (hits.sum(axis=0) != 1).any():
             raise AssertionError("k_gens() is not closed under transposition, or repeats a generator")
-        return tuple(h[0] for h in hits)
+        return tuple(hits.argmax(axis=0).tolist())
 
     # -- cosets of I in K --
 
     @lru_cache(maxsize=None)
-    def coset_reps(self) -> tuple:
-        """([lambda],1;1,0) for each encoded lambda, then the identity coset."""
+    def coset_reps(self) -> np.ndarray:
+        """One read-only stack (q+1, 2, 2, f): ([lambda],1;1,0) for each
+        encoded lambda, then the identity coset."""
         gr = self.gr
-        reps = [
-            gr.mat(gr.teichmuller(lam), gr.one(), gr.one(), gr.zero())
-            for lam in range(self.gf.q)
-        ]
-        reps.append(gr.mat_eye())
-        return tuple(reps)
+        return _read_only(np.concatenate([gr.mat(gr.teich, gr.one(), gr.one(), gr.zero()), gr.mat_eye()[None]]))
 
     @lru_cache(maxsize=None)
     def coset_tree(self) -> CosetTree:
@@ -145,9 +125,9 @@ class GroupContext:
         keeps its first candidate.  A level's words are one product."""
         gf, gr = self.gf, self.gr
         q = gf.q
-        gens = np.stack(self.k_gens())
+        gens = self.k_gens()
         moving = np.flatnonzero((gr.reduce_p(gens) != gr.reduce_p(gr.mat_eye())).any(axis=(1, 2)))
-        targets, _ = self.coset_decompose(gr.mat_mul(gens[moving, None], np.stack(self.coset_reps())[None]))
+        targets, _ = self.coset_decompose(gr.mat_mul(gens[moving, None], self.coset_reps()[None]))
         cosets = np.full(q + 1, q)
         words = np.empty((q + 1,) + gens.shape[1:], dtype=np.int64)
         words[0] = gr.mat_eye()
@@ -170,8 +150,9 @@ class GroupContext:
         return CosetTree(words, cosets, gf.log_t[gr.reduce_p(gr.mat_det(words))], tuple(levels))
 
     def coset_decompose(self, g) -> tuple:
-        """g = rep * i with i in I, for one matrix or a stack of them; returns
-        (rep index, i): an int and a matrix, or arrays over the stack."""
+        """g = rep * i with i in I for each matrix of a stack (..., 2, 2, f);
+        returns (rep index, i) as arrays over the stack's leading axes, 0-d
+        and one matrix for a single matrix."""
         gf, gr = self.gf, self.gr
         g = np.asarray(g) % gr.p2
         if not np.all(gr.mat_is_unit(g)):
@@ -183,39 +164,33 @@ class GroupContext:
         moved = np.stack([g[..., 1, :, :], gr.sub(g[..., 0, :, :], gr.mul(t, g[..., 1, :, :]))], axis=-3)
         ident = np.asarray(c_red == 0)
         targets = np.where(ident, gf.q, lam)
-        parts = np.where(ident[..., None, None, None], g, moved)
-        if g.ndim == 3:
-            return int(targets), parts
-        return targets, parts
+        return targets, np.where(ident[..., None, None, None], g, moved)
 
     # -- characters of I through the diagonal reduction --
 
     def char_value(self, chi: ICharacter, g):
-        """chi at one matrix (an int) or at each matrix of a stack (an array)."""
+        """chi at each matrix of a stack, as an array over its leading axes
+        (0-d for a single matrix)."""
         gf, gr = self.gf, self.gr
         g = np.asarray(g)
         a = gr.reduce_p(g[..., 0, 0, :])
         d = gr.reduce_p(g[..., 1, 1, :])
-        v = gf.mul_t[gf.pow_vec(a, chi.a), gf.pow_vec(d, chi.b)]
-        return int(v) if g.ndim == 3 else v
-
-    def random_k_element(self, rng) -> np.ndarray:
-        gr = self.gr
-        while True:
-            m = rng.integers(0, gr.p2, (2, 2, self.params.f))
-            if gr.mat_is_unit(m):
-                return m
-
-    def random_i_element(self, rng) -> np.ndarray:
-        gr = self.gr
-        while True:
-            m = rng.integers(0, gr.p2, (2, 2, self.params.f))
-            m[1, 0] = (m[1, 0] * self.params.p) % gr.p2
-            if gr.mat_is_unit(m):
-                return m
+        return np.asarray(gf.mul_t[gf.pow_vec(a, chi.a), gf.pow_vec(d, chi.b)])
 
     def random_element(self, kind: str, rng) -> np.ndarray:
-        return self.random_i_element(rng) if kind == "I" else self.random_k_element(rng)
+        """A random element of I (``kind`` "I") or of K mod p^2."""
+        gr = self.gr
+        while True:
+            m = rng.integers(0, gr.p2, (2, 2, self.params.f))
+            if kind == "I":
+                m[1, 0] = (m[1, 0] * self.params.p) % gr.p2
+            if gr.mat_is_unit(m):
+                return m
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=None)

@@ -92,7 +92,7 @@ class ExplicitModule:
             if self._derive is not None:
                 self._mats = self._derive()
             else:
-                self._mats = self.evaluate(np.stack(self.ctx.gens(self.group)))
+                self._mats = self.evaluate(self.ctx.gens(self.group))
             self._identities = frozenset(i for i, M in enumerate(self._mats) if _is_identity(M))
         return positions[kind]
 
@@ -142,10 +142,8 @@ def _sym_power(gf, a, b, c, d, r):
     n = np.arange(r + 1)
     binom = np.array([[comb(i, j) % gf.p for j in n] for i in n])
     k, t = n[:, None], n[None, :]
-    # x^0 .. x^r of a, b, c, d in one log/exp gather (log_t[0] = -1 indexes
-    # harmlessly); 0^e is 0 for e > 0 and 1 for e = 0
-    abcd = np.stack([a, b, c, d])[..., None]
-    pa, pb, pc, pd = np.where((abcd == 0) & (n > 0), 0, gf.exp_t[(gf.log_t[abcd] * n) % (gf.q - 1)])
+    # x^0 .. x^r of a, b, c, d
+    pa, pb, pc, pd = gf.pow_vec(np.stack([a, b, c, d])[..., None], n)
 
     # u[..., k, t1] = C(r-k,t1) a^(r-k-t1) c^t1 and v[..., k, t2] = C(k,t2) b^(k-t2) d^t2;
     # exponents past the degree meet a zero binomial and are clipped to 0
@@ -176,7 +174,7 @@ def weight_module(ctx: GroupContext, sigma: Weight) -> ExplicitModule:
 
 def character_module(ctx: GroupContext, chi: ICharacter) -> ExplicitModule:
     def evaluate(g):
-        return np.asarray(ctx.char_value(chi, g), dtype=np.int64)[..., None, None]
+        return ctx.char_value(chi, g)[..., None, None]
 
     return ExplicitModule(ctx, 1, "I", "K1", f"char {chi}", evaluate=evaluate)
 
@@ -242,7 +240,7 @@ def induce(mod: ExplicitModule) -> ExplicitModule:
             f"{need / 1024 ** 3:.1f} GiB for its generator images, over the "
             f"{TABLE_BYTES_LIMIT / 1024 ** 3:.0f} GiB limit"
         )
-    reps = np.stack(ctx.coset_reps())
+    reps = ctx.coset_reps()
 
     def evaluate(g):
         # g . rep_ell = rep_targets[ell] . parts[ell], for every g and all q+1 cosets at once
@@ -381,7 +379,7 @@ def _weight_walk(ctx: GroupContext, r: tuple, twist: int = 0) -> np.ndarray:
     walk = np.ones((len(tree.words), 1), dtype=np.int64)
     for ri in r:
         n = np.arange(ri + 1)
-        pa, pc = np.where((ac == 0) & (n > 0), 0, gf.exp_t[(gf.log_t[ac] * n) % (gf.q - 1)]).transpose(1, 0, 2)
+        pa, pc = gf.pow_vec(ac, n).transpose(1, 0, 2)
         col = gf.mul_t[[comb(ri, t) % gf.p for t in n], gf.mul_t[pa[:, ri - n], pc]]
         walk = gf.mul_t[walk[:, :, None], col[:, None, :]].reshape(len(walk), -1)
         ac = gf.frob_t[ac]

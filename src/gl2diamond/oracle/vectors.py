@@ -291,11 +291,11 @@ def e_two_char_module(ctx: GroupContext, chi: ICharacter, chi2: ICharacter, j: i
     return sub_module(D, sub, name=f"glued({chi},{chi2},{j},{s_plus_1})", group="I")
 
 
-def verify_e_two_char(ctx: GroupContext, chi: ICharacter, chi2: ICharacter, j: int, s_plus_1: int) -> CheckReport:
-    par = ctx.params
+def verify_e_two_char(mod: ExplicitModule, chi: ICharacter, chi2: ICharacter, j: int, s_plus_1: int) -> CheckReport:
+    """Checks of ``e_two_char_module(ctx, chi, chi2, j, s_plus_1)``, built by the caller."""
+    par = mod.ctx.params
     s = s_plus_1 - 1
     rep = CheckReport("two-char", f"chi=({chi.a},{chi.b}),chi2=({chi2.a},{chi2.b}),j={j},s+1={s_plus_1}")
-    mod = e_two_char_module(ctx, chi, chi2, j, s_plus_1)
     rep.add("dimension", mod.dim == s + 3, s + 3, mod.dim)
     got = [sorted(layer.elements(), key=lambda c: (c.a, c.b)) for layer in socle_series(mod)]
     jm1 = (j - 1) % par.f

@@ -321,8 +321,8 @@ def suite_s1s2(config: RunConfig) -> Iterator[CheckReport]:
             chi2 = chi_of_weight(s2w)
             chi1s = conjugate_char(chi_of_weight(s1w))
             r0 = rho.r[0]
-            yield verify_e_two_char(ctx, chi2, chi1s, 1, r0)
             mod = e_two_char_module(ctx, chi2, chi1s, 1, r0)
+            yield verify_e_two_char(mod, chi2, chi1s, 1, r0)
             chi3 = char_times_alpha_power(chi2, 0, -r0)
             rows = dict(h_eigen_split(mod, np.eye(mod.dim, dtype=np.int64))).get(chi3)
             rep = CheckReport("s1", str(rho))

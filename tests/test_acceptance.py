@@ -25,15 +25,18 @@ from gl2diamond.diamond import (
     GaloisParams,
     d0_factors,
     d0_is_multiplicity_free,
+    delta_of_tau,
     diamond_by_subset,
     diamond_set,
     find_special_sigma,
     tau_j_factor,
     verify_combination,
+    weight_in_diamond,
     xi_and_J,
 )
 from gl2diamond.filtration import f2_tables
 from gl2diamond.principal import jh_of_induced
+from gl2diamond.tuples import S_of_mu
 from gl2diamond.oracle.groups import get_context
 from gl2diamond.oracle.modules import (
     character_module,
@@ -139,9 +142,14 @@ def test_criterion_04_f2_table_verbatim():
         (((1, 2), (5, 2)), (0, 3)),
         (((2, 3), (2, 3)), (3, 2)),
     ]
-    for row, (mid, tail) in zip(tab.rows, expected_rows):
-        ok = ok and sorted(row.middle_digits) == sorted(mid) and row.tail_digits == tail
-        ok = ok and row.delta_target == (tab.rows.index(row) + 1) % 4 + 1
+    # each base weight's block: the middle and tail digits by |S(mu)|, and delta sends it to the next base weight
+    for idx, (mid, tail) in enumerate(expected_rows):
+        dw = weight_in_diamond(rho, tab.sigmas[idx])
+        facs = d0_factors(rho, dw)
+        levels = [sorted(fac.weight.r for fac in facs if len(S_of_mu(fac.mu)) == n) for n in (1, 2)]
+        ok = ok and levels == [sorted(mid), [tail]]
+        socle = [fac for fac in facs if fac.is_socle]
+        ok = ok and delta_of_tau(rho, dw, socle[0]).weight == tab.sigmas[(idx + 1) % 4]
     report(4, ok, "explicit f=2 table, block rows and 4-cycle reproduced", t0)
 
 
@@ -252,8 +260,8 @@ def test_criterion_10_structure_modules():
     tab = f2_tables(rho)
     chi2 = chi_of_weight(tab.sigmas[1])
     chi1s = conjugate_char(chi_of_weight(tab.sigmas[0]))
-    ok = ok and verify_e_two_char(ctx, chi2, chi1s, 1, rho.r[0]).passed
     mod = e_two_char_module(ctx, chi2, chi1s, 1, rho.r[0])
+    ok = ok and verify_e_two_char(mod, chi2, chi1s, 1, rho.r[0]).passed
     chi3 = char_times_alpha_power(chi2, 0, -rho.r[0])
     v = None
     for ch, rows in h_eigen_split(mod, np.eye(mod.dim, dtype=np.int64)):
@@ -271,8 +279,8 @@ def test_criterion_10_structure_modules():
     chi_s = chi_of_weight(sp.weight)
     chi_t = chi_of_weight(fac.weight)
     spl1 = sp.weight.r[(j - 1) % 3] + 1
-    ok = ok and verify_e_two_char(ctx3, chi_s, chi_t, j, spl1).passed
     mod3 = e_two_char_module(ctx3, chi_s, chi_t, j, spl1)
+    ok = ok and verify_e_two_char(mod3, chi_s, chi_t, j, spl1).passed
     cos_char = char_times_alpha_power(chi_s, (j - 1) % 3, -spl1)
     v3 = None
     for ch, rows in h_eigen_split(mod3, np.eye(mod3.dim, dtype=np.int64)):

@@ -12,7 +12,7 @@ from gl2diamond.core import (
     sigma_s,
 )
 from gl2diamond.couples import CoupleType, couple_type, minus_one_partner, plus_one_partner
-from gl2diamond.diamond import GaloisParams, d0_factors, diamond_set
+from gl2diamond.diamond import GaloisParams, d0_factors, diamond_set, weight_in_diamond
 from gl2diamond.filtration import (
     NONVANISHING_ALLOWED,
     UNKNOWN,
@@ -27,6 +27,7 @@ from gl2diamond.filtration import (
     w_contents_two_char,
 )
 from gl2diamond.principal import jh_of_induced
+from gl2diamond.tuples import S_of_mu
 from gl2diamond.verify import generic_parameters
 
 
@@ -168,8 +169,14 @@ def test_f2_tables_and_v1(par72):
     assert str(tab.sigmas[1]) == "(1,4)*det^14"
     assert str(tab.sigmas[2]) == "(4,3)*det^16"
     assert str(tab.sigmas[3]) == "(3,2)*det^44"
-    assert tab.rows[2].middle_digits == ((1, 2), (5, 2))
-    assert tab.rows[0].tail_digits == (2, 5)
+    # the table's middle digits of the third base weight and tail of the first, read from their blocks
+
+    def level(sigma, n):
+        facs = d0_factors(rho, weight_in_diamond(rho, sigma))
+        return sorted(fac.weight.r for fac in facs if len(S_of_mu(fac.mu)) == n)
+
+    assert level(tab.sigmas[2], 1) == [(1, 2), (5, 2)]
+    assert level(tab.sigmas[0], 2) == [(2, 5)]
     vs = v1_s1_filtrations(rho)
     r0 = rho.r[0]
     assert len(vs.v1.layers) == 2 * r0 + 3

@@ -4,12 +4,12 @@ byte for byte with recorded reports.
 A golden file is regenerated with
     PYTHONPATH=src python -m gl2diamond.cli ARGV > tests/golden/NAME.json
 and should change only when a check itself is meant to change.  The
-combination sweep at p = 5, f = 3 is 1.4 MB, so only its sha256 is kept.
-tests/golden/verify-womega-p5-f3.json takes about 15 s, the counts sweep at
-p = 5, f = 5 about 9 s, the combination sweep at p = 5, f = 4 (34.7 MB)
-about 3 s, and the uplus and calculH sweeps at p = 5, f = 3 about 30 s and
-4 s, so they are compared in CI only (.github/workflows/tier1.yml), not
-here; the four sweeps by their sha256.
+reports in ``PINNED`` are kept by their sha256 only: the combination sweep
+at p = 5, f = 3 (1.4 MB, checked here too), the counts sweep at p = 5,
+f = 5 (about 9 s), the combination sweep at p = 5, f = 4 (34.7 MB, about
+3 s), and the uplus and calculH sweeps at p = 5, f = 3 (about 30 s and
+4 s).  tests/golden/verify-womega-p5-f3.json takes about 15 s.  CI
+(.github/workflows/tier1.yml) checks every pin and that golden file.
 """
 
 import hashlib
@@ -57,17 +57,30 @@ COMMANDS = {
     ],
 }
 
-COMBINATION_P5_F3 = ["verify", "--suite", "combination", "--p", "5", "--f", "3", "--format", "json"]
-COMBINATION_P5_F3_SHA256 = "523c6a3557b19f6b044568f5d0a128d6db342dde93a9759343fe0b12232d702b"
-# verify --suite counts --p 5 --f 5 --case all-generic --format json, checked in CI only
-COUNTS_P5_F5_SHA256 = "e3a0a59cab62f73f38b02adbe771e9d8fdb414b67660ebce3f375886f87b473f"
-# verify --suite combination --p 5 --f 4 --case all-generic --format json, checked in CI only;
-# the sweep whose parameters the combinatorics-f4 benchmark samples
-COMBINATION_P5_F4_SHA256 = "1581e82cec70cd51adef9a03c0dcd25bb94e506bf1547e007a63544234dec868"
-# verify --suite uplus --p 5 --f 3 --format json, checked in CI only (about 30 s)
-UPLUS_P5_F3_SHA256 = "193493e0fed0b48e9a6711e6f37f11ac97f0952fa60a9e3f3d8c0ae2451a84fe"
-# verify --suite calculH --p 5 --f 3 --format json, checked in CI only
-CALCULH_P5_F3_SHA256 = "87a6158e14dec34f7bc7d7a64307322d0c3263ee73a28ca3f767f3085cb7b217"
+# name -> (the whole argv, sha256 of its output); the combination sweep at
+# p = 5, f = 4 is the one whose parameters the combinatorics-f4 benchmark samples
+PINNED = {
+    "verify-combination-p5-f3": (
+        ["verify", "--suite", "combination", "--p", "5", "--f", "3", "--format", "json"],
+        "523c6a3557b19f6b044568f5d0a128d6db342dde93a9759343fe0b12232d702b",
+    ),
+    "verify-counts-p5-f5-all-generic": (
+        ["verify", "--suite", "counts", "--p", "5", "--f", "5", "--case", "all-generic", "--format", "json"],
+        "e3a0a59cab62f73f38b02adbe771e9d8fdb414b67660ebce3f375886f87b473f",
+    ),
+    "verify-combination-p5-f4-all-generic": (
+        ["verify", "--suite", "combination", "--p", "5", "--f", "4", "--case", "all-generic", "--format", "json"],
+        "1581e82cec70cd51adef9a03c0dcd25bb94e506bf1547e007a63544234dec868",
+    ),
+    "verify-uplus-p5-f3": (
+        ["verify", "--suite", "uplus", "--p", "5", "--f", "3", "--format", "json"],
+        "193493e0fed0b48e9a6711e6f37f11ac97f0952fa60a9e3f3d8c0ae2451a84fe",
+    ),
+    "verify-calculH-p5-f3": (
+        ["verify", "--suite", "calculH", "--p", "5", "--f", "3", "--format", "json"],
+        "87a6158e14dec34f7bc7d7a64307322d0c3263ee73a28ca3f767f3085cb7b217",
+    ),
+}
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -78,7 +91,8 @@ def test_verify_json_matches_golden(name, capsys):
 
 
 def test_combination_sweep_matches_recorded_sha256(capsys):
-    code = main(COMBINATION_P5_F3)
+    argv, sha256 = PINNED["verify-combination-p5-f3"]
+    code = main(argv)
     assert code == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == COMBINATION_P5_F3_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256

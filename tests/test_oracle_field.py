@@ -44,6 +44,33 @@ def test_reduced_powers_are_the_powers_of_x(p, f):
     assert (np.array(reduced_powers(F.poly, p * p, n)) % p == np.array(rows)).all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]),
+    st.lists(st.one_of(st.just(0), st.integers(0, 124)), min_size=1, max_size=4),
+    st.lists(st.one_of(st.just(0), st.integers(-300, 300)), min_size=1, max_size=4),
+)
+def test_pow_vec_broadcasts_array_exponents(pf, elems, exps):
+    F = get_gf(*pf)
+    a, e = np.array(elems)[:, None] % F.q, np.array(exps)[None, :]
+    if ((a == 0) & (e < 0)).any():
+        with pytest.raises(ZeroDivisionError):
+            F.pow_vec(a, e)
+        return
+    # 0^0 = 1 and 0^k = 0 for k > 0; a nonzero element has order dividing q - 1
+    want = [[F._pow_int(int(x), int(k) if k >= 0 else int(k) % (F.q - 1)) for k in e[0]] for x in a[:, 0]]
+    assert (F.pow_vec(a, e) == want).all()
+    assert all((F.pow_vec(a[:, 0], int(k)) == F.pow_vec(a, e)[:, i]).all() for i, k in enumerate(e[0]))
+
+
+def test_pow_vec_refuses_only_a_negative_power_of_zero():
+    F = get_gf(5, 2)
+    assert F.pow_vec([0, 2], [0, -1]).tolist() == [1, int(F.inv_t[2])]
+    assert F.pow_vec(0, 0).shape == () and F.pow_vec(0, 0) == 1
+    with pytest.raises(ZeroDivisionError):
+        F.pow_vec([[0], [1]], [1, -1])
+
+
 @pytest.mark.parametrize("p,f", [(5, 2), (7, 2), (5, 3)])
 def test_frobenius(p, f):
     F = get_gf(p, f)

@@ -56,12 +56,12 @@ def test_coset_decompose_round_trip(ctx52):
     rng = np.random.default_rng(7)
     reps = ctx.coset_reps()
     for _ in range(200):
-        g = ctx.random_k_element(rng)
+        g = ctx.random_element("K", rng)
         idx, i = ctx.coset_decompose(g)
         assert gr.mat_in_I(i)
         assert (gr.mat_mul(reps[idx], i) == g % gr.p2).all()
     # Iwahori elements decompose over the identity coset
-    g = ctx.random_i_element(rng)
+    g = ctx.random_element("I", rng)
     idx, i = ctx.coset_decompose(g)
     assert idx == ctx.gf.q and (i == g % gr.p2).all()
     # the antidiagonal lift lands in the zero coset
@@ -76,8 +76,8 @@ def test_stacked_coset_decompose(p, f):
     # every K-generator times every coset representative, decomposed as one stack
     ctx = get_context(Params(p, f))
     gr = ctx.gr
-    reps = np.stack(ctx.coset_reps())
-    gens = np.stack(ctx.k_gens())
+    reps = ctx.coset_reps()
+    gens = ctx.k_gens()
     prods = gr.mat_mul(gens[:, None], reps[None])
     targets, parts = ctx.coset_decompose(prods)
     assert targets.shape == (len(gens), ctx.gf.q + 1) and parts.shape == prods.shape
@@ -86,7 +86,7 @@ def test_stacked_coset_decompose(p, f):
     for k, ell in np.ndindex(targets.shape):
         g = gr.mat_mul(gens[k], reps[ell])
         idx, i = ctx.coset_decompose(g)
-        assert isinstance(idx, int) and idx == targets[k, ell]
+        assert idx.shape == () and idx == targets[k, ell]
         assert (i == parts[k, ell]).all() and gr.mat_in_I(i)
         assert (gr.mat_mul(reps[idx], i) == g).all()
     # each generator permutes the cosets
@@ -96,6 +96,48 @@ def test_stacked_coset_decompose(p, f):
     bad[0, 0] = gr.mat_from_ints(1, 0, 0, 0)
     with pytest.raises(ValueError):
         ctx.coset_decompose(bad)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 2), (3, 3)])
+def test_group_stacks_are_cached_read_only_arrays(p, f):
+    ctx = get_context(Params(p, f))
+    gr, q = ctx.gr, ctx.gf.q
+    gens, reps = ctx.k_gens(), ctx.coset_reps()
+    assert gens.shape == (6 * f + 2, 2, 2, f) and reps.shape == (q + 1, 2, 2, f)
+    assert ctx.k_gens() is gens and ctx.coset_reps() is reps
+    # the representatives are the per-lambda construction, then the identity
+    one_by_one = [gr.mat(gr.teichmuller(lam), gr.one(), gr.one(), gr.zero()) for lam in range(q)]
+    assert (reps == np.stack(one_by_one + [gr.mat_eye()])).all()
+    for cached in (gens, reps):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0, 0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            cached[-1] += 1
+    for kind, positions in ctx.kind_positions().items():
+        assert (ctx.gens(kind) == gens[list(positions)]).all() and len(ctx.gens(kind)) == len(positions)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 2), (3, 3)])
+def test_one_matrix_is_a_stack_with_no_leading_axes(p, f):
+    # single-matrix calls return 0-d arrays equal to the stacked results
+    ctx = get_context(Params(p, f))
+    gr = ctx.gr
+    chi = chi_of_weight(Weight(ctx.params, (1,) * f, 1))
+    prods = gr.mat_mul(ctx.k_gens()[:, None], ctx.coset_reps()[None])
+    targets, parts = ctx.coset_decompose(prods)
+    values, residues = ctx.char_value(chi, prods), gr.reduce_p(prods)
+    for k, ell in np.ndindex(targets.shape):
+        g = prods[k, ell]
+        idx, i = ctx.coset_decompose(g)
+        assert (i == parts[k, ell]).all()
+        pairs = [
+            (idx, targets[k, ell]),
+            (ctx.char_value(chi, g), values[k, ell]),
+            (gr.reduce_p(g[0, 1]), residues[k, ell, 0, 1]),
+        ]
+        for one, stacked in pairs:
+            assert isinstance(one, np.ndarray) and one.shape == () and one == stacked
+        assert (gr.reduce_p(g) == residues[k, ell]).all()
 
 
 def test_induced_matrices_agree_with_evaluator_at_q27():
@@ -527,7 +569,7 @@ def test_coset_tree_reaches_each_coset_once(pf):
     assert (tree.words[0] == gr.mat_eye()).all()
     # a level's nodes follow those before it and its parents lie on the level
     # before; each node is made once, with word_i = g_k word_parent
-    gens = np.stack(ctx.k_gens())
+    gens = ctx.k_gens()
     previous, end = [0], 1
     for level in tree.levels:
         made = sorted(np.concatenate([kids for _, kids, _ in level]).tolist())
@@ -728,7 +770,7 @@ def test_pi_twist_involution_and_character(ctx52):
     E = ej_module(ctx, chi, 0)
     EE = pi_twist(pi_twist(E))
     for _ in range(10):
-        g = ctx.random_i_element(rng)
+        g = ctx.random_element("I", rng)
         assert (EE.evaluate(g) == E.evaluate(g)).all()
     # the twist of a character is its conjugate
     C = pi_twist(character_module(ctx, chi))

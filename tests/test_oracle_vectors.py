@@ -111,7 +111,7 @@ def test_e_two_char_small(ctx52):
     tab = f2_tables(rho)
     chi2 = chi_of_weight(tab.sigmas[1])
     chi1s = conjugate_char(chi_of_weight(tab.sigmas[0]))
-    rep = verify_e_two_char(ctx52, chi2, chi1s, 1, rho.r[0])
+    rep = verify_e_two_char(e_two_char_module(ctx52, chi2, chi1s, 1, rho.r[0]), chi2, chi1s, 1, rho.r[0])
     assert rep.passed, rep.failures()[:3]
 
 
