@@ -13,15 +13,17 @@ This module is pure exponent arithmetic: extraction of the Iwahori
 character of a weight, the Weyl-conjugate character (swap of the pair),
 twists by powers of alpha = (1, -1), digit normal forms, and the
 dimension of the space of Iwahori extensions between two characters.
-All values are canonical representatives, so equality is literal.  It also
-holds the check record that every verification routine fills.
+All values are canonical representatives, so equality is literal.  The
+records are named tuples of their fields, checked and normalised on
+construction, so hash, equality and order are those of the field tuple.  It
+also holds the check record that every verification routine fills.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class DomainError(ValueError):
@@ -61,73 +63,53 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Params:
+class Params(NamedTuple("Params", [("p", int), ("f", int)])):
     """Base parameters: an odd prime p and the residue degree f; q = p^f."""
 
-    p: int
-    f: int
-    q: int = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_prime(self.p) or self.p < 3:
-            raise DomainError(f"p must be an odd prime, got {self.p}")
-        if self.f < 1:
-            raise DomainError(f"f must be >= 1, got {self.f}")
-        object.__setattr__(self, "q", self.p ** self.f)
-        object.__setattr__(self, "_hash", hash((self.p, self.f)))
+    def __new__(cls, p: int, f: int):
+        if not _is_prime(p) or p < 3:
+            raise DomainError(f"p must be an odd prime, got {p}")
+        if f < 1:
+            raise DomainError(f"f must be >= 1, got {f}")
+        return tuple.__new__(cls, (p, f))
 
-    # the generated hash, computed once: every weight and block key hashes its Params
-    def __hash__(self):
-        return self._hash
+    @property
+    def q(self) -> int:
+        return self.p ** self.f
 
     def mod_qm1(self, k: int) -> int:
-        return k % (self.q - 1)
+        return k % (self.p ** self.f - 1)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Weight:
+class Weight(NamedTuple("Weight", [("params", Params), ("r", tuple), ("twist", int)])):
     """Irreducible GL2(F_q)-weight (r_0,...,r_{f-1}) tensor det^twist."""
 
-    params: Params
-    r: tuple
-    twist: int
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        par, r = self.params, self.r
-        if len(r) != par.f:
-            raise DomainError(f"digit vector has length {len(r)}, expected f={par.f}")
+    def __new__(cls, params: Params, r: tuple, twist: int):
+        p, f = params
+        if len(r) != f:
+            raise DomainError(f"digit vector has length {len(r)}, expected f={f}")
         # compared as given, so -0.5 is out of range and "1" a TypeError
-        if min(r) < 0 or max(r) > par.p - 1:
+        if min(r) < 0 or max(r) > p - 1:
             raise DomainError(f"digits out of range [0, p-1]: {r}")
-        r = tuple(map(int, r))
-        twist = self.twist % (par.q - 1)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "_hash", hash((par, r, twist)))
-
-    # equal to the generated hash, which fixes the iteration order of weight sets
-    def __hash__(self):
-        return self._hash
+        return tuple.__new__(cls, (params, tuple(map(int, r)), twist % (p ** f - 1)))
 
     def __str__(self):
         body = "(" + ",".join(str(ri) for ri in self.r) + ")"
         return body if self.twist == 0 else f"{body}*det^{self.twist}"
 
 
-@dataclass(frozen=True, order=True)
-class ICharacter:
+class ICharacter(NamedTuple("ICharacter", [("params", Params), ("a", int), ("b", int)])):
     """Smooth Iwahori character, as the exponent pair (a, b) mod q-1."""
 
-    params: Params
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", self.params.mod_qm1(self.a))
-        object.__setattr__(self, "b", self.params.mod_qm1(self.b))
+    def __new__(cls, params: Params, a: int, b: int):
+        n = params.q - 1
+        return tuple.__new__(cls, (params, a % n, b % n))
 
     def __mul__(self, other: "ICharacter") -> "ICharacter":
         return ICharacter(self.params, self.a + other.a, self.b + other.b)

@@ -11,14 +11,13 @@ Both templates are cyclic in j and require f >= 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import ne
+from typing import NamedTuple
 
 from .core import DomainError, Weight, require_slot
 
 
-@dataclass(frozen=True)
-class CoupleType:
+class CoupleType(NamedTuple):
     sign: int
     j: int
 

@@ -15,8 +15,8 @@ whose agreement is tracked on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import DomainError, Params, Weight, chi_of_weight, conjugate_char, sigma_s
 from .couples import CoupleType, couple_type
@@ -58,38 +58,29 @@ SMINUS_SET_IRR1 = (Sym(1, -1), Sym(1, 0), Sym(-1, 0))     # x-1, x, p-x
 SPLUS_SET_IRR1 = (Sym(-1, -2), Sym(-1, -1), Sym(1, 1))    # p-2-x, p-1-x, x+1
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class GaloisParams:
+class GaloisParams(
+    NamedTuple("GaloisParams", [("params", Params), ("reducible", bool), ("r", tuple), ("twist", int)])
+):
     """Parameters of a semisimple two-dimensional mod-p Galois representation."""
 
-    params: Params
-    reducible: bool
-    r: tuple
-    twist: int = 0
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        par = self.params
-        r = tuple(int(x) for x in self.r)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "twist", par.mod_qm1(self.twist))
-        if len(r) != par.f:
-            raise DomainError(f"parameter vector has length {len(r)}, expected {par.f}")
-        if r == (par.p - 2,) * par.f:
+    def __new__(cls, params: Params, reducible: bool, r: tuple, twist: int = 0):
+        p, f = params
+        r = tuple(int(x) for x in r)
+        if len(r) != f:
+            raise DomainError(f"parameter vector has length {len(r)}, expected {f}")
+        if r == (p - 2,) * f:
             raise DomainError("parameter vector (p-2,...,p-2) is excluded")
-        if self.reducible:
-            if any(not (-1 <= x <= par.p - 2) for x in r):
+        if reducible:
+            if any(not (-1 <= x <= p - 2) for x in r):
                 raise DomainError(f"reducible case needs -1 <= r_i <= p-2, got {r}")
         else:
-            if not (0 <= r[0] <= par.p - 1):
+            if not (0 <= r[0] <= p - 1):
                 raise DomainError(f"irreducible case needs 0 <= r_0 <= p-1, got {r}")
-            if any(not (-1 <= x <= par.p - 2) for x in r[1:]):
+            if any(not (-1 <= x <= p - 2) for x in r[1:]):
                 raise DomainError(f"irreducible case needs -1 <= r_i <= p-2 for i>0, got {r}")
-        object.__setattr__(self, "_hash", hash((par, self.reducible, r, self.twist)))
-
-    # the generated hash, computed once: every read of the block cache hashes it
-    def __hash__(self):
-        return self._hash
+        return tuple.__new__(cls, (params, reducible, r, params.mod_qm1(twist)))
 
     def __str__(self):
         kind = "red" if self.reducible else "irr"
@@ -108,19 +99,10 @@ def is_generic(rho: GaloisParams) -> bool:
     return all(0 <= x <= p - 3 for x in r[1:])
 
 
-@dataclass(frozen=True, slots=True)
-class DiamondWeight:
+class DiamondWeight(NamedTuple):
     weight: Weight
     lam: tuple
     S: frozenset
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.weight, self.lam, self.S)))
-
-    # the generated hash, computed once: each block key and record key hashes it
-    def __hash__(self):
-        return self._hash
 
     @property
     def ell(self) -> int:
@@ -130,28 +112,19 @@ class DiamondWeight:
         return f"{self.weight} [S={sorted(self.S)}]"
 
 
-@dataclass(frozen=True, slots=True)
-class D0Factor:
+class D0Factor(NamedTuple):
     base: DiamondWeight
     mu: tuple
     composed: tuple
     weight: Weight
-    lifts: bool = field(init=False, repr=False, compare=False)
-    is_socle: bool = field(init=False, repr=False, compare=False)
-    _hash: int = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lifts", _LIFT_SET.issuperset(self.mu))
-        object.__setattr__(self, "is_socle", self.mu.count(Y) == len(self.mu))
+    @property
+    def lifts(self) -> bool:
+        return _LIFT_SET.issuperset(self.mu)
 
-    # the generated hash, computed on first use: the record keys hash a
-    # factor many times, a counts sweep never
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.base, self.mu, self.composed, self.weight))
-            object.__setattr__(self, "_hash", h)
-        return h
+    @property
+    def is_socle(self) -> bool:
+        return self.mu.count(Y) == len(self.mu)
 
 
 def _require_generic(rho: GaloisParams):
@@ -317,8 +290,7 @@ def delta_subset_prediction(rho: GaloisParams, sigma: DiamondWeight, factor: D0F
     return delta_red(moved, f) if rho.reducible else delta_irr(moved, f)
 
 
-@dataclass(frozen=True, slots=True)
-class DeltaResult:
+class DeltaResult(NamedTuple):
     target: DiamondWeight          # the block owning tau^[s]
     mirror: D0Factor               # tau^[s] as a factor of that block
     predicted_subset: frozenset    # from the S^-/S^+ formula
@@ -405,15 +377,13 @@ def plus_one_couples(rho: GaloisParams, sigma: DiamondWeight, j: int) -> list:
     return out
 
 
-@dataclass(slots=True)
-class ClauseReport:
+class ClauseReport(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
-class CombinationReport:
+class CombinationReport(NamedTuple):
     rho: GaloisParams
     sigma: DiamondWeight
     j: int

@@ -16,7 +16,7 @@ where the module-theoretic statements are checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     DomainError,
@@ -40,8 +40,7 @@ NONVANISHING_ALLOWED = "nonvanishing-allowed"
 UNKNOWN = "unknown"
 
 
-@dataclass
-class FiltrationLayers:
+class FiltrationLayers(NamedTuple):
     """Ordered socle-filtration display: one list of weights per layer."""
 
     layers: list
@@ -147,8 +146,7 @@ def ext_vanishing(sigma: Weight, tau: Weight) -> str:
     return UNKNOWN
 
 
-@dataclass
-class Example1Filtration:
+class Example1Filtration(NamedTuple):
     sigma: Weight
     tau: Weight
     j: int
@@ -157,7 +155,7 @@ class Example1Filtration:
     blocks: list                       # per twist level i: dict subset -> Weight
     omega: Weight
     layers: FiltrationLayers           # r_pivot + 2 column blocks
-    coincidences: list = field(default_factory=list)
+    coincidences: list                 # (name, entry, partner) wrap-around identities
 
 
 def _induction_levels(sigma: Weight, j: int, count: int) -> list:
@@ -232,49 +230,7 @@ def example1_filtration(sigma: Weight, j: int) -> Example1Filtration:
     )
 
 
-def example1_explicit_weights(sigma: Weight, j: int) -> dict:
-    """Closed-form weights of the display for f >= 3, for cross-checking."""
-    par = sigma.params
-    f = par.f
-    if f < 3:
-        raise DomainError("the closed forms are stated for f >= 3")
-    p = par.p
-    jm1, jm2 = (j - 1) % f, (j - 2) % f
-    r = list(sigma.r)
-    rj1, rj2 = r[jm1], r[jm2]
-    t = rj1 // 2
-    eta = sigma.twist
-    out = {}
-
-    def mk(vals, tw):
-        return Weight(par, tuple(vals), tw + eta)
-
-    for i in range(t + 1):
-        v = list(r)
-        v[jm1] = rj1 - 2 * i
-        out[(i, "empty")] = mk(v, p ** jm1 * i)
-        if not (rj1 % 2 == 0 and i == t):
-            v = list(r)
-            v[jm2], v[jm1] = p - 2 - rj2, rj1 - 1 - 2 * i
-            out[(i, "jm2")] = mk(v, p ** jm1 * i + p ** jm2 * (rj2 + 1))
-        v = list(r)
-        v[jm1], v[j] = p - 2 - rj1 + 2 * i, r[j] - 1
-        out[(i, "jm1")] = mk(v, p ** jm1 * (rj1 + 1 - i))
-        v = list(r)
-        v[jm2], v[jm1], v[j] = p - 2 - rj2, p - 1 - rj1 + 2 * i, r[j] - 1
-        out[(i, "J")] = mk(v, p ** jm1 * (rj1 - i) + p ** jm2 * (rj2 + 1))
-    for i in range(t + 1, rj1 + 1):
-        v = list(r)
-        v[jm1], v[j] = p + rj1 - 2 * i, r[j] - 1
-        out[(i, "empty")] = mk(v, p ** jm1 * i)
-        v = list(r)
-        v[jm2], v[jm1], v[j] = p - 2 - rj2, p + rj1 - 1 - 2 * i, r[j] - 1
-        out[(i, "jm2")] = mk(v, p ** jm1 * i + p ** jm2 * (rj2 + 1))
-    return out
-
-
-@dataclass
-class F2Tables:
+class F2Tables(NamedTuple):
     sigmas: list
     matches_d0: bool
     detail: str = ""
@@ -346,8 +302,7 @@ def f2_tables(rho: GaloisParams) -> F2Tables:
     return F2Tables(sigmas, ok, "; ".join(detail))
 
 
-@dataclass
-class V1S1:
+class V1S1(NamedTuple):
     rho: GaloisParams
     taus: list                 # tau_0 .. tau_{r0}
     v1: FiltrationLayers

@@ -99,9 +99,6 @@ class GR:
         t = self.sub(self.from_int(2), self.mul(a, y))
         return self.mul(y, t)
 
-    def teichmuller(self, e: int):
-        return self.teich[e].copy()
-
     # -- 2x2 matrices: arrays of shape (..., 2, 2, f) --
 
     def mat(self, a, b, c, d):
@@ -130,10 +127,6 @@ class GR:
         adj = self.mat(A[..., 1, 1, :], -A[..., 0, 1, :], -A[..., 1, 0, :], A[..., 0, 0, :])
         return self.mul(dinv[..., None, None, :], adj % self.p2)
 
-    def mat_scalar_p(self):
-        """The matrix (0, 1; p, 0) normalizing the Iwahori subgroup."""
-        return self.mat(self.zero(), self.one(), self.from_int(self.p), self.zero())
-
     def swap_conjugate(self, A):
         """(a, b; pc, d) -> (d, c; pb, a), conjugation by (0, 1; p, 0)."""
         c = self.divide_p(A[..., 1, 0, :])
@@ -142,9 +135,6 @@ class GR:
 
     def mat_is_unit(self, A):
         return self.reduce_p(self.mat_det(A)) != 0
-
-    def mat_in_I(self, A):
-        return self.mat_is_unit(A) & ~(np.asarray(A)[..., 1, 0, :] % self.p).any(axis=-1)
 
 
 @lru_cache(maxsize=None)

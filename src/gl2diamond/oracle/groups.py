@@ -17,7 +17,6 @@ The generator and representative stacks are cached and read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -44,8 +43,7 @@ class CosetTree(NamedTuple):
     levels: tuple
 
 
-@dataclass(frozen=True)
-class GroupContext:
+class GroupContext(NamedTuple):
     params: Params
 
     @property
@@ -176,16 +174,6 @@ class GroupContext:
         a = gr.reduce_p(g[..., 0, 0, :])
         d = gr.reduce_p(g[..., 1, 1, :])
         return np.asarray(gf.mul_t[gf.pow_vec(a, chi.a), gf.pow_vec(d, chi.b)])
-
-    def random_element(self, kind: str, rng) -> np.ndarray:
-        """A random element of I (``kind`` "I") or of K mod p^2."""
-        gr = self.gr
-        while True:
-            m = rng.integers(0, gr.p2, (2, 2, self.params.f))
-            if kind == "I":
-                m[1, 0] = (m[1, 0] * self.params.p) % gr.p2
-            if gr.mat_is_unit(m):
-                return m
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

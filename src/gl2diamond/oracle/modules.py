@@ -579,38 +579,3 @@ def restricted_loewy(mod: ExplicitModule, kind: str) -> int:
         if length > mod.dim + 1:
             raise AssertionError("radical series did not terminate")
     return length
-
-
-def check_module(mod: ExplicitModule, rng, samples: int = 20) -> None:
-    """Agreement of the generator matrices and of one stacked evaluation with
-    single calls, multiplicativity on random pairs, and triviality on the
-    declared level."""
-    ctx = mod.ctx
-    gf, gr = ctx.gf, ctx.gr
-    kind = mod.group
-    want = [mod.evaluate(g) for g in ctx.gens(kind)]
-    if not all((M == E).all() for M, E in zip(mod.gen_mats(kind), want, strict=True)):
-        raise AssertionError(f"{mod} generator matrices disagree with its evaluator")
-    gs = np.stack([ctx.random_element(kind, rng) for _ in range(2 * samples)])
-    single = np.stack([mod.evaluate(g) for g in gs])
-    if not (mod.evaluate(gs) == single).all():
-        raise AssertionError(f"{mod} stacked evaluation disagrees with single calls")
-    products = mod.evaluate(gr.mat_mul(gs[0::2], gs[1::2]))
-    for E, F, P in zip(single[0::2], single[1::2], products):
-        if not (gf.matmul(E, F) == P).all():
-            raise AssertionError(f"{mod} evaluator is not multiplicative")
-    eye = gf.eye(mod.dim)
-    if not (mod.evaluate(gr.mat_eye()) == eye).all():
-        raise AssertionError(f"{mod} does not send identity to identity")
-    p, f = ctx.params.p, ctx.params.f
-    for _ in range(samples):
-        if mod.level == "K1":
-            m = (gr.mat_eye() + p * rng.integers(0, p, (2, 2, f))) % gr.p2
-        elif mod.level == "I2":
-            # second Iwahori congruence subgroup mod p^2: unipotent with a p-multiple above
-            m = gr.mat_eye()
-            m[0, 1] = (p * rng.integers(0, p, f)) % gr.p2
-        else:
-            m = gr.mat_eye()
-        if not (mod.evaluate(m) == eye).all():
-            raise AssertionError(f"{mod} is not trivial on its declared level")

@@ -219,23 +219,24 @@ def verify_uplus(bundle: TwistedExtensionInduction, k: int) -> CheckReport:
     return rep
 
 
-def ej_chain_module(ctx: GroupContext, chi: ICharacter, j: int, s: int) -> ExplicitModule:
+def ej_chain_module(ctx: GroupContext, chi: ICharacter, j: int, s: int, base=None) -> ExplicitModule:
     """The uniserial (s+1)-dimensional chain below Ind of the twisted character:
     the span of f_(p^j s) under the Iwahori inside the induction of the twist
-    of chi."""
+    of chi.  ``base`` is that induction, when the caller has built it."""
     if not 0 <= s <= ctx.params.p - 1:
         raise DomainError("chain length out of range")
     gf = ctx.gf
-    base = induce(pi_twist(character_module(ctx, chi)))
+    if base is None:
+        base = induce(pi_twist(character_module(ctx, chi)))
     k = ctx.params.p ** j * s
     seed = coset_sum_vector(ctx, 1, np.array([1]), k)
     sub = spin(gf, base.moving_mats("I"), seed)
     return sub_module(base, sub, name=f"chain({chi},{j},{s})", group="I")
 
 
-def verify_ej_chain(ctx: GroupContext, chi: ICharacter, j: int, s: int) -> CheckReport:
+def verify_ej_chain(ctx: GroupContext, chi: ICharacter, j: int, s: int, base=None) -> CheckReport:
     rep = CheckReport("chain", f"chi=({chi.a},{chi.b}),j={j},s={s}")
-    mod = ej_chain_module(ctx, chi, j, s)
+    mod = ej_chain_module(ctx, chi, j, s, base)
     rep.add("dimension", mod.dim == s + 1, s + 1, mod.dim)
     layers = [sorted(layer.elements(), key=lambda c: (c.a, c.b)) for layer in socle_series(mod)]
     expected = [[char_times_alpha_power(chi, j, -i)] for i in range(s + 1)]

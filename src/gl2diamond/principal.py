@@ -21,8 +21,8 @@ building the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     DomainError,
@@ -36,8 +36,7 @@ from .core import (
 from .tuples import J_of_lambda, compile_tuple, enumerate_P, evaluate_forms
 
 
-@dataclass(frozen=True)
-class PSFactor:
+class PSFactor(NamedTuple):
     weight: Weight
     lam: tuple
     J: frozenset
@@ -47,15 +46,14 @@ class PSFactor:
         return weight_dim(self.weight)
 
 
-@dataclass(frozen=True)
-class InducedJH:
+class InducedJH(NamedTuple):
     """Factors of one induced module, plus the tuples dropped as out of range."""
 
     chi: ICharacter
     digits: tuple
     eta_exp: int
     factors: tuple
-    dropped: tuple = field(default_factory=tuple)
+    dropped: tuple = ()
 
     def by_subset(self, J) -> PSFactor:
         J = frozenset(J)

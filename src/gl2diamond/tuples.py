@@ -28,7 +28,6 @@ is lexicographic in the per-slot alphabets and is part of the interface.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from operator import add, mul
 from typing import NamedTuple
 
@@ -92,16 +91,6 @@ def family_alphabets(family: str, f: int) -> tuple:
         raise DomainError("f must be >= 1")
     first, rest = FAMILIES[family]
     return (first,) + (rest,) * (f - 1)
-
-
-def is_valid(tpl: tuple, alphabets) -> bool:
-    """Whether tpl draws each slot from its alphabet and obeys the cyclic rule."""
-    f = len(tpl)
-    return (
-        f == len(alphabets)
-        and all(s in alpha for s, alpha in zip(tpl, alphabets))
-        and all(follows(tpl[i], tpl[(i + 1) % f]) for i in range(f))
-    )
 
 
 def _enumerate(alphabets) -> tuple:
@@ -220,16 +209,6 @@ def J_of_lambda(tpl: tuple) -> frozenset:
     return frozenset(i for i, s in enumerate(tpl) if s.sign < 0)
 
 
-def lambda_of_S(S, f: int, reducible: bool) -> tuple:
-    """Inverse of S_of_mu on RD- (resp. ID-) tuples, a bijection onto subsets."""
-    fam = enumerate_RD(f) if reducible else enumerate_ID(f)
-    S = frozenset(S)
-    for tpl in fam:
-        if S_of_mu(tpl) == S:
-            return tpl
-    raise DomainError(f"no tuple with subset {set(S)}")
-
-
 def mu_of_lambda(tpl: tuple, reducible: bool) -> tuple:
     """The distinguished mu-tuple attached to an RD/ID-tuple.
 
@@ -281,8 +260,3 @@ def delta_irr(S, f: int) -> frozenset:
     if 1 % f not in S:
         out.add(0)
     return frozenset(out)
-
-
-def all_candidate_tuples(f: int, alphabet) -> list:
-    """Raw cartesian power, for brute-force cross-checks of the enumerations."""
-    return list(product(alphabet, repeat=f))

@@ -13,10 +13,7 @@ identical reports.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator
-
-import numpy as np
+from typing import Callable, Iterator, NamedTuple
 
 from .core import (
     CheckReport,
@@ -48,8 +45,7 @@ CASES = ("reducible", "irreducible", "all-generic")
 JH_CHARACTERS = 24
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     p: int = 5
     f: int = 2
     case: str = "irreducible"  # one of CASES
@@ -68,7 +64,7 @@ class RunConfig:
 
     def set_fields(self) -> list:
         """The optional fields (case, r, twist, seed) that differ from their defaults."""
-        return [name for name in ("case", "r", "twist", "seed") if getattr(self, name) != getattr(RunConfig, name)]
+        return [name for name in ("case", "r", "twist", "seed") if getattr(self, name) != RunConfig._field_defaults[name]]
 
 
 def generic_parameters(params: Params, case: str = "all-generic", twist: int = 0) -> list:
@@ -184,6 +180,8 @@ def suite_uplus(config: RunConfig) -> Iterator[CheckReport]:
 
 
 def suite_calculH(config: RunConfig) -> Iterator[CheckReport]:
+    import numpy as np
+
     from .oracle.groups import get_context
     from .oracle.vectors import TwistedExtensionInduction, verify_calcul_H
 
@@ -295,8 +293,10 @@ def suite_special(config: RunConfig) -> Iterator[CheckReport]:
 
 
 def suite_s1s2(config: RunConfig) -> Iterator[CheckReport]:
+    import numpy as np
+
     from .oracle.groups import get_context
-    from .oracle.modules import h_eigen_split
+    from .oracle.modules import character_module, h_eigen_split, induce, pi_twist
     from .oracle.vectors import e_two_char_module, verify_S1_condition, verify_e_two_char, verify_ej_chain
 
     # chain modules and glued modules at the configured parameters
@@ -304,8 +304,10 @@ def suite_s1s2(config: RunConfig) -> Iterator[CheckReport]:
     ctx = get_context(params)
     [w] = _weights(config, [Weight(params, _interior_r(params), config.twist)])
     chi = chi_of_weight(w)
+    # every chain of chi sits in the one induction of its twist
+    base = induce(pi_twist(character_module(ctx, chi)))
     yield from (
-        verify_ej_chain(ctx, chi, j, s)
+        verify_ej_chain(ctx, chi, j, s, base)
         for j in range(params.f)
         for s in range(1, min(3, params.p - 1) + 1)
     )
@@ -330,8 +332,7 @@ def suite_s1s2(config: RunConfig) -> Iterator[CheckReport]:
             yield rep
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     # yields the CheckReports of the suite's instances at a run configuration
     run: Callable[[RunConfig], Iterator[CheckReport]]
     # each optional RunConfig field the suite reads, mapped to the field it is

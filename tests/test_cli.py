@@ -294,6 +294,23 @@ JH_PEAK_MB = 64
 JH_P5_F4_PEAK_MB = 250
 
 
+def _child_env() -> dict:
+    """The environment of a child that imports this package's source."""
+    src = str(Path(gl2diamond.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_a_fresh_import_loads_neither_dataclasses_nor_numpy():
+    # the records are named tuples and numpy comes with the oracle suites
+    # only, so a combinatorial command pays for neither at start-up
+    script = (
+        "import sys, gl2diamond, gl2diamond.cli\n"
+        "print(sorted({'dataclasses', 'numpy'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def _child_exit_and_peak_mb(argv) -> tuple:
     """Run the CLI in a child that reads its own VmHWM; ru_maxrss would carry
     over the RSS of the process that started it."""
@@ -304,9 +321,7 @@ def _child_exit_and_peak_mb(argv) -> tuple:
         "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
         "print(code, int(hwm.split()[1]) / 1024)\n"
     )
-    src = str(Path(gl2diamond.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, check=True)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=_child_env(), check=True)
     code, peak_mb = proc.stdout.split()
     return code, float(peak_mb)
 

@@ -231,9 +231,9 @@ def test_xi_and_J_identity_factor(par72):
 
 
 def test_block_objects_hash_once_as_generated():
-    """DiamondWeight and D0Factor keep the generated hash of their compared
-    fields, carry no __dict__, and compare as before; lifts and is_socle are
-    plain attributes read off mu."""
+    """DiamondWeight and D0Factor keep the hash of their compared fields,
+    carry no __dict__, and compare as before; lifts and is_socle are
+    properties read off mu, outside the fields."""
     rho = GaloisParams(Params(5, 3), False, (2, 1, 1), 4)
     assert hash(rho) == hash((rho.params, rho.reducible, rho.r, rho.twist))
     for dw in diamond_set(rho):

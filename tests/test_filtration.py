@@ -18,7 +18,6 @@ from gl2diamond.filtration import (
     UNKNOWN,
     VANISHES,
     J_prime,
-    example1_explicit_weights,
     example1_filtration,
     ext_vanishing,
     f2_tables,
@@ -142,6 +141,46 @@ def test_example1_layer_count_and_coincidences():
         jh = jh_of_induced(conjugate_char(char_times_alpha_power(chi, 2, -i)))
         for J, w in blk.items():
             assert jh.by_subset(J).weight == w
+
+
+def example1_explicit_weights(sigma: Weight, j: int) -> dict:
+    """Closed-form weights of example1_filtration's display, stated for f >= 3."""
+    par = sigma.params
+    f = par.f
+    assert f >= 3
+    p = par.p
+    jm1, jm2 = (j - 1) % f, (j - 2) % f
+    r = list(sigma.r)
+    rj1, rj2 = r[jm1], r[jm2]
+    t = rj1 // 2
+    eta = sigma.twist
+    out = {}
+
+    def mk(vals, tw):
+        return Weight(par, tuple(vals), tw + eta)
+
+    for i in range(t + 1):
+        v = list(r)
+        v[jm1] = rj1 - 2 * i
+        out[(i, "empty")] = mk(v, p ** jm1 * i)
+        if not (rj1 % 2 == 0 and i == t):
+            v = list(r)
+            v[jm2], v[jm1] = p - 2 - rj2, rj1 - 1 - 2 * i
+            out[(i, "jm2")] = mk(v, p ** jm1 * i + p ** jm2 * (rj2 + 1))
+        v = list(r)
+        v[jm1], v[j] = p - 2 - rj1 + 2 * i, r[j] - 1
+        out[(i, "jm1")] = mk(v, p ** jm1 * (rj1 + 1 - i))
+        v = list(r)
+        v[jm2], v[jm1], v[j] = p - 2 - rj2, p - 1 - rj1 + 2 * i, r[j] - 1
+        out[(i, "J")] = mk(v, p ** jm1 * (rj1 - i) + p ** jm2 * (rj2 + 1))
+    for i in range(t + 1, rj1 + 1):
+        v = list(r)
+        v[jm1], v[j] = p + rj1 - 2 * i, r[j] - 1
+        out[(i, "empty")] = mk(v, p ** jm1 * i)
+        v = list(r)
+        v[jm2], v[jm1], v[j] = p - 2 - rj2, p + rj1 - 1 - 2 * i, r[j] - 1
+        out[(i, "jm2")] = mk(v, p ** jm1 * i + p ** jm2 * (rj2 + 1))
+    return out
 
 
 def test_example1_explicit_forms_match():

@@ -267,15 +267,15 @@ def test_galois_ring(p, f):
     R = get_gr(p, f)
     F = R.gf
     for e in range(F.q):
-        t = R.teichmuller(e)
+        t = R.teich[e]
         assert R.reduce_p(t) == e
         assert (R.pow(t, F.q) == t).all()
     rng = np.random.default_rng(3)
     for _ in range(40):
         x, y = rng.integers(0, F.q, 2)
         assert (
-            R.mul(R.teichmuller(int(x)), R.teichmuller(int(y)))
-            == R.teichmuller(int(F.mul_t[x, y]))
+            R.mul(R.teich[x], R.teich[y])
+            == R.teich[F.mul_t[x, y]]
         ).all()
     # unit inverses and matrix identities
     count = 0
@@ -286,7 +286,7 @@ def test_galois_ring(p, f):
             continue
         count += 1
         assert (R.mat_mul(A, R.mat_inv(A)) == R.mat_eye()).all()
-        Pi = R.mat_scalar_p()
+        Pi = R.mat(R.zero(), R.one(), R.from_int(p), R.zero())  # (0, 1; p, 0) normalizes I
         assert (R.mat_mul(Pi, R.swap_conjugate(A)) == R.mat_mul(A, Pi)).all()
 
 
@@ -708,14 +708,15 @@ def test_matrix_inverse_conjugation_and_assembly_broadcast(p, f):
     # a (3, 4) stack of Iwahori matrices mod p^2
     A = rng.integers(0, R.p2, (3, 4, 2, 2, f))
     A[..., 1, 0, :] = (A[..., 1, 0, :] * p) % R.p2
-    while not R.mat_in_I(A).all():
-        bad = ~R.mat_in_I(A)
+    in_I = lambda X: R.mat_is_unit(X) & ~(X[..., 1, 0, :] % p).any(axis=-1)  # noqa: E731
+    while not in_I(A).all():
+        bad = ~in_I(A)
         A[bad] = rng.integers(0, R.p2, (int(bad.sum()), 2, 2, f))
         A[..., 1, 0, :] = (A[..., 1, 0, :] * p) % R.p2
     inv, conj = R.mat_inv(A), R.swap_conjugate(A)
     assert inv.shape == conj.shape == A.shape
     assert (R.mat_mul(A, inv) == R.mat_eye()).all()
-    assert R.mat_in_I(conj).all()
+    assert in_I(conj).all()
     entries = [A[..., i, j, :] for i, j in np.ndindex(2, 2)]
     assert (R.mat(*entries) == A).all()
     # a scalar entry broadcasts against stacked ones

@@ -20,7 +20,6 @@ from gl2diamond.oracle.gf import Subspace, nullspace, rref, spin
 from gl2diamond.oracle.groups import get_context
 from gl2diamond.oracle.modules import (
     character_module,
-    check_module,
     cosocle_weights,
     direct_sum,
     ej_module,
@@ -40,6 +39,57 @@ from gl2diamond.oracle.modules import (
 )
 
 
+def mat_in_I(gr, A):
+    """Which matrices of a stack (..., 2, 2, f) mod p^2 lie in the Iwahori subgroup."""
+    return gr.mat_is_unit(A) & ~(np.asarray(A)[..., 1, 0, :] % gr.p).any(axis=-1)
+
+
+def random_element(ctx, kind: str, rng) -> np.ndarray:
+    """A random element of I (``kind`` "I") or of K mod p^2."""
+    gr = ctx.gr
+    while True:
+        m = rng.integers(0, gr.p2, (2, 2, ctx.params.f))
+        if kind == "I":
+            m[1, 0] = (m[1, 0] * ctx.params.p) % gr.p2
+        if gr.mat_is_unit(m):
+            return m
+
+
+def check_module(mod, rng, samples: int = 20) -> None:
+    """Agreement of the generator matrices and of one stacked evaluation with
+    single calls, multiplicativity on random pairs, and triviality on the
+    declared level."""
+    ctx = mod.ctx
+    gf, gr = ctx.gf, ctx.gr
+    kind = mod.group
+    want = [mod.evaluate(g) for g in ctx.gens(kind)]
+    if not all((M == E).all() for M, E in zip(mod.gen_mats(kind), want, strict=True)):
+        raise AssertionError(f"{mod} generator matrices disagree with its evaluator")
+    gs = np.stack([random_element(ctx, kind, rng) for _ in range(2 * samples)])
+    single = np.stack([mod.evaluate(g) for g in gs])
+    if not (mod.evaluate(gs) == single).all():
+        raise AssertionError(f"{mod} stacked evaluation disagrees with single calls")
+    products = mod.evaluate(gr.mat_mul(gs[0::2], gs[1::2]))
+    for E, F, P in zip(single[0::2], single[1::2], products):
+        if not (gf.matmul(E, F) == P).all():
+            raise AssertionError(f"{mod} evaluator is not multiplicative")
+    eye = gf.eye(mod.dim)
+    if not (mod.evaluate(gr.mat_eye()) == eye).all():
+        raise AssertionError(f"{mod} does not send identity to identity")
+    p, f = ctx.params.p, ctx.params.f
+    for _ in range(samples):
+        if mod.level == "K1":
+            m = (gr.mat_eye() + p * rng.integers(0, p, (2, 2, f))) % gr.p2
+        elif mod.level == "I2":
+            # second Iwahori congruence subgroup mod p^2: unipotent with a p-multiple above
+            m = gr.mat_eye()
+            m[0, 1] = (p * rng.integers(0, p, f)) % gr.p2
+        else:
+            m = gr.mat_eye()
+        if not (mod.evaluate(m) == eye).all():
+            raise AssertionError(f"{mod} is not trivial on its declared level")
+
+
 @pytest.fixture(scope="module")
 def ctx52():
     return get_context(Params(5, 2))
@@ -56,12 +106,12 @@ def test_coset_decompose_round_trip(ctx52):
     rng = np.random.default_rng(7)
     reps = ctx.coset_reps()
     for _ in range(200):
-        g = ctx.random_element("K", rng)
+        g = random_element(ctx, "K", rng)
         idx, i = ctx.coset_decompose(g)
-        assert gr.mat_in_I(i)
+        assert mat_in_I(gr, i)
         assert (gr.mat_mul(reps[idx], i) == g % gr.p2).all()
     # Iwahori elements decompose over the identity coset
-    g = ctx.random_element("I", rng)
+    g = random_element(ctx, "I", rng)
     idx, i = ctx.coset_decompose(g)
     assert idx == ctx.gf.q and (i == g % gr.p2).all()
     # the antidiagonal lift lands in the zero coset
@@ -82,12 +132,12 @@ def test_stacked_coset_decompose(p, f):
     targets, parts = ctx.coset_decompose(prods)
     assert targets.shape == (len(gens), ctx.gf.q + 1) and parts.shape == prods.shape
     assert (gr.mat_mul(reps[targets], parts) == prods).all()
-    assert gr.mat_in_I(parts).all()
+    assert mat_in_I(gr, parts).all()
     for k, ell in np.ndindex(targets.shape):
         g = gr.mat_mul(gens[k], reps[ell])
         idx, i = ctx.coset_decompose(g)
         assert idx.shape == () and idx == targets[k, ell]
-        assert (i == parts[k, ell]).all() and gr.mat_in_I(i)
+        assert (i == parts[k, ell]).all() and mat_in_I(gr, i)
         assert (gr.mat_mul(reps[idx], i) == g).all()
     # each generator permutes the cosets
     assert (np.sort(targets, axis=1) == np.arange(ctx.gf.q + 1)).all()
@@ -106,7 +156,7 @@ def test_group_stacks_are_cached_read_only_arrays(p, f):
     assert gens.shape == (6 * f + 2, 2, 2, f) and reps.shape == (q + 1, 2, 2, f)
     assert ctx.k_gens() is gens and ctx.coset_reps() is reps
     # the representatives are the per-lambda construction, then the identity
-    one_by_one = [gr.mat(gr.teichmuller(lam), gr.one(), gr.one(), gr.zero()) for lam in range(q)]
+    one_by_one = [gr.mat(gr.teich[lam], gr.one(), gr.one(), gr.zero()) for lam in range(q)]
     assert (reps == np.stack(one_by_one + [gr.mat_eye()])).all()
     for cached in (gens, reps):
         with pytest.raises(ValueError, match="read-only"):
@@ -190,9 +240,9 @@ def test_kind_positions(p, f):
         return gr.reduce_p(x)
 
     for g in ctx.gens("I"):
-        assert gr.mat_in_I(g)
+        assert mat_in_I(gr, g)
     for g in ctx.gens("I1"):
-        assert gr.mat_in_I(g) and red(g[0, 0]) == red(g[1, 1]) == 1
+        assert mat_in_I(gr, g) and red(g[0, 0]) == red(g[1, 1]) == 1
     for g in ctx.gens("U+"):
         assert (g[0, 0] == gr.one()).all() and (g[1, 1] == gr.one()).all() and not g[1, 0].any()
     for g in ctx.gens("U-"):
@@ -210,7 +260,7 @@ def test_kind_positions(p, f):
 def test_pi_normalizes_iwahori(ctx52):
     gr = ctx52.gr
     for g in ctx52.gens("I"):
-        assert gr.mat_in_I(gr.swap_conjugate(g))
+        assert mat_in_I(gr, gr.swap_conjugate(g))
 
 
 def test_module_multiplicativity(ctx52):
@@ -770,7 +820,7 @@ def test_pi_twist_involution_and_character(ctx52):
     E = ej_module(ctx, chi, 0)
     EE = pi_twist(pi_twist(E))
     for _ in range(10):
-        g = ctx.random_element("I", rng)
+        g = random_element(ctx, "I", rng)
         assert (EE.evaluate(g) == E.evaluate(g)).all()
     # the twist of a character is its conjugate
     C = pi_twist(character_module(ctx, chi))
@@ -871,7 +921,7 @@ def test_stacked_evaluators_match_single_calls(pf, seed):
     P = pi_twist(E)
     mods = [W, C, E, P, induce(C), induce(E), induce(P)]
     for mod in mods:
-        stack = np.stack([ctx.random_element(mod.group, rng) for _ in range(6)]).reshape(2, 3, 2, 2, f)
+        stack = np.stack([random_element(ctx, mod.group, rng) for _ in range(6)]).reshape(2, 3, 2, 2, f)
         images = mod.evaluate(stack)
         assert images.shape == (2, 3, mod.dim, mod.dim), mod
         for i, k in np.ndindex(2, 3):

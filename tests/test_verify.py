@@ -6,7 +6,7 @@ from gl2diamond import filtration, verify
 from gl2diamond.cli import main
 from gl2diamond.core import DomainError, Params, Weight, chi_of_weight
 from gl2diamond.diamond import GaloisParams
-from gl2diamond.oracle import vectors
+from gl2diamond.oracle import modules, vectors
 from gl2diamond.verify import RunConfig, generic_parameters, run_suite, sweep_characters
 
 
@@ -92,6 +92,23 @@ def test_vector_suites_build_one_induction_per_slot(suite, monkeypatch):
     checks = run_suite(RunConfig(p=5, f=2, suite=suite))
     assert all_pass(checks)
     assert built == [0, 1]
+
+
+def test_s1s2_builds_one_induction_per_character(monkeypatch):
+    # the six chains of chi share the induction of its twist; the glued
+    # module's chain, of another character, builds the second
+    built = []
+    real = modules.induce
+
+    def counting(mod):
+        built.append(mod)
+        return real(mod)
+
+    monkeypatch.setattr(modules, "induce", counting)
+    monkeypatch.setattr(vectors, "induce", counting)
+    checks = run_suite(RunConfig(p=5, f=2, r=(2, 1), suite="s1s2"))
+    assert all_pass(checks)
+    assert len(built) == 2
 
 
 def test_f2_filtrations_do_not_check_the_table_again(monkeypatch, capsys):
