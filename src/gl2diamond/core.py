@@ -80,7 +80,7 @@ class Params(NamedTuple("Params", [("p", int), ("f", int)])):
         return self.p ** self.f
 
     def mod_qm1(self, k: int) -> int:
-        return k % (self.p ** self.f - 1)
+        return k % (self.q - 1)
 
 
 class Weight(NamedTuple("Weight", [("params", Params), ("r", tuple), ("twist", int)])):
@@ -95,7 +95,7 @@ class Weight(NamedTuple("Weight", [("params", Params), ("r", tuple), ("twist", i
         # compared as given, so -0.5 is out of range and "1" a TypeError
         if min(r) < 0 or max(r) > p - 1:
             raise DomainError(f"digits out of range [0, p-1]: {r}")
-        return tuple.__new__(cls, (params, tuple(map(int, r)), twist % (p ** f - 1)))
+        return tuple.__new__(cls, (params, tuple(map(int, r)), params.mod_qm1(twist)))
 
     def __str__(self):
         body = "(" + ",".join(str(ri) for ri in self.r) + ")"

@@ -45,9 +45,6 @@ class FiltrationLayers(NamedTuple):
 
     layers: list
 
-    def __len__(self):
-        return len(self.layers)
-
     def weights(self) -> list:
         return [w for layer in self.layers for w in layer]
 

@@ -219,24 +219,28 @@ def verify_uplus(bundle: TwistedExtensionInduction, k: int) -> CheckReport:
     return rep
 
 
-def ej_chain_module(ctx: GroupContext, chi: ICharacter, j: int, s: int, base=None) -> ExplicitModule:
+def chain_induction(ctx: GroupContext, chi: ICharacter) -> ExplicitModule:
+    """The induction of the twist of chi, in which every chain of chi sits."""
+    return induce(pi_twist(character_module(ctx, chi)))
+
+
+def ej_chain_module(base: ExplicitModule, chi: ICharacter, j: int, s: int) -> ExplicitModule:
     """The uniserial (s+1)-dimensional chain below Ind of the twisted character:
-    the span of f_(p^j s) under the Iwahori inside the induction of the twist
-    of chi.  ``base`` is that induction, when the caller has built it."""
+    the span of f_(p^j s) under the Iwahori inside ``base``, which is
+    ``chain_induction(ctx, chi)``."""
+    ctx = base.ctx
     if not 0 <= s <= ctx.params.p - 1:
         raise DomainError("chain length out of range")
-    gf = ctx.gf
-    if base is None:
-        base = induce(pi_twist(character_module(ctx, chi)))
     k = ctx.params.p ** j * s
     seed = coset_sum_vector(ctx, 1, np.array([1]), k)
-    sub = spin(gf, base.moving_mats("I"), seed)
+    sub = spin(ctx.gf, base.moving_mats("I"), seed)
     return sub_module(base, sub, name=f"chain({chi},{j},{s})", group="I")
 
 
-def verify_ej_chain(ctx: GroupContext, chi: ICharacter, j: int, s: int, base=None) -> CheckReport:
+def verify_ej_chain(base: ExplicitModule, chi: ICharacter, j: int, s: int) -> CheckReport:
+    """Checks of the chain of chi in ``base = chain_induction(ctx, chi)``."""
     rep = CheckReport("chain", f"chi=({chi.a},{chi.b}),j={j},s={s}")
-    mod = ej_chain_module(ctx, chi, j, s, base)
+    mod = ej_chain_module(base, chi, j, s)
     rep.add("dimension", mod.dim == s + 1, s + 1, mod.dim)
     layers = [sorted(layer.elements(), key=lambda c: (c.a, c.b)) for layer in socle_series(mod)]
     expected = [[char_times_alpha_power(chi, j, -i)] for i in range(s + 1)]
@@ -271,7 +275,7 @@ def e_two_char_module(ctx: GroupContext, chi: ICharacter, chi2: ICharacter, j: i
     rhs = char_times_alpha_power(chi2, j, -1)
     if lhs != rhs:
         raise DomainError("characters are incompatible with the gluing")
-    A = ej_chain_module(ctx, chi, jm1, s_plus_1)
+    A = ej_chain_module(chain_induction(ctx, chi), chi, jm1, s_plus_1)
     B = ej_module(ctx, chi2, j)
     gf = ctx.gf
     dA, dB = A.dim, B.dim

@@ -296,8 +296,8 @@ def suite_s1s2(config: RunConfig) -> Iterator[CheckReport]:
     import numpy as np
 
     from .oracle.groups import get_context
-    from .oracle.modules import character_module, h_eigen_split, induce, pi_twist
-    from .oracle.vectors import e_two_char_module, verify_S1_condition, verify_e_two_char, verify_ej_chain
+    from .oracle.modules import h_eigen_split
+    from .oracle.vectors import chain_induction, e_two_char_module, verify_S1_condition, verify_e_two_char, verify_ej_chain
 
     # chain modules and glued modules at the configured parameters
     params = config.params
@@ -305,9 +305,9 @@ def suite_s1s2(config: RunConfig) -> Iterator[CheckReport]:
     [w] = _weights(config, [Weight(params, _interior_r(params), config.twist)])
     chi = chi_of_weight(w)
     # every chain of chi sits in the one induction of its twist
-    base = induce(pi_twist(character_module(ctx, chi)))
+    base = chain_induction(ctx, chi)
     yield from (
-        verify_ej_chain(ctx, chi, j, s, base)
+        verify_ej_chain(base, chi, j, s)
         for j in range(params.f)
         for s in range(1, min(3, params.p - 1) + 1)
     )

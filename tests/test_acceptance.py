@@ -46,6 +46,7 @@ from gl2diamond.oracle.modules import (
 )
 from gl2diamond.oracle.vectors import (
     TwistedExtensionInduction,
+    chain_induction,
     e_two_char_module,
     verify_S1_condition,
     verify_e_two_char,
@@ -247,13 +248,15 @@ def test_criterion_10_structure_modules():
     par1 = Params(5, 1)
     ctx1 = get_context(par1)
     chi1 = chi_of_weight(Weight(par1, (2,), 0))
+    base1 = chain_induction(ctx1, chi1)
     for s in range(par1.p):
-        ok = ok and verify_ej_chain(ctx1, chi1, 0, s).passed
+        ok = ok and verify_ej_chain(base1, chi1, 0, s).passed
     par = Params(5, 2)
     ctx = get_context(par)
     chi = chi_of_weight(Weight(par, (2, 1), 0))
+    base = chain_induction(ctx, chi)
     for j in (0, 1):
-        ok = ok and verify_ej_chain(ctx, chi, j, 2).passed
+        ok = ok and verify_ej_chain(base, chi, j, 2).passed
 
     # glued two-character modules: the f=2 instance
     rho = GaloisParams(par, False, (2, 1), 0)

@@ -131,7 +131,7 @@ def test_example1_layer_count_and_coincidences():
     par = Params(7, 3)
     sigma = Weight(par, (2, 2, 2), 0)
     ex = example1_filtration(sigma, 0)
-    assert len(ex.layers) == ex.r_pivot + 2
+    assert len(ex.layers.layers) == ex.r_pivot + 2
     assert ex.blocks[0][frozenset({2})] == ex.omega
     for _, a, b in ex.coincidences:
         assert a == b

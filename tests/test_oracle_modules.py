@@ -315,7 +315,7 @@ def _char_ladder(mod):
 @given(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3)]), st.data())
 def test_i_socle_series_matches_the_invariants_loop(pf, data):
     from gl2diamond.core import char_times_alpha_power
-    from gl2diamond.oracle.vectors import e_two_char_module, ej_chain_module
+    from gl2diamond.oracle.vectors import chain_induction, e_two_char_module, ej_chain_module
 
     p, f = pf
     ctx = get_context(Params(p, f))
@@ -324,7 +324,8 @@ def test_i_socle_series_matches_the_invariants_loop(pf, data):
     chi = chi_of_weight(Weight(ctx.params, r, data.draw(st.integers(0, gf.q - 2))))
     j = data.draw(st.integers(0, f - 1))
     mods = [ej_module(ctx, chi, j)]
-    mods += [ej_chain_module(ctx, chi, j, s) for s in range(min(3, p - 1) + 1)]
+    chains = chain_induction(ctx, chi)
+    mods += [ej_chain_module(chains, chi, j, s) for s in range(min(3, p - 1) + 1)]
     if f == 2:
         s = data.draw(st.integers(0, p - 2))
         # chi2 * alpha_j^(-1) = chi * alpha_(j-1)^(-(s+1)), the gluing condition
@@ -802,13 +803,13 @@ def test_chain_of_length_two_is_the_extension(ctx51):
     # equal two-step ladders and a one-dimensional Ext^1 between the two
     # characters: both are the unique nonsplit extension, so chain(s=1) ~ E_0
     from gl2diamond.core import ext1_dim_I
-    from gl2diamond.oracle.vectors import ej_chain_module
+    from gl2diamond.oracle.vectors import chain_induction, ej_chain_module
 
     ctx = ctx51
     chi = chi_of_weight(Weight(ctx.params, (2,), 0))
     E = ej_module(ctx, chi, 0)
     ladder = _char_ladder(E)
-    assert _char_ladder(ej_chain_module(ctx, chi, 0, 1)) == ladder
+    assert _char_ladder(ej_chain_module(chain_induction(ctx, chi), chi, 0, 1)) == ladder
     [[bottom], [top]] = ladder
     assert ext1_dim_I(top, bottom) == (1, -1, 0)
 
@@ -987,7 +988,7 @@ def _split_inputs(ctx, chi, j, s):
     quotients by the socle, and the whole space of the Iwahori modules."""
     from gl2diamond.core import char_times_alpha_power
     from gl2diamond.oracle.modules import socle_data
-    from gl2diamond.oracle.vectors import e_two_char_module, ej_chain_module
+    from gl2diamond.oracle.vectors import chain_induction, e_two_char_module, ej_chain_module
 
     out = []
     for mod in (induce(character_module(ctx, chi)), induce(ej_module(ctx, chi, j))):
@@ -995,7 +996,7 @@ def _split_inputs(ctx, chi, j, s):
         top = quotient_module(mod, socle_data(mod)[1])
         if top.dim:
             out.append((top, invariants(top)))
-    whole = [ej_module(ctx, chi, j), ej_chain_module(ctx, chi, j, s)]
+    whole = [ej_module(ctx, chi, j), ej_chain_module(chain_induction(ctx, chi), chi, j, s)]
     if ctx.params.f == 2:
         # chi2 * alpha_j^(-1) = chi * alpha_(j-1)^(-(s+1)), the gluing condition
         chi2 = char_times_alpha_power(char_times_alpha_power(chi, (j - 1) % 2, -(s + 1)), j, 1)

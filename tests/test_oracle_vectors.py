@@ -23,6 +23,7 @@ from gl2diamond.oracle.modules import (
 )
 from gl2diamond.oracle.vectors import (
     TwistedExtensionInduction,
+    chain_induction,
     coset_sum_vector,
     e_two_char_module,
     ej_chain_module,
@@ -101,8 +102,9 @@ def test_uplus_trivial_span(ctx51):
 
 def test_ej_chain(ctx51):
     chi = chi_of_weight(Weight(ctx51.params, (2,), 0))
+    base = chain_induction(ctx51, chi)
     for s in range(0, 5):
-        rep = verify_ej_chain(ctx51, chi, 0, s)
+        rep = verify_ej_chain(base, chi, 0, s)
         assert rep.passed, (s, rep.failures()[:2])
 
 
