@@ -51,9 +51,6 @@ class GR:
         v[0] = n % self.p2
         return v
 
-    def add(self, a, b):
-        return (a + b) % self.p2
-
     def sub(self, a, b):
         return (a - b) % self.p2
 

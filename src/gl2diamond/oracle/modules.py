@@ -1,9 +1,8 @@
 """Explicit finite modules: weights, Iwahori extensions, induction, socles.
 
 A module is read through the exact F_q matrices (acting on column
-coordinates) of its group's generators, built once per module, with a tag
-for the congruence subgroup known to act trivially.  Base modules build
-them from an evaluator on 2x2 matrices over the Galois ring:
+coordinates) of its group's generators, built once per module.  Base
+modules build them from an evaluator on 2x2 matrices over the Galois ring:
 symmetric-power weights of GL2(F_q), one-dimensional Iwahori characters,
 the two-dimensional nonsplit Iwahori extensions, twisting by the
 normalizer, and induction from I to K over the fixed coset representatives.
@@ -12,7 +11,7 @@ stack of their images (..., d, d), so a module's generator matrices are
 one call and an induced module evaluates all q+1 cosets of a whole stack
 in one call of its base.  Submodules, quotients and direct sums transform
 the matrices of their parts once.  A module notes which generators act as
-the identity (read from the matrices, not from the level tag); spins,
+the identity (read from the matrices); spins,
 invariants, radicals and derived modules skip them.  Only the walk of
 ``hom_from_weight`` along the coset tree, whose words are fixed, multiplies
 by every generator.
@@ -41,13 +40,12 @@ from ..core import (
     DomainError,
     ICharacter,
     Weight,
+    char_times_alpha_power,
     weight_dim,
     weights_of_char,
 )
 from .gf import TABLE_BYTES_LIMIT, Subspace, nullspace, rref
 from .groups import GroupContext
-
-LEVELS = ("K1", "K2", "I2")
 
 
 class ExplicitModule:
@@ -59,15 +57,13 @@ class ExplicitModule:
     A module has either an evaluator (base modules and inductions, whose
     list is one ``evaluate`` of the stacked generators) or ``derive()``
     (submodules, quotients, sums), which builds the list from its parts'
-    lists.  ``gen_mats(kind)`` selects the
+    lists and is then dropped, so that a socle series does not hold every
+    quotient before it.  ``gen_mats(kind)`` selects the
     positions of a subgroup kind, which serve I- and K-modules alike, and
     ``moving_mats(kind)`` only those whose image is not the identity.
     """
 
-    def __init__(self, ctx: GroupContext, dim: int, group: str, level: str, name: str = "",
-                 evaluate=None, derive=None):
-        if level not in LEVELS:
-            raise DomainError(f"unknown level tag {level!r}")
+    def __init__(self, ctx: GroupContext, dim: int, group: str, name: str = "", evaluate=None, derive=None):
         if group not in ("K", "I"):
             raise DomainError(f"unknown group tag {group!r}")
         self.ctx = ctx
@@ -76,7 +72,6 @@ class ExplicitModule:
             self.evaluate = evaluate
         self._derive = derive
         self.group = group
-        self.level = level
         self.name = name
         self._mats = None
         self._identities = None
@@ -90,7 +85,7 @@ class ExplicitModule:
             raise DomainError(f"{kind!r} is not a subgroup kind of {self.group}")
         if self._mats is None:
             if self._derive is not None:
-                self._mats = self._derive()
+                self._mats, self._derive = self._derive(), None
             else:
                 self._mats = self.evaluate(self.ctx.gens(self.group))
             self._identities = frozenset(i for i, M in enumerate(self._mats) if _is_identity(M))
@@ -121,7 +116,7 @@ class ExplicitModule:
 
     def __repr__(self):
         tag = self.name or "module"
-        return f"<{tag}: dim {self.dim} over {self.group}, {self.level}-trivial>"
+        return f"<{tag}: dim {self.dim} over {self.group}>"
 
 
 def _is_identity(M) -> bool:
@@ -169,22 +164,20 @@ def weight_module(ctx: GroupContext, sigma: Weight) -> ExplicitModule:
             a, b, c, d = gf.frob_t[a], gf.frob_t[b], gf.frob_t[c], gf.frob_t[d]
         return gf.mul_t[gf.pow_vec(det, sigma.twist)[..., None, None], M]
 
-    return ExplicitModule(ctx, weight_dim(sigma), "K", "K1", f"weight {sigma}", evaluate=evaluate)
+    return ExplicitModule(ctx, weight_dim(sigma), "K", f"weight {sigma}", evaluate=evaluate)
 
 
 def character_module(ctx: GroupContext, chi: ICharacter) -> ExplicitModule:
     def evaluate(g):
         return ctx.char_value(chi, g)[..., None, None]
 
-    return ExplicitModule(ctx, 1, "I", "K1", f"char {chi}", evaluate=evaluate)
+    return ExplicitModule(ctx, 1, "I", f"char {chi}", evaluate=evaluate)
 
 
 def ej_module(ctx: GroupContext, chi: ICharacter, j: int) -> ExplicitModule:
     """Nonsplit extension of chi*alpha^(-p^j) by chi on the frame {v, w}."""
     gf = ctx.gf
     par = ctx.params
-    from ..core import char_times_alpha_power
-
     chi2 = char_times_alpha_power(chi, j, -1)
     pj = par.p ** j
 
@@ -196,7 +189,7 @@ def ej_module(ctx: GroupContext, chi: ICharacter, j: int) -> ExplicitModule:
         out[..., 0, 0], out[..., 0, 1], out[..., 1, 1] = v1, gf.mul_t[v2, s], v2
         return out
 
-    return ExplicitModule(ctx, 2, "I", "K1", f"E_{j}({chi})", evaluate=evaluate)
+    return ExplicitModule(ctx, 2, "I", f"E_{j}({chi})", evaluate=evaluate)
 
 
 def pi_twist(mod: ExplicitModule) -> ExplicitModule:
@@ -208,7 +201,7 @@ def pi_twist(mod: ExplicitModule) -> ExplicitModule:
     def evaluate(g):
         return mod.evaluate(ctx.gr.swap_conjugate(g))
 
-    return ExplicitModule(ctx, mod.dim, "I", "I2", f"Pi({mod.name})", evaluate=evaluate)
+    return ExplicitModule(ctx, mod.dim, "I", f"Pi({mod.name})", evaluate=evaluate)
 
 
 def _induced_bytes(q: int, f: int, d: int) -> int:
@@ -252,7 +245,7 @@ def induce(mod: ExplicitModule) -> ExplicitModule:
         out[np.arange(len(blocks))[:, None], targets.reshape(-1, q + 1), :, np.arange(q + 1), :] = blocks
         return out.reshape(g.shape[:-3] + (n, n))
 
-    return ExplicitModule(ctx, n, "K", "K2", f"Ind({mod.name})", evaluate=evaluate)
+    return ExplicitModule(ctx, n, "K", f"Ind({mod.name})", evaluate=evaluate)
 
 
 def sub_module(mod: ExplicitModule, sub: Subspace, name: str = "", group: str | None = None) -> ExplicitModule:
@@ -265,26 +258,29 @@ def sub_module(mod: ExplicitModule, sub: Subspace, name: str = "", group: str | 
     def derive():
         return mod.derived_mats(group, sub.dim, lambda M: sub.express(gf.matmul(B, M.T)).T)
 
-    return ExplicitModule(mod.ctx, sub.dim, group, mod.level, name or f"sub({mod.name})", derive=derive)
+    return ExplicitModule(mod.ctx, sub.dim, group, name or f"sub({mod.name})", derive=derive)
 
 
 def quotient_module(mod: ExplicitModule, sub: Subspace, name: str = "") -> ExplicitModule:
+    """Action on the complement coordinates of the residues modulo an
+    invariant row subspace: v reduces to v[comp] + E v[pivots] with
+    E = -basis[:, comp]^T, so M goes to Mc[comp] + E Mc[pivots], Mc = M[:, comp]."""
     gf = mod.gf
-    comp = sub.complement_coords()
-    # P sends v to the complement coordinates of its residue modulo sub
-    P = np.zeros((len(comp), mod.dim), dtype=np.int64)
-    P[:, comp] = gf.eye(len(comp))
-    P[:, sub.pivots] = gf.neg_t[sub.basis[:, comp]].T
+    comp, pivots = np.array(sub.complement_coords(), dtype=np.intp), np.array(sub.pivots, dtype=np.intp)
+    E = gf.neg_t[sub.basis[:, comp]].T
+
+    def image(M):
+        Mc = M[:, comp]
+        return gf.add(Mc[comp], gf.matmul(E, Mc[pivots]))
 
     def derive():
-        return mod.derived_mats(mod.group, len(comp), lambda M: gf.matmul(P, M[:, comp]))
+        return mod.derived_mats(mod.group, len(comp), image)
 
-    return ExplicitModule(mod.ctx, len(comp), mod.group, mod.level, name or f"quot({mod.name})", derive=derive)
+    return ExplicitModule(mod.ctx, len(comp), mod.group, name or f"quot({mod.name})", derive=derive)
 
 
 def direct_sum(A: ExplicitModule, B: ExplicitModule) -> ExplicitModule:
-    """Block-diagonal action over the smaller group; the level is the common
-    one, or K2 (trivial on every module here) when they differ."""
+    """Block-diagonal action over the smaller group."""
     if A.ctx is not B.ctx:
         raise DomainError("modules live over different contexts")
     zero = np.zeros((A.dim, B.dim), dtype=np.int64)
@@ -293,8 +289,7 @@ def direct_sum(A: ExplicitModule, B: ExplicitModule) -> ExplicitModule:
     def derive():
         return [np.block([[MA, zero], [zero.T, MB]]) for MA, MB in zip(A.gen_mats(group), B.gen_mats(group))]
 
-    level = A.level if A.level == B.level else "K2"
-    return ExplicitModule(A.ctx, A.dim + B.dim, group, level, f"{A.name} + {B.name}", derive=derive)
+    return ExplicitModule(A.ctx, A.dim + B.dim, group, f"{A.name} + {B.name}", derive=derive)
 
 
 def invariants(mod: ExplicitModule) -> np.ndarray:
@@ -367,23 +362,22 @@ def h_eigen_split(mod: ExplicitModule, rows) -> list:
     return out
 
 
-def _weight_walk(ctx: GroupContext, r: tuple, twist: int = 0) -> np.ndarray:
+def _weight_walk(ctx: GroupContext, r: tuple) -> np.ndarray:
     """sigma(word_i) v0 for the words of the coset tree, as rows (q+1, d), for
-    the weight sigma with digits r and that twist and its fixed vector v0:
-    det(word_i)^twist times the tensor product over the digits of the
-    Frobenius twists of the first column of ``_sym_power``, the image
-    (C(r, t) a^(r-t) c^t)_t of x^r.  No weight module is built."""
+    the untwisted weight sigma with digits r and its fixed vector v0: the
+    tensor product over the digits of the Frobenius twists of the first
+    column of ``_sym_power``, the image (C(r, t) a^(r-t) c^t)_t of x^r.  No
+    weight module is built."""
     gf = ctx.gf
-    tree = ctx.coset_tree()
-    ac = ctx.gr.reduce_p(tree.words[:, :, 0])[..., None]
-    walk = np.ones((len(tree.words), 1), dtype=np.int64)
+    ac = ctx.gr.reduce_p(ctx.coset_tree().words[:, :, 0])[..., None]
+    walk = np.ones((len(ac), 1), dtype=np.int64)
     for ri in r:
         n = np.arange(ri + 1)
         pa, pc = gf.pow_vec(ac, n).transpose(1, 0, 2)
         col = gf.mul_t[[comb(ri, t) % gf.p for t in n], gf.mul_t[pa[:, ri - n], pc]]
         walk = gf.mul_t[walk[:, :, None], col[:, None, :]].reshape(len(walk), -1)
         ac = gf.frob_t[ac]
-    return gf.mul_t[gf.exp_t[(twist * tree.det_logs) % (gf.q - 1)][:, None], walk]
+    return walk
 
 
 # bytes of relations ``_weight_relations`` keeps: every digit vector up to q = 125,
@@ -552,7 +546,7 @@ def cosocle_weights(mod: ExplicitModule) -> Counter:
     which sends each weight's dual back to the weight.  K's generators are
     closed under transposition, so nothing is inverted."""
     mats, perm = mod.gen_mats("K"), mod.ctx.transpose_positions()
-    return socle_weights(ExplicitModule(mod.ctx, mod.dim, "K", mod.level, f"transpose({mod.name})",
+    return socle_weights(ExplicitModule(mod.ctx, mod.dim, "K", f"transpose({mod.name})",
                                         derive=lambda: [mats[i].T for i in perm]))
 
 

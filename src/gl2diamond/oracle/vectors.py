@@ -53,19 +53,19 @@ from .modules import (
 )
 
 
-def coset_sum_vector(ctx: GroupContext, dim_m: int, member, k: int) -> np.ndarray:
+def coset_sum_vector(ctx: GroupContext, member, k: int) -> np.ndarray:
     """sum over lambda of lambda^k [g_lambda, member] in induced coordinates."""
     gf = ctx.gf
     coeffs = gf.pow_vec(np.arange(gf.q), k)  # 0^0 = 1, 0^k = 0 for k > 0
-    out = np.zeros((gf.q + 1, dim_m), dtype=np.int64)
+    out = np.zeros((gf.q + 1, len(member)), dtype=np.int64)
     out[: gf.q] = gf.mul_t[coeffs[:, None], np.asarray(member, dtype=np.int64)[None, :]]
     return out.ravel()
 
 
-def identity_coset_vector(ctx: GroupContext, dim_m: int, member) -> np.ndarray:
+def identity_coset_vector(ctx: GroupContext, member) -> np.ndarray:
     gf = ctx.gf
-    out = np.zeros((gf.q + 1) * dim_m, dtype=np.int64)
-    out[gf.q * dim_m :] = np.asarray(member, dtype=np.int64)
+    out = np.zeros((gf.q + 1) * len(member), dtype=np.int64)
+    out[gf.q * len(member) :] = np.asarray(member, dtype=np.int64)
     return out
 
 
@@ -82,9 +82,9 @@ def canonical_generator(ctx: GroupContext, char: ICharacter, member, factor) -> 
         par.p ** i * (par.p - 1 - factor.lam[i].value(digits[i], par.p))
         for i in factor.J
     )
-    vec = coset_sum_vector(ctx, len(member), member, k)
+    vec = coset_sum_vector(ctx, member, k)
     if epsilon_generator(char, factor.weight):
-        vec = gf.add(vec, identity_coset_vector(ctx, len(member), member * minus_one_to(t, gf)))
+        vec = gf.add(vec, identity_coset_vector(ctx, member * minus_one_to(t, gf)))
     return vec
 
 
@@ -104,17 +104,16 @@ class TwistedExtensionInduction:
         self.W = induce(pi_twist(ej_module(ctx, chi, j)))
         q = ctx.gf.q
         rows = np.zeros((q + 1, self.W.dim), dtype=np.int64)
-        for ell in range(q + 1):
-            rows[ell, ell * 2] = 1
+        rows[np.arange(q + 1), 2 * np.arange(q + 1)] = 1
         self.lower = Subspace(ctx.gf, rows)  # Ind of the twisted character line
         self.jh_lower = jh_of_induced(conjugate_char(chi))
         self.jh_upper = jh_of_induced(conjugate_char(self.psi))
 
     def f_vec(self, k: int) -> np.ndarray:
-        return coset_sum_vector(self.ctx, 2, np.array([1, 0]), k)
+        return coset_sum_vector(self.ctx, np.array([1, 0]), k)
 
     def F_vec(self, k: int) -> np.ndarray:
-        return coset_sum_vector(self.ctx, 2, np.array([0, 1]), k)
+        return coset_sum_vector(self.ctx, np.array([0, 1]), k)
 
     def u_generator_lower(self, factor) -> np.ndarray:
         """Canonical generator of the unique sub with cosocle ``factor`` below."""
@@ -232,7 +231,7 @@ def ej_chain_module(base: ExplicitModule, chi: ICharacter, j: int, s: int) -> Ex
     if not 0 <= s <= ctx.params.p - 1:
         raise DomainError("chain length out of range")
     k = ctx.params.p ** j * s
-    seed = coset_sum_vector(ctx, 1, np.array([1]), k)
+    seed = coset_sum_vector(ctx, np.array([1]), k)
     sub = spin(ctx.gf, base.moving_mats("I"), seed)
     return sub_module(base, sub, name=f"chain({chi},{j},{s})", group="I")
 
@@ -242,7 +241,7 @@ def verify_ej_chain(base: ExplicitModule, chi: ICharacter, j: int, s: int) -> Ch
     rep = CheckReport("chain", f"chi=({chi.a},{chi.b}),j={j},s={s}")
     mod = ej_chain_module(base, chi, j, s)
     rep.add("dimension", mod.dim == s + 1, s + 1, mod.dim)
-    layers = [sorted(layer.elements(), key=lambda c: (c.a, c.b)) for layer in socle_series(mod)]
+    layers = [sorted(layer.elements()) for layer in socle_series(mod)]
     expected = [[char_times_alpha_power(chi, j, -i)] for i in range(s + 1)]
     rep.add("uniserial ladder", layers == expected,
             [str(c[0]) for c in expected], [[str(x) for x in l] for l in layers])
@@ -302,9 +301,9 @@ def verify_e_two_char(mod: ExplicitModule, chi: ICharacter, chi2: ICharacter, j:
     s = s_plus_1 - 1
     rep = CheckReport("two-char", f"chi=({chi.a},{chi.b}),chi2=({chi2.a},{chi2.b}),j={j},s+1={s_plus_1}")
     rep.add("dimension", mod.dim == s + 3, s + 3, mod.dim)
-    got = [sorted(layer.elements(), key=lambda c: (c.a, c.b)) for layer in socle_series(mod)]
+    got = [sorted(layer.elements()) for layer in socle_series(mod)]
     jm1 = (j - 1) % par.f
-    want = [sorted([chi, chi2], key=lambda c: (c.a, c.b))]
+    want = [sorted([chi, chi2])]
     want += [[char_times_alpha_power(chi, jm1, -i)] for i in range(1, s + 2)]
     rep.add("socle ladder", got == want)
     chars = [c for l in got for c in l]
@@ -365,13 +364,13 @@ def verify_ind_ej(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     if base.r[j] > par.p - 2:
         raise DomainError("slot-j digit of the twisted character must be at most p-2")
     mod = induce(ej_module(ctx, chi, j))
-    R0 = coset_sum_vector(ctx, 2, np.array([0, 1]), 0)
-    Rq = coset_sum_vector(ctx, 2, np.array([0, 1]), gf.q - 1)
+    R0 = coset_sum_vector(ctx, np.array([0, 1]), 0)
+    Rq = coset_sum_vector(ctx, np.array([0, 1]), gf.q - 1)
     fixed = all((gf.matmul(R0[None], M.T) == R0).all() for M in mod.moving_mats("I1"))
     rep.add("bottom sum is pro-p fixed", fixed)
     gen0 = R0
     if psi == conjugate_char(chi):
-        corr = identity_coset_vector(ctx, 2, np.array([1, 0]))
+        corr = identity_coset_vector(ctx, np.array([1, 0]))
         gen0 = gf.add(R0, gf.mul(int(gf.neg_t[minus_one_to(base.twist, gf)]), corr))
     span0 = spin(gf, mod.moving_mats("K"), gen0)
     target = sigma_s(base)
@@ -382,7 +381,7 @@ def verify_ind_ej(ctx: GroupContext, chi: ICharacter, j: int) -> CheckReport:
     rep.add("span is the predicted weight", ok, str(target))
     spanq = spin(gf, mod.moving_mats("K"), Rq)
     rep.add("top sum generates everything", spanq.dim == mod.dim, mod.dim, spanq.dim)
-    w_vec = identity_coset_vector(ctx, 2, np.array([0, 1]))
+    w_vec = identity_coset_vector(ctx, np.array([0, 1]))
     g0 = ctx.coset_reps()[0]  # ([0],1;1,0) = the antidiagonal involution lift
     lhs = gf.matmul(w_vec[None], mod.evaluate(g0).T)
     rep.add("reflection identity", (lhs == gf.sub(R0, Rq)).all())
@@ -393,7 +392,7 @@ def verify_u_generators(ctx: GroupContext, chi: ICharacter) -> CheckReport:
     """Each canonical generator spans exactly the predicted sub of the induction."""
     gf = ctx.gf
     rep = CheckReport("u-generator", f"chi=({chi.a},{chi.b})")
-    base = induce(pi_twist(character_module(ctx, chi)))
+    base = chain_induction(ctx, chi)
     for factor in jh_of_induced(conjugate_char(chi)).factors:
         vec = canonical_generator(ctx, chi, np.array([1]), factor)
         span = spin(gf, base.moving_mats("K"), vec)

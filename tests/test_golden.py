@@ -4,12 +4,15 @@ byte for byte with recorded reports.
 A golden file is regenerated with
     PYTHONPATH=src python -m gl2diamond.cli ARGV > tests/golden/NAME.json
 and should change only when a check itself is meant to change.  The
+slowest entry of ``COMMANDS`` is verify-jh-p5-f4-r2-2-0-0 (about 5 s),
+whose socle series takes four quotients of dimension up to 626.  The
 reports in ``PINNED`` are kept by their sha256 only: the combination sweep
 at p = 5, f = 3 (1.4 MB, checked here too), the counts sweep at p = 5,
-f = 5 (about 9 s), the combination sweep at p = 5, f = 4 (34.7 MB, about
-3 s), and the uplus and calculH sweeps at p = 5, f = 3 (about 30 s and
-4 s).  tests/golden/verify-womega-p5-f3.json takes about 15 s.  CI
+f = 5 (about 2 s), the combination sweep at p = 5, f = 4 (34.7 MB, about
+2.5 s), and the uplus and calculH sweeps at p = 5, f = 3 (about 32 s and
+3 s).  tests/golden/verify-womega-p5-f3.json takes about 8 s.  CI
 (.github/workflows/tier1.yml) checks every pin and that golden file.
+Times are on a 2-vCPU Xeon.
 """
 
 import hashlib
@@ -47,6 +50,7 @@ COMMANDS = {
     "verify-indej-p5-f3": ["verify", "--suite", "indej", "--p", "5", "--f", "3", "--format", "json"],
     "verify-jh-p7-f3-r2-3-4": ["verify", "--suite", "jh", "--p", "7", "--f", "3", "--r", "2,3,4", "--format", "json"],
     "verify-jh-p5-f4-r0-0-0-0": ["verify", "--suite", "jh", "--p", "5", "--f", "4", "--r", "0,0,0,0", "--format", "json"],
+    "verify-jh-p5-f4-r2-2-0-0": ["verify", "--suite", "jh", "--p", "5", "--f", "4", "--r", "2,2,0,0", "--format", "json"],
     "d0-p7-f3-r2-1-3": ["d0", "--p", "7", "--f", "3", "--r", "2,1,3", "--format", "json"],
     "d0-p5-f1-r1": ["d0", "--p", "5", "--f", "1", "--r", "1", "--format", "json"],
     "d0-p7-f1-reducible-r2": ["d0", "--p", "7", "--f", "1", "--case", "reducible", "--r", "2", "--format", "json"],

@@ -55,10 +55,10 @@ def random_element(ctx, kind: str, rng) -> np.ndarray:
             return m
 
 
-def check_module(mod, rng, samples: int = 20) -> None:
+def check_module(mod, level, rng, samples: int = 20) -> None:
     """Agreement of the generator matrices and of one stacked evaluation with
     single calls, multiplicativity on random pairs, and triviality on the
-    declared level."""
+    congruence subgroup ``level`` ("K1", "I2", or None for none)."""
     ctx = mod.ctx
     gf, gr = ctx.gf, ctx.gr
     kind = mod.group
@@ -78,16 +78,16 @@ def check_module(mod, rng, samples: int = 20) -> None:
         raise AssertionError(f"{mod} does not send identity to identity")
     p, f = ctx.params.p, ctx.params.f
     for _ in range(samples):
-        if mod.level == "K1":
+        if level == "K1":
             m = (gr.mat_eye() + p * rng.integers(0, p, (2, 2, f))) % gr.p2
-        elif mod.level == "I2":
+        elif level == "I2":
             # second Iwahori congruence subgroup mod p^2: unipotent with a p-multiple above
             m = gr.mat_eye()
             m[0, 1] = (p * rng.integers(0, p, f)) % gr.p2
         else:
             m = gr.mat_eye()
         if not (mod.evaluate(m) == eye).all():
-            raise AssertionError(f"{mod} is not trivial on its declared level")
+            raise AssertionError(f"{mod} is not trivial on {level}")
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +194,7 @@ def test_induced_matrices_agree_with_evaluator_at_q27():
     ctx = get_context(Params(3, 3))
     chi = chi_of_weight(Weight(ctx.params, (1, 1, 1), 0))
     mod = induce(ej_module(ctx, chi, 1))
-    check_module(mod, np.random.default_rng(4), samples=6)
+    check_module(mod, None, np.random.default_rng(4), samples=6)
 
 
 def test_induce_needs_an_evaluator(ctx51):
@@ -216,7 +216,7 @@ def test_evaluator_multiplicativity_100_samples(ctx52):
     sigma = Weight(ctx.params, (1, 2), 5)
     chi = chi_of_weight(sigma)
     for mod in (weight_module(ctx, sigma), ej_module(ctx, chi, 0)):
-        check_module(mod, rng, samples=100)
+        check_module(mod, "K1", rng, samples=100)
 
 
 def test_generators_generate(ctx52):
@@ -268,14 +268,14 @@ def test_module_multiplicativity(ctx52):
     ctx = ctx52
     sigma = Weight(ctx.params, (2, 1), 3)
     chi = chi_of_weight(sigma)
-    for mod in (
-        weight_module(ctx, sigma),
-        character_module(ctx, chi),
-        ej_module(ctx, chi, 1),
-        pi_twist(ej_module(ctx, chi, 0)),
-        induce(pi_twist(character_module(ctx, chi))),
+    for mod, level in (
+        (weight_module(ctx, sigma), "K1"),
+        (character_module(ctx, chi), "K1"),
+        (ej_module(ctx, chi, 1), "K1"),
+        (pi_twist(ej_module(ctx, chi, 0)), "I2"),
+        (induce(pi_twist(character_module(ctx, chi))), None),
     ):
-        check_module(mod, rng, samples=12)
+        check_module(mod, level, rng, samples=12)
 
 
 def test_weight_invariants_char(ctx52):
@@ -637,18 +637,20 @@ def test_coset_tree_reaches_each_coset_once(pf):
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3)]), st.data())
 def test_weight_walk_is_the_first_column_of_the_weight(pf, data):
-    # sigma(word_i) v0 in closed form, against the weight module's evaluator
+    # sigma(word_i) v0 in closed form, times det(word_i)^t, against the weight module's evaluator
     from gl2diamond.oracle.modules import _weight_walk
 
     p, f = pf
     ctx = get_context(Params(p, f))
-    words = ctx.coset_tree().words
+    tree = ctx.coset_tree()
+    words = tree.words
     drawn = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
     for r in ((0,) * f, (p - 1,) * f, drawn):
         for t in {0, 1, data.draw(st.integers(0, ctx.gf.q - 2))}:
             W = weight_module(ctx, Weight(ctx.params, r, t))
             want = np.vstack([W.evaluate(words[s:s + 16])[:, :, 0] for s in range(0, len(words), 16)])
-            assert (_weight_walk(ctx, r, t) == want).all(), (r, t)
+            dets = ctx.gf.exp_t[(t * tree.det_logs) % (ctx.gf.q - 1)]
+            assert (ctx.gf.mul_t[dets[:, None], _weight_walk(ctx, r)] == want).all(), (r, t)
 
 
 def test_relations_are_kept_per_digit_vector_within_their_byte_bound(monkeypatch):
@@ -684,8 +686,9 @@ def test_words_of_a_weight_no_generator_moves(p, f):
     tree = ctx.coset_tree()
     for t in range(ctx.gf.q - 1):
         sigma = Weight(ctx.params, (0,) * f, t)
-        assert (_weight_walk(ctx, sigma.r, t)[:, 0] == ctx.gf.exp_t[(t * tree.det_logs) % (ctx.gf.q - 1)]).all()
         W = weight_module(ctx, sigma)
+        dets = ctx.gf.exp_t[(t * tree.det_logs) % (ctx.gf.q - 1)]
+        assert (ctx.gf.mul_t[dets[:, None], _weight_walk(ctx, sigma.r)] == W.evaluate(tree.words)[:, :, 0]).all()
         for mod, count in ((W, 1), (direct_sum(W, W), 2)):
             maps = hom_from_weight(mod, sigma, _eigen_rows(mod, sigma))
             assert len(maps) == count and all(m.shape == (1, mod.dim) for m in maps)
@@ -792,6 +795,23 @@ def test_socle_is_searched_once_per_module(ctx52, monkeypatch):
     assert socle_weights(mod) == want and socle_series(mod) == kept and len(calls) == searched
 
 
+def test_a_derived_module_lets_its_part_go_once_built(ctx52):
+    # a socle series holds only the quotient it is at, not every one before it
+    import weakref
+
+    from gl2diamond.oracle.modules import socle_data
+
+    chi = chi_of_weight(Weight(ctx52.params, (2, 1), 0))
+    mod = induce(character_module(ctx52, chi))
+    mid = quotient_module(mod, socle_data(mod)[1])
+    top = quotient_module(mid, socle_data(mid)[1])
+    part = weakref.ref(mid)
+    del mid
+    assert part() is not None
+    assert len(top.gen_mats("K")) == len(ctx52.gens("K"))
+    assert part() is None
+
+
 def test_jh_multiset_of_an_iwahori_module_is_refused(ctx52):
     chi = chi_of_weight(Weight(ctx52.params, (2, 1), 0))
     for mod in (character_module(ctx52, chi), ej_module(ctx52, chi, 1)):
@@ -873,6 +893,44 @@ def test_derived_matrices_intertwine(ctx51):
         R.gen_mats("K")
 
 
+def _quotient_by_projector(mod, sub) -> list:
+    """The quotient's images through a dense projector P (complement
+    coordinates of the residue modulo sub), as P @ M[:, comp]."""
+    gf = mod.gf
+    comp = sub.complement_coords()
+    P = np.zeros((len(comp), mod.dim), dtype=np.int64)
+    P[:, comp] = gf.eye(len(comp))
+    P[:, sub.pivots] = gf.neg_t[sub.basis[:, comp]].T
+    return [gf.matmul(P, M[:, comp]) for M in mod.gen_mats(mod.group)]
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (5, 2), (7, 2), (3, 3), (5, 3)])
+def test_quotient_images_match_a_dense_projector(p, f):
+    # Ind chi and its restriction to I, modulo the socle, the I1-radical (of
+    # the I-module), a random spin, the zero subspace and the whole space
+    from gl2diamond.oracle.modules import radical_subspace, socle_data
+
+    ctx = get_context(Params(p, f))
+    gf = ctx.gf
+    rng = np.random.default_rng(p * 10 + f)
+    r = tuple(int(x) for x in rng.integers(0, p, f))
+    ind = induce(character_module(ctx, chi_of_weight(Weight(ctx.params, r, int(rng.integers(0, gf.q - 1))))))
+    restricted = sub_module(ind, Subspace(gf, gf.eye(ind.dim)), group="I")
+    for mod in (ind, restricted):
+        n = mod.dim
+        subs = [socle_data(mod)[1], spin(gf, mod.moving_mats(mod.group), rng.integers(0, gf.q, n)),
+                Subspace(gf, ambient=n), Subspace(gf, gf.eye(n))]
+        if mod.group == "I":
+            subs.append(radical_subspace(mod, "I1"))
+            assert 0 < subs[-1].dim < n
+        assert 0 < subs[0].dim < n
+        for sub in subs:
+            got = quotient_module(mod, sub).gen_mats(mod.group)
+            want = _quotient_by_projector(mod, sub)
+            assert len(got) == len(want) and all(g.shape == (n - sub.dim,) * 2 for g in got)
+            assert all((g == w).all() for g, w in zip(got, want)), (mod, sub.dim)
+
+
 # -- stacked evaluators ------------------------------------------------------
 
 
@@ -945,9 +1003,9 @@ def test_check_module_catches_a_stack_that_disagrees(ctx51):
 
     bad = character_module(ctx, chi_of_weight(Weight(ctx.params, (2,), 1)))
     bad.evaluate = evaluate
-    check_module(C, np.random.default_rng(2), samples=4)
+    check_module(C, "K1", np.random.default_rng(2), samples=4)
     with pytest.raises(AssertionError, match="stacked"):
-        check_module(bad, np.random.default_rng(2), samples=4)
+        check_module(bad, "K1", np.random.default_rng(2), samples=4)
 
 
 # -- torus eigenspaces ---------------------------------------------------------
@@ -1030,7 +1088,7 @@ def test_h_eigen_split_of_a_unipotent_torus_raises(ctx52):
     from gl2diamond.oracle.modules import ExplicitModule
 
     unipotent = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    mod = ExplicitModule(ctx52, 2, "I", "K1", "unipotent", derive=lambda: [unipotent] * len(ctx52.gens("I")))
+    mod = ExplicitModule(ctx52, 2, "I", "unipotent", derive=lambda: [unipotent] * len(ctx52.gens("I")))
     with pytest.raises(AssertionError, match="H-semisimple"):
         h_eigen_split(mod, np.eye(2, dtype=np.int64))
 
@@ -1086,7 +1144,7 @@ def test_h_eigen_split_refusals_match_two_projector_chains(ctx52, split):
     from gl2diamond.oracle.modules import ExplicitModule
 
     unipotent = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    mod = ExplicitModule(ctx52, 2, "I", "K1", "unipotent", derive=lambda: [unipotent] * len(ctx52.gens("I")))
+    mod = ExplicitModule(ctx52, 2, "I", "unipotent", derive=lambda: [unipotent] * len(ctx52.gens("I")))
     with pytest.raises(AssertionError, match="H-semisimple"):
         split(mod, np.eye(2, dtype=np.int64))
     E = ej_module(ctx52, chi_of_weight(Weight(ctx52.params, (2, 1), 0)), 0)

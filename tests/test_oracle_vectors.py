@@ -53,9 +53,9 @@ def ctx52():
 def test_coset_sum_conventions(ctx51):
     q = ctx51.gf.q
     v = np.array([1])
-    f0 = coset_sum_vector(ctx51, 1, v, 0)
+    f0 = coset_sum_vector(ctx51, v, 0)
     assert f0[0] == 1  # the zero coset participates at k = 0
-    fq = coset_sum_vector(ctx51, 1, v, q - 1)
+    fq = coset_sum_vector(ctx51, v, q - 1)
     assert fq[0] == 0  # and is dropped at k = q-1
     assert fq[1:q].all()
 
