@@ -22,7 +22,6 @@ also holds the check record that every verification routine fills.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -217,17 +216,6 @@ def weight_dual(sigma: Weight) -> Weight:
     return Weight(par, sigma.r, -sigma.twist - s)
 
 
-@lru_cache(maxsize=None)
-def _alpha_pj_pairs(params: Params):
-    # (sign, j) -> the exponent pair of alpha^(sign * p^j)
-    out = {}
-    for j in range(params.f):
-        for sign in (+1, -1):
-            step = sign * params.p ** j
-            out[(sign, j)] = (params.mod_qm1(step), params.mod_qm1(-step))
-    return out
-
-
 def ext1_dim_I(chi_prime: ICharacter, chi: ICharacter, level: str = "Z1") -> tuple:
     """Dimension of the Iwahori extensions of chi_prime by chi, with witness.
 
@@ -240,11 +228,12 @@ def ext1_dim_I(chi_prime: ICharacter, chi: ICharacter, level: str = "Z1") -> tup
         raise DomainError(f"level must be 'Z1' or 'K1', got {level!r}")
     par = chi.params
     target = (par.mod_qm1(chi_prime.a - chi.a), par.mod_qm1(chi_prime.b - chi.b))
-    pairs = _alpha_pj_pairs(par)
     for sign in (-1, +1):
         if sign == +1 and level == "K1":
             continue
         for j in range(par.f):
-            if pairs[(sign, j)] == target:
+            # alpha^(sign p^j) has the exponent pair (sign p^j, -sign p^j)
+            step = sign * par.p ** j
+            if (par.mod_qm1(step), par.mod_qm1(-step)) == target:
                 return (1, sign, j)
     return (0, None, None)

@@ -113,9 +113,7 @@ class DiamondWeight(NamedTuple):
 
 
 class D0Factor(NamedTuple):
-    base: DiamondWeight
     mu: tuple
-    composed: tuple
     weight: Weight
 
     @property
@@ -157,30 +155,28 @@ def _weight_set(rho: GaloisParams) -> tuple:
 
 @lru_cache(maxsize=None)
 def _skeleton(lam: tuple, reducible: bool) -> tuple:
-    """The pairs (mu, mu o lam) of the block over lam, in block order.
+    """The mu-tuples of the block over lam, in block order.
 
     They do not depend on the digits, so every parameter of the case shares
     them; at most 2^(f+1) tuples lam exist at each f.
     """
-    pairs = [(mu, compose_tuples(mu, lam)) for mu in compatible_Imu(mu_of_lambda(lam, reducible))]
-    pairs.sort(key=lambda pair: (len(S_of_mu(pair[0])), pair[0]))
-    return tuple(pairs)
+    mus = compatible_Imu(mu_of_lambda(lam, reducible))
+    return tuple(sorted(mus, key=lambda mu: (len(S_of_mu(mu)), mu)))
 
 
 @lru_cache(maxsize=None)
 def _skeleton_forms(lam: tuple, reducible: bool, p: int) -> tuple:
-    """The compiled forms at p of the skeleton's composed tuples, in its order."""
-    return tuple(compile_tuple(comp, p) for _, comp in _skeleton(lam, reducible))
+    """The compiled forms at p of mu o lam for the skeleton's mu, in its order."""
+    return tuple(compile_tuple(compose_tuples(mu, lam), p) for mu in _skeleton(lam, reducible))
 
 
 def _block(rho: GaloisParams, sigma: DiamondWeight) -> tuple:
     """d0_factors' block of sigma: the skeleton's in-range evaluations."""
     par = rho.params
-    skeleton = _skeleton(sigma.lam, rho.reducible)
     evs = evaluate_forms(_skeleton_forms(sigma.lam, rho.reducible, par.p), rho.r, par.p)
     return tuple(
-        D0Factor(sigma, mu, comp, Weight(par, ev[0], ev[1] + rho.twist))
-        for (mu, comp), ev in zip(skeleton, evs)
+        D0Factor(mu, Weight(par, ev[0], ev[1] + rho.twist))
+        for mu, ev in zip(_skeleton(sigma.lam, rho.reducible), evs)
         if ev is not None
     )
 
@@ -294,7 +290,10 @@ class DeltaResult(NamedTuple):
     target: DiamondWeight          # the block owning tau^[s]
     mirror: D0Factor               # tau^[s] as a factor of that block
     predicted_subset: frozenset    # from the S^-/S^+ formula
-    formula_agrees: bool
+
+    @property
+    def formula_agrees(self) -> bool:
+        return self.predicted_subset == self.target.S
 
 
 def delta_data(rho: GaloisParams, sigma: DiamondWeight, factor: D0Factor) -> DeltaResult:
@@ -312,8 +311,7 @@ def delta_data(rho: GaloisParams, sigma: DiamondWeight, factor: D0Factor) -> Del
                 f"tau^[s] = {target_w} found {len(hits)} times across the blocks of {rho}"
             )
         dw, fac = hits[0]
-        pred = delta_subset_prediction(rho, sigma, factor)
-        res = rec.delta[key] = DeltaResult(dw, fac, pred, pred == dw.S)
+        res = rec.delta[key] = DeltaResult(dw, fac, delta_subset_prediction(rho, sigma, factor))
     return res
 
 
@@ -384,9 +382,6 @@ class ClauseReport(NamedTuple):
 
 
 class CombinationReport(NamedTuple):
-    rho: GaloisParams
-    sigma: DiamondWeight
-    j: int
     couples: list
     clauses: list
 
@@ -447,7 +442,7 @@ def verify_combination(rho: GaloisParams, sigma: DiamondWeight, j: int) -> Combi
         add("J-xi-off", ok, tag)
         add("J-xi-flip", (jm2 in J1) != (jm2 in J2), tag)
 
-    return CombinationReport(rho, sigma, j, couples, clauses)
+    return CombinationReport(couples, clauses)
 
 
 def special_sigma_tuple(f: int, reducible: bool) -> tuple:

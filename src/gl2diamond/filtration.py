@@ -229,8 +229,11 @@ def example1_filtration(sigma: Weight, j: int) -> Example1Filtration:
 
 class F2Tables(NamedTuple):
     sigmas: list
-    matches_d0: bool
-    detail: str = ""
+    detail: str                # the mismatches with the blocks, "; "-joined
+
+    @property
+    def matches_d0(self) -> bool:
+        return not self.detail
 
 
 def f2_sigmas(rho: GaloisParams) -> list:
@@ -271,9 +274,8 @@ def f2_tables(rho: GaloisParams) -> F2Tables:
 
     dws = [weight_in_diamond(rho, w) for w in sigmas]
     if any(dw is None for dw in dws):
-        return F2Tables(sigmas, False, "a table weight is not in the weight set")
+        return F2Tables(sigmas, "a table weight is not in the weight set")
 
-    ok = True
     detail = []
     for idx, dw in enumerate(dws):
         facs = d0_factors(rho, dw)
@@ -288,19 +290,16 @@ def f2_tables(rho: GaloisParams) -> F2Tables:
             got[len(S_of_mu(fac.mu))].append(fac.weight.r)
         for level in (0, 1, 2):
             if sorted(expect[level]) != sorted(got[level]):
-                ok = False
                 detail.append(f"row {idx+1} level {level}: expected {expect[level]}, got {got[level]}")
         socle = [fac for fac in facs if fac.is_socle]
         delta = delta_of_tau(rho, dw, socle[0])
         target = sigmas[(idx + 1) % 4]
         if delta.weight != target:
-            ok = False
             detail.append(f"delta of base {idx+1} is {delta.weight}, expected {target}")
-    return F2Tables(sigmas, ok, "; ".join(detail))
+    return F2Tables(sigmas, "; ".join(detail))
 
 
 class V1S1(NamedTuple):
-    rho: GaloisParams
     taus: list                 # tau_0 .. tau_{r0}
     v1: FiltrationLayers
     s1: FiltrationLayers
@@ -324,4 +323,4 @@ def v1_s1_filtrations(rho: GaloisParams) -> V1S1:
     couple_checks = [("sigma1-sigma4", couple_type(s1w, s4w) == CoupleType(+1, 1))]
     for i in range(r0):
         couple_checks.append((f"tau{i}-tau{i+1}", couple_type(taus[i], taus[i + 1]) == CoupleType(+1, 0)))
-    return V1S1(rho, taus, v1, s1, outside, couple_checks)
+    return V1S1(taus, v1, s1, outside, couple_checks)

@@ -63,7 +63,7 @@ class ExplicitModule:
     ``moving_mats(kind)`` only those whose image is not the identity.
     """
 
-    def __init__(self, ctx: GroupContext, dim: int, group: str, name: str = "", evaluate=None, derive=None):
+    def __init__(self, ctx: GroupContext, dim: int, group: str, evaluate=None, derive=None):
         if group not in ("K", "I"):
             raise DomainError(f"unknown group tag {group!r}")
         self.ctx = ctx
@@ -72,7 +72,6 @@ class ExplicitModule:
             self.evaluate = evaluate
         self._derive = derive
         self.group = group
-        self.name = name
         self._mats = None
         self._identities = None
         self._socle = None
@@ -115,8 +114,7 @@ class ExplicitModule:
         return self.ctx.gf
 
     def __repr__(self):
-        tag = self.name or "module"
-        return f"<{tag}: dim {self.dim} over {self.group}>"
+        return f"<module: dim {self.dim} over {self.group}>"
 
 
 def _is_identity(M) -> bool:
@@ -164,14 +162,14 @@ def weight_module(ctx: GroupContext, sigma: Weight) -> ExplicitModule:
             a, b, c, d = gf.frob_t[a], gf.frob_t[b], gf.frob_t[c], gf.frob_t[d]
         return gf.mul_t[gf.pow_vec(det, sigma.twist)[..., None, None], M]
 
-    return ExplicitModule(ctx, weight_dim(sigma), "K", f"weight {sigma}", evaluate=evaluate)
+    return ExplicitModule(ctx, weight_dim(sigma), "K", evaluate=evaluate)
 
 
 def character_module(ctx: GroupContext, chi: ICharacter) -> ExplicitModule:
     def evaluate(g):
         return ctx.char_value(chi, g)[..., None, None]
 
-    return ExplicitModule(ctx, 1, "I", f"char {chi}", evaluate=evaluate)
+    return ExplicitModule(ctx, 1, "I", evaluate=evaluate)
 
 
 def ej_module(ctx: GroupContext, chi: ICharacter, j: int) -> ExplicitModule:
@@ -189,7 +187,7 @@ def ej_module(ctx: GroupContext, chi: ICharacter, j: int) -> ExplicitModule:
         out[..., 0, 0], out[..., 0, 1], out[..., 1, 1] = v1, gf.mul_t[v2, s], v2
         return out
 
-    return ExplicitModule(ctx, 2, "I", f"E_{j}({chi})", evaluate=evaluate)
+    return ExplicitModule(ctx, 2, "I", evaluate=evaluate)
 
 
 def pi_twist(mod: ExplicitModule) -> ExplicitModule:
@@ -201,7 +199,7 @@ def pi_twist(mod: ExplicitModule) -> ExplicitModule:
     def evaluate(g):
         return mod.evaluate(ctx.gr.swap_conjugate(g))
 
-    return ExplicitModule(ctx, mod.dim, "I", f"Pi({mod.name})", evaluate=evaluate)
+    return ExplicitModule(ctx, mod.dim, "I", evaluate=evaluate)
 
 
 def _induced_bytes(q: int, f: int, d: int) -> int:
@@ -245,10 +243,10 @@ def induce(mod: ExplicitModule) -> ExplicitModule:
         out[np.arange(len(blocks))[:, None], targets.reshape(-1, q + 1), :, np.arange(q + 1), :] = blocks
         return out.reshape(g.shape[:-3] + (n, n))
 
-    return ExplicitModule(ctx, n, "K", f"Ind({mod.name})", evaluate=evaluate)
+    return ExplicitModule(ctx, n, "K", evaluate=evaluate)
 
 
-def sub_module(mod: ExplicitModule, sub: Subspace, name: str = "", group: str | None = None) -> ExplicitModule:
+def sub_module(mod: ExplicitModule, sub: Subspace, group: str | None = None) -> ExplicitModule:
     """Restriction of the action to an invariant row subspace, optionally to
     a smaller ``group``; a generator image outside it raises ValueError."""
     gf = mod.gf
@@ -258,10 +256,10 @@ def sub_module(mod: ExplicitModule, sub: Subspace, name: str = "", group: str | 
     def derive():
         return mod.derived_mats(group, sub.dim, lambda M: sub.express(gf.matmul(B, M.T)).T)
 
-    return ExplicitModule(mod.ctx, sub.dim, group, name or f"sub({mod.name})", derive=derive)
+    return ExplicitModule(mod.ctx, sub.dim, group, derive=derive)
 
 
-def quotient_module(mod: ExplicitModule, sub: Subspace, name: str = "") -> ExplicitModule:
+def quotient_module(mod: ExplicitModule, sub: Subspace) -> ExplicitModule:
     """Action on the complement coordinates of the residues modulo an
     invariant row subspace: v reduces to v[comp] + E v[pivots] with
     E = -basis[:, comp]^T, so M goes to Mc[comp] + E Mc[pivots], Mc = M[:, comp]."""
@@ -276,7 +274,7 @@ def quotient_module(mod: ExplicitModule, sub: Subspace, name: str = "") -> Expli
     def derive():
         return mod.derived_mats(mod.group, len(comp), image)
 
-    return ExplicitModule(mod.ctx, len(comp), mod.group, name or f"quot({mod.name})", derive=derive)
+    return ExplicitModule(mod.ctx, len(comp), mod.group, derive=derive)
 
 
 def direct_sum(A: ExplicitModule, B: ExplicitModule) -> ExplicitModule:
@@ -289,7 +287,7 @@ def direct_sum(A: ExplicitModule, B: ExplicitModule) -> ExplicitModule:
     def derive():
         return [np.block([[MA, zero], [zero.T, MB]]) for MA, MB in zip(A.gen_mats(group), B.gen_mats(group))]
 
-    return ExplicitModule(A.ctx, A.dim + B.dim, group, f"{A.name} + {B.name}", derive=derive)
+    return ExplicitModule(A.ctx, A.dim + B.dim, group, derive=derive)
 
 
 def invariants(mod: ExplicitModule) -> np.ndarray:
@@ -546,8 +544,7 @@ def cosocle_weights(mod: ExplicitModule) -> Counter:
     which sends each weight's dual back to the weight.  K's generators are
     closed under transposition, so nothing is inverted."""
     mats, perm = mod.gen_mats("K"), mod.ctx.transpose_positions()
-    return socle_weights(ExplicitModule(mod.ctx, mod.dim, "K", f"transpose({mod.name})",
-                                        derive=lambda: [mats[i].T for i in perm]))
+    return socle_weights(ExplicitModule(mod.ctx, mod.dim, "K", derive=lambda: [mats[i].T for i in perm]))
 
 
 def radical_subspace(mod: ExplicitModule, kind: str, rows=None) -> Subspace:
@@ -557,8 +554,7 @@ def radical_subspace(mod: ExplicitModule, kind: str, rows=None) -> Subspace:
     if rows is None:
         rows = gf.eye(mod.dim)
     rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    eye = gf.eye(mod.dim)
-    images = [gf.matmul(rows, gf.sub(M, eye).T) for M in mod.moving_mats(kind)]
+    images = [gf.sub(gf.matmul(rows, M.T), rows) for M in mod.moving_mats(kind)]
     return Subspace(gf, images, ambient=mod.dim)
 
 

@@ -223,23 +223,23 @@ def chain_induction(ctx: GroupContext, chi: ICharacter) -> ExplicitModule:
     return induce(pi_twist(character_module(ctx, chi)))
 
 
-def ej_chain_module(base: ExplicitModule, chi: ICharacter, j: int, s: int) -> ExplicitModule:
+def ej_chain_module(base: ExplicitModule, j: int, s: int) -> ExplicitModule:
     """The uniserial (s+1)-dimensional chain below Ind of the twisted character:
     the span of f_(p^j s) under the Iwahori inside ``base``, which is
-    ``chain_induction(ctx, chi)``."""
+    ``chain_induction(ctx, chi)`` for the chain's character chi."""
     ctx = base.ctx
     if not 0 <= s <= ctx.params.p - 1:
         raise DomainError("chain length out of range")
     k = ctx.params.p ** j * s
     seed = coset_sum_vector(ctx, np.array([1]), k)
     sub = spin(ctx.gf, base.moving_mats("I"), seed)
-    return sub_module(base, sub, name=f"chain({chi},{j},{s})", group="I")
+    return sub_module(base, sub, group="I")
 
 
 def verify_ej_chain(base: ExplicitModule, chi: ICharacter, j: int, s: int) -> CheckReport:
     """Checks of the chain of chi in ``base = chain_induction(ctx, chi)``."""
     rep = CheckReport("chain", f"chi=({chi.a},{chi.b}),j={j},s={s}")
-    mod = ej_chain_module(base, chi, j, s)
+    mod = ej_chain_module(base, j, s)
     rep.add("dimension", mod.dim == s + 1, s + 1, mod.dim)
     layers = [sorted(layer.elements()) for layer in socle_series(mod)]
     expected = [[char_times_alpha_power(chi, j, -i)] for i in range(s + 1)]
@@ -274,7 +274,7 @@ def e_two_char_module(ctx: GroupContext, chi: ICharacter, chi2: ICharacter, j: i
     rhs = char_times_alpha_power(chi2, j, -1)
     if lhs != rhs:
         raise DomainError("characters are incompatible with the gluing")
-    A = ej_chain_module(chain_induction(ctx, chi), chi, jm1, s_plus_1)
+    A = ej_chain_module(chain_induction(ctx, chi), jm1, s_plus_1)
     B = ej_module(ctx, chi2, j)
     gf = ctx.gf
     dA, dB = A.dim, B.dim
@@ -292,7 +292,7 @@ def e_two_char_module(ctx: GroupContext, chi: ICharacter, chi2: ICharacter, j: i
     diag[dA + cB] = 1
     rows.append(diag)
     sub = Subspace(gf, np.stack(rows))
-    return sub_module(D, sub, name=f"glued({chi},{chi2},{j},{s_plus_1})", group="I")
+    return sub_module(D, sub, group="I")
 
 
 def verify_e_two_char(mod: ExplicitModule, chi: ICharacter, chi2: ICharacter, j: int, s_plus_1: int) -> CheckReport:

@@ -49,11 +49,8 @@ class PSFactor(NamedTuple):
 class InducedJH(NamedTuple):
     """Factors of one induced module, plus the tuples dropped as out of range."""
 
-    chi: ICharacter
-    digits: tuple
-    eta_exp: int
     factors: tuple
-    dropped: tuple = ()
+    dropped: tuple
 
     def by_subset(self, J) -> PSFactor:
         J = frozenset(J)
@@ -111,7 +108,7 @@ def jh_of_induced(chi: ICharacter) -> InducedJH:
     digits, t = char_normal_form(conjugate_char(chi))
     index, dropped = _evaluate_P(par, digits)
     factors = tuple(PSFactor(Weight(par, vals, e + t), lam, J) for (vals, e), (lam, J) in index.items())
-    return InducedJH(chi, digits, t, factors, dropped)
+    return InducedJH(factors, dropped)
 
 
 def factor_of_weight(chi: ICharacter, w: Weight) -> tuple:

@@ -3,9 +3,9 @@ brute-force references.
 
 `delta_data` looks the companion weight up in the record of the blocks
 built once per parameter, and keeps its answer there, as `xi_and_J` does;
-each block evaluates a skeleton of (mu, mu o lam) pairs shared by every
-parameter; and `jh_of_induced` and `factor_of_weight` read one evaluation
-of the P-family per digit vector.  Each is compared here with the direct
+each block evaluates a skeleton of mu-tuples shared by every parameter;
+and `jh_of_induced` and `factor_of_weight` read one evaluation of the
+P-family per digit vector.  Each is compared here with the direct
 computation it replaced (a block composed tuple by tuple, the whole-family
 build of an induction and a linear scan of its factors), over random
 characters and random generic parameters with f <= 5 and a few at f = 6.
@@ -89,7 +89,7 @@ def composed_block(rho, sigma):
         if not in_weight_range(vals, par.p):
             continue
         tw = e_of_lambda(comp, rho.r, par.p) + rho.twist
-        out.append(D0Factor(sigma, mu, comp, Weight(par, vals, tw)))
+        out.append(D0Factor(mu, Weight(par, vals, tw)))
     out.sort(key=lambda fac: (len(S_of_mu(fac.mu)), fac.mu))
     return tuple(out)
 
@@ -112,7 +112,7 @@ def unfiltered_block(rho, sigma):
         vals = eval_tuple(comp, rho.r, par.p)
         if in_weight_range(vals, par.p):
             tw = e_of_lambda(comp, rho.r, par.p) + rho.twist
-            out.append(D0Factor(sigma, mu, comp, Weight(par, vals, tw)))
+            out.append(D0Factor(mu, Weight(par, vals, tw)))
     out.sort(key=lambda fac: (len(S_of_mu(fac.mu)), fac.mu))
     return tuple(out)
 
@@ -129,7 +129,7 @@ def whole_family_induction(chi):
             continue
         tw = e_of_lambda(lam, digits, par.p) + t
         factors.append(PSFactor(Weight(par, vals, tw), lam, J_of_lambda(lam)))
-    return InducedJH(chi, digits, t, tuple(factors), tuple(dropped))
+    return InducedJH(tuple(factors), tuple(dropped))
 
 
 def scan_by_weight(jh, w):
@@ -199,12 +199,12 @@ def test_delta_guard_survives_the_index(monkeypatch):
     tau = lifting_factors(rho, sigma)[1]
     mirror = delta_data(rho, sigma, tau)
     other = next(dw for dw in diamond_set(rho) if dw != mirror.target)
-    duplicate = D0Factor(other, mirror.mirror.mu, mirror.mirror.composed, mirror.mirror.weight)
     real = diamond._block
 
     def patched(rho_, sigma_):
+        # the mirror factor, a second time in another block
         facs = real(rho_, sigma_)
-        return facs + (duplicate,) if sigma_ == other else facs
+        return facs + (mirror.mirror,) if sigma_ == other else facs
 
     diamond._blocks.cache_clear()
     monkeypatch.setattr(diamond, "_block", patched)
@@ -320,7 +320,7 @@ def characters(draw):
 @given(characters())
 def test_induction_matches_the_whole_family_build(chi):
     ref = whole_family_induction(chi)
-    # the same factors in the same order, the same dropped tuples, digits and twist
+    # the same factors in the same order and the same dropped tuples
     assert jh_of_induced(chi) == ref
     for fac in ref.factors:
         assert factor_of_weight(chi, fac.weight) == (fac.lam, fac.J)

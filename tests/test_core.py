@@ -271,25 +271,29 @@ def record_instances() -> dict:
 # instance above, recorded when the records were dataclasses.  Set and dict
 # iteration orders, hence the golden reports, follow the hashes.  A record
 # holding a str, list or dict has no hash to pin: it was unhashable, and a
-# str hash changes from process to process.
+# str hash changes from process to process.  D0Factor, DeltaResult, InducedJH,
+# CombinationReport, F2Tables and V1S1 were re-recorded when they dropped the
+# fields that restated another field or an argument: fewer fields give a new
+# hash and repr, and no report order follows these records (only sets of
+# Weights and PSFactors are iterated).
 PINNED_RECORDS = {
     "Params": (3453031638033610253, "d7832f2ad6c1bcfd", None),
     "Weight": (7092935409119662222, "75b3edd9aa6346da", "(1,3)*det^7"),
     "ICharacter": (16386182138849970, "b5b3e6eb488eeecc", "chi(6,23)"),
     "GaloisParams": (-6698014863458684279, "7b11c0f50ea57906", "rho[irr; p=5, f=2, r=(2, 1), tw=1]"),
     "DiamondWeight": (-5389556360355300484, "0954e6588c7e86a1", "(1)*det^1 [S=[0]]"),
-    "D0Factor": (1780883685938581485, "221a380a21970ffa", None),
-    "DeltaResult": (7766353250667957343, "584fb41b769961ce", None),
+    "D0Factor": (6165490244779192293, "1e2fff05c906a9b8", None),
+    "DeltaResult": (8981594972949512049, "83664fd662322240", None),
     "CoupleType": (9083154820904886697, "20bb4a5a79990946", "(-1,1)"),
     "PSFactor": (-5509014003742961359, "98e78507604f4670", None),
-    "InducedJH": (-2577980974785624752, "5e5f8f1c1629eb54", None),
+    "InducedJH": (4270781708425859755, "1df8dcb78e2e793d", None),
     "GroupContext": (-7384472671866874872, "7e91178c75e6a2bb", None),
     "ClauseReport": (None, "f6f2d31616395643", None),
-    "CombinationReport": (None, "d847c71d84112b19", None),
+    "CombinationReport": (None, "51f05d9a076582cd", None),
     "FiltrationLayers": (None, "f08e3c9855964bc1", None),
     "Example1Filtration": (None, "7bd7e845cd472892", None),
-    "F2Tables": (None, "7537618bd7536697", None),
-    "V1S1": (None, "f79f9d73c3e1668d", None),
+    "F2Tables": (None, "61af1ddd8201e965", None),
+    "V1S1": (None, "801a29fbb8c769c9", None),
     "RunConfig": (None, "6c3afb61810d0c90", None),
     "Suite": (None, "77a20b0bb0d92211", None),
 }
@@ -362,4 +366,4 @@ def test_block_records_hash_as_their_field_tuples(data):
     for dw in diamond_set(rho):
         assert hash(dw) == hash((dw.weight, dw.lam, dw.S))
         for fac in d0_factors(rho, dw):
-            assert hash(fac) == hash((fac.base, fac.mu, fac.composed, fac.weight))
+            assert hash(fac) == hash((fac.mu, fac.weight))

@@ -240,9 +240,9 @@ def test_block_objects_hash_once_as_generated():
         assert hash(dw) == hash((dw.weight, dw.lam, dw.S)) and not hasattr(dw, "__dict__")
         assert dw == type(dw)(dw.weight, dw.lam, dw.S)
         for fac in d0_factors(rho, dw):
-            assert hash(fac) == hash((fac.base, fac.mu, fac.composed, fac.weight))
+            assert hash(fac) == hash((fac.mu, fac.weight))
             assert not hasattr(fac, "__dict__")
-            copy = type(fac)(fac.base, fac.mu, fac.composed, fac.weight)
+            copy = type(fac)(fac.mu, fac.weight)
             assert copy == fac and hash(copy) == hash(fac)
             assert fac.lifts == all(s in LIFT_SYMBOLS for s in fac.mu)
             assert fac.is_socle == all(s == Y for s in fac.mu)

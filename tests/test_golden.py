@@ -31,6 +31,9 @@ COMMANDS = {
     "verify-jh-p5-f3": ["verify", "--suite", "jh", "--p", "5", "--f", "3", "--format", "json"],
     "verify-womega-p5-f1": ["verify", "--suite", "womega", "--p", "5", "--f", "1", "--format", "json"],
     "verify-womega-p7-f2": ["verify", "--suite", "womega", "--p", "7", "--f", "2", "--format", "json"],
+    # at f = 1 the default weight has psi = conj(chi), the one default run of
+    # verify_ind_ej's conjugate-fixed correction
+    "verify-indej-p5-f1": ["verify", "--suite", "indej", "--p", "5", "--f", "1", "--format", "json"],
     "verify-indej-p5-f2": ["verify", "--suite", "indej", "--p", "5", "--f", "2", "--format", "json"],
     "verify-indej-p7-f2": ["verify", "--suite", "indej", "--p", "7", "--f", "2", "--format", "json"],
     "verify-s1s2-p5-f2-r2-1": ["verify", "--suite", "s1s2", "--p", "5", "--f", "2", "--r", "2,1", "--format", "json"],

@@ -325,7 +325,7 @@ def test_i_socle_series_matches_the_invariants_loop(pf, data):
     j = data.draw(st.integers(0, f - 1))
     mods = [ej_module(ctx, chi, j)]
     chains = chain_induction(ctx, chi)
-    mods += [ej_chain_module(chains, chi, j, s) for s in range(min(3, p - 1) + 1)]
+    mods += [ej_chain_module(chains, j, s) for s in range(min(3, p - 1) + 1)]
     if f == 2:
         s = data.draw(st.integers(0, p - 2))
         # chi2 * alpha_j^(-1) = chi * alpha_(j-1)^(-(s+1)), the gluing condition
@@ -637,20 +637,29 @@ def test_coset_tree_reaches_each_coset_once(pf):
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3)]), st.data())
 def test_weight_walk_is_the_first_column_of_the_weight(pf, data):
-    # sigma(word_i) v0 in closed form, times det(word_i)^t, against the weight module's evaluator
-    from gl2diamond.oracle.modules import _weight_walk
+    # sigma(word_i) v0 in closed form, times det(word_i)^t, against column 0 of
+    # the weight module's images as its evaluator builds them: column 0 of each
+    # digit's _sym_power on the Frobenius twists of the entries, tensored over
+    # the digits and scaled by det^t, without forming the d x d images
+    from gl2diamond.oracle.modules import _sym_power, _weight_walk
 
     p, f = pf
     ctx = get_context(Params(p, f))
+    gf = ctx.gf
     tree = ctx.coset_tree()
-    words = tree.words
+    res = ctx.gr.reduce_p(tree.words)
+    a, b, c, d = res[:, 0, 0], res[:, 0, 1], res[:, 1, 0], res[:, 1, 1]
+    det = gf.sub(gf.mul_t[a, d], gf.mul_t[b, c])
     drawn = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)))
     for r in ((0,) * f, (p - 1,) * f, drawn):
-        for t in {0, 1, data.draw(st.integers(0, ctx.gf.q - 2))}:
-            W = weight_module(ctx, Weight(ctx.params, r, t))
-            want = np.vstack([W.evaluate(words[s:s + 16])[:, :, 0] for s in range(0, len(words), 16)])
-            dets = ctx.gf.exp_t[(t * tree.det_logs) % (ctx.gf.q - 1)]
-            assert (ctx.gf.mul_t[dets[:, None], _weight_walk(ctx, r)] == want).all(), (r, t)
+        col, entries = np.ones((len(res), 1), dtype=np.int64), (a, b, c, d)
+        for ri in r:
+            col = gf.mul_t[col[:, :, None], _sym_power(gf, *entries, ri)[:, None, :, 0]].reshape(len(col), -1)
+            entries = tuple(gf.frob_t[x] for x in entries)
+        for t in {0, 1, data.draw(st.integers(0, gf.q - 2))}:
+            want = gf.mul_t[gf.pow_vec(det, t)[:, None], col]
+            dets = gf.exp_t[(t * tree.det_logs) % (gf.q - 1)]
+            assert (gf.mul_t[dets[:, None], _weight_walk(ctx, r)] == want).all(), (r, t)
 
 
 def test_relations_are_kept_per_digit_vector_within_their_byte_bound(monkeypatch):
@@ -829,7 +838,7 @@ def test_chain_of_length_two_is_the_extension(ctx51):
     chi = chi_of_weight(Weight(ctx.params, (2,), 0))
     E = ej_module(ctx, chi, 0)
     ladder = _char_ladder(E)
-    assert _char_ladder(ej_chain_module(chain_induction(ctx, chi), chi, 0, 1)) == ladder
+    assert _char_ladder(ej_chain_module(chain_induction(ctx, chi), 0, 1)) == ladder
     [[bottom], [top]] = ladder
     assert ext1_dim_I(top, bottom) == (1, -1, 0)
 
@@ -1054,7 +1063,7 @@ def _split_inputs(ctx, chi, j, s):
         top = quotient_module(mod, socle_data(mod)[1])
         if top.dim:
             out.append((top, invariants(top)))
-    whole = [ej_module(ctx, chi, j), ej_chain_module(chain_induction(ctx, chi), chi, j, s)]
+    whole = [ej_module(ctx, chi, j), ej_chain_module(chain_induction(ctx, chi), j, s)]
     if ctx.params.f == 2:
         # chi2 * alpha_j^(-1) = chi * alpha_(j-1)^(-(s+1)), the gluing condition
         chi2 = char_times_alpha_power(char_times_alpha_power(chi, (j - 1) % 2, -(s + 1)), j, 1)
@@ -1088,7 +1097,7 @@ def test_h_eigen_split_of_a_unipotent_torus_raises(ctx52):
     from gl2diamond.oracle.modules import ExplicitModule
 
     unipotent = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    mod = ExplicitModule(ctx52, 2, "I", "unipotent", derive=lambda: [unipotent] * len(ctx52.gens("I")))
+    mod = ExplicitModule(ctx52, 2, "I", derive=lambda: [unipotent] * len(ctx52.gens("I")))
     with pytest.raises(AssertionError, match="H-semisimple"):
         h_eigen_split(mod, np.eye(2, dtype=np.int64))
 
@@ -1144,7 +1153,7 @@ def test_h_eigen_split_refusals_match_two_projector_chains(ctx52, split):
     from gl2diamond.oracle.modules import ExplicitModule
 
     unipotent = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    mod = ExplicitModule(ctx52, 2, "I", "unipotent", derive=lambda: [unipotent] * len(ctx52.gens("I")))
+    mod = ExplicitModule(ctx52, 2, "I", derive=lambda: [unipotent] * len(ctx52.gens("I")))
     with pytest.raises(AssertionError, match="H-semisimple"):
         split(mod, np.eye(2, dtype=np.int64))
     E = ej_module(ctx52, chi_of_weight(Weight(ctx52.params, (2, 1), 0)), 0)
